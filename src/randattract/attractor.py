@@ -328,12 +328,9 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray, alpha: float) -> float:
     if a.shape[0] == 0 or b.shape[0] == 0:
         return math.nan
     wa, wb = _alpha_metric(a, alpha), _alpha_metric(b, alpha)
-    d2 = (
-        np.sum(wa ** 2, axis=1)[:, None]
-        + np.sum(wb ** 2, axis=1)[None, :]
-        - 2.0 * (wa @ wb.T)
-    )
-    d2 = np.maximum(d2, 0.0)
+    # direct differences: |a|^2 + |b|^2 - 2ab cancels on collapsed clouds
+    diff = wa[:, None, :] - wb[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 

@@ -22,7 +22,13 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, example_config, load_config
-from .errors import ConfigurationError, NumericalError
+from .errors import (
+    AlignmentError,
+    ConfigurationError,
+    NumericalError,
+    OrderingError,
+    ShiftRangeError,
+)
 from .evolution import (
     apply as chain_apply,
     build_chain,
@@ -627,6 +633,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         sink.cleanup_partial()
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except (AlignmentError, ShiftRangeError, OrderingError) as exc:
+        sink.cleanup_partial()
+        print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, FloatingPointError) as exc:
         sink.cleanup_partial()

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .noise import NoiseSpectrum
+from .errors import AlignmentError, ConfigurationError
+from .noise import NoiseSpectrum, _as_index
 from .operators import DiffusionField, FractionalNormSpec
 from .pathwise import NonlinearitySpec, SemilinearProblem
 
@@ -262,6 +262,18 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError("experiment.truncation_horizon must be positive")
     if cfg.ensemble_size < 1:
         raise ConfigurationError("experiment.ensemble_size must be >= 1")
+    spans = [
+        ("experiment.horizon", cfg.horizon),
+        *(("experiment.horizons", t) for t in cfg.horizons),
+        ("experiment.truncation_horizon", cfg.truncation_horizon),
+        ("experiment.temperedness_horizon", cfg.temperedness_horizon),
+        ("field.driver_horizon", cfg.driver_horizon),
+    ]
+    for key, value in spans:
+        try:
+            _as_index(value, cfg.dt, key)
+        except AlignmentError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
 
 def example_config() -> str:

@@ -86,6 +86,8 @@ class PropagatorChain:
     field: DiffusionField
     path: WienerPath | None
     _node_cache: dict = field(default_factory=dict, repr=False)
+    # noise increments on ``path``, kept by pathwise.corrected_increments
+    _increments: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -110,6 +112,10 @@ class PropagatorChain:
             if cache:
                 self._node_cache[k] = op
         return op
+
+
+# step matrices assembled and eigendecomposed together in build_chain
+_BUILD_BLOCK = 128
 
 
 def build_chain(
@@ -143,18 +149,22 @@ def build_chain(
     zetas = driver_values(field, path, k0, k0 + k_steps)
     modulation = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
 
-    mats = np.empty((k_steps, m, m))
-    for k in range(k_steps):
-        mats[k] = _matrix_from_modulation(field, m, float(modulation[k]))
-    lam, q = np.linalg.eigh(mats)
-    top = float(lam[..., -1].max()) if k_steps else -math.inf
-    if k_steps and top > -field.poincare_rate * (1.0 - 1e-6):
-        raise NumericalError(
-            f"midpoint operator violates the spectral bound: {top}"
-        )
-    scaled = q * np.exp(grid.dt * lam)[:, None, :]
-    steps = scaled @ np.swapaxes(q, 1, 2)
-    steps = (steps + np.swapaxes(steps, 1, 2)) / 2.0
+    # block by block, so the temporaries stay a fixed size; each step is
+    # computed on its own, so the steps do not depend on the blocking
+    steps = np.empty((k_steps, m, m))
+    for lo in range(0, k_steps, _BUILD_BLOCK):
+        hi = min(lo + _BUILD_BLOCK, k_steps)
+        mats = np.empty((hi - lo, m, m))
+        for k in range(lo, hi):
+            mats[k - lo] = _matrix_from_modulation(field, m, float(modulation[k]))
+        lam, q = np.linalg.eigh(mats)
+        top = float(lam[..., -1].max())
+        if top > -field.poincare_rate * (1.0 - 1e-6):
+            raise NumericalError(
+                f"midpoint operator violates the spectral bound: {top}"
+            )
+        block = (q * np.exp(grid.dt * lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
+        steps[lo:hi] = (block + np.swapaxes(block, 1, 2)) / 2.0
     return PropagatorChain(grid, steps, field, path)
 
 

@@ -35,7 +35,7 @@ from .operators import (
     fixed_laplacian_symbols,
     fractional_norm,
 )
-from .pathwise import _embedded
+from .pathwise import _embedded, corrected_increments
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,10 @@ def propagate(
     states = np.empty((grid.n_steps + 1, m))
     states[0] = state.z0
     z = state.z0
-    dt = grid.dt
-    k_path0 = path.index_of(0.0)
+    # the linear pathwise step with sigma = 1
+    noise = corrected_increments(chain, path)
     for k in range(grid.n_steps):
-        # same arithmetic as linear_pathwise_step with sigma = 1
-        increment = _embedded(path.increment(k_path0 + k), m)
-        a_inc = chain.node_operator(k, cache=False).matrix @ increment
-        z = chain.steps[k] @ (z + (increment - (dt / 2.0) * a_inc))
+        z = chain.steps[k] @ (z + noise[k])
         states[k + 1] = z
     l2 = np.sqrt(np.einsum("ij,ij->i", states, states))
     symbols = fixed_laplacian_symbols(m, beta)

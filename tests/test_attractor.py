@@ -7,6 +7,7 @@ import pytest
 
 from randattract import (
     DiffusionField,
+    NoiseSpectrum,
     NonlinearitySpec,
     SemilinearProblem,
     absorbing_diagnostics,
@@ -18,6 +19,7 @@ from randattract import (
     default_ensemble,
     energy_monitor,
     hausdorff_distance,
+    integrate_semilinear,
     integrate_v,
     pullback_estimate,
     sample_two_sided_path,
@@ -191,6 +193,21 @@ def test_hausdorff_and_diameter_basics():
     assert w == pytest.approx(math.pi)
 
 
+def test_hausdorff_collapsed_clouds_do_not_cancel():
+    rng = np.random.default_rng(3)
+    m, alpha = 64, 0.2
+    center = rng.standard_normal(m)
+    a = center + 1e-10 * rng.standard_normal((33, m))
+    b = center + 1e-10 * rng.standard_normal((33, m))
+    from randattract.operators import fixed_laplacian_symbols
+
+    wa, wb = a * fixed_laplacian_symbols(m, alpha), b * fixed_laplacian_symbols(m, alpha)
+    d = np.array([[np.linalg.norm(x - y) for y in wb] for x in wa])
+    brute = max(d.min(axis=1).max(), d.min(axis=0).max())
+    assert brute > 0.0
+    assert hausdorff_distance(a, b, alpha) == pytest.approx(brute, rel=1e-12)
+
+
 def test_default_ensemble_layout():
     ens = default_ensemble(16, 0.2, radius=2.0, n_random=16, seed=1)
     assert ens.shape == (33, 16)
@@ -221,6 +238,29 @@ def test_pullback_linear_singleton(spectrum):
     ]
     assert errs[1] <= 1e-3
     assert errs[1] <= 0.1 * errs[0]
+
+
+def test_pullback_endpoints_match_members_on_fresh_chains(spectrum):
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 8, 2.0 ** -6
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -4.0, 0.5, dt, seed=31)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.zeros(m),
+    )
+    ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
+    horizons = [0.5, 1.0]
+    est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
+    for j, t_j in enumerate(horizons):
+        fiber = wiener_shift(path, -int(round(t_j / dt)))
+        for i, u0 in enumerate(ens):
+            chain = build_chain(field, fiber, span_grid(0.0, t_j, dt), m)
+            member = SemilinearProblem(
+                field=field, nonlinearity=problem.nonlinearity, forcing=None,
+                sigma=0.1, u0=u0,
+            )
+            end = integrate_semilinear(member, chain, fiber).states[-1]
+            assert np.array_equal(est.endpoints[j][i], end)
 
 
 def test_pullback_pure_cubic_collapse(default_field, spectrum):

@@ -4,9 +4,15 @@ import json
 
 import pytest
 
+from randattract import cli
 from randattract.cli import main
 from randattract.config import load_config
-from randattract.errors import ConfigurationError
+from randattract.errors import (
+    AlignmentError,
+    ConfigurationError,
+    OrderingError,
+    ShiftRangeError,
+)
 
 
 SMALL = """
@@ -178,3 +184,29 @@ def test_print_config(capsys):
     assert main(["print-config"]) == 0
     text = capsys.readouterr().out
     assert "[noise]" in text and "galerkin_dim" in text
+
+
+def test_cli_rejects_horizon_off_the_time_grid(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[experiment]\nhorizon = 1.001\n")
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    assert "not a multiple of dt" in capsys.readouterr().err
+    assert not (tmp_path / "simulate").exists()
+
+
+@pytest.mark.parametrize("error", [AlignmentError, ShiftRangeError, OrderingError])
+def test_cli_validation_errors_exit_1_with_cleanup(
+    error, tmp_path, small_config, monkeypatch, capsys
+):
+    def failing(cfg, sink, threads):
+        sink.write_text("partial.csv", "1\n")
+        sink.write_text("run.log", "started\n")
+        raise error("window leaves the sampled path")
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", failing)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", small_config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "window leaves the sampled path" in err
+    assert not (out / "simulate" / "partial.csv").exists()
+    assert (out / "simulate" / "run.log").exists()

@@ -211,3 +211,14 @@ def test_manufactured_time_dependent_order():
 def test_smoothing_rejects_equal_pair(chain):
     with pytest.raises(OrderingError):
         smoothing_estimate(chain, 0.5, [(0.5, 0.5)])
+
+
+def test_build_chain_steps_do_not_depend_on_the_grid_span(default_field, spectrum):
+    # 256 steps on [0, 2]; the steps in [0.5, 1.5] straddle a block boundary
+    # of the long build and fill one block of the short one
+    dt = 2.0 ** -7
+    path = sample_two_sided_path(spectrum, -9.0, 2.0, dt, seed=77)
+    full = build_chain(default_field, path, span_grid(0.0, 2.0, dt), 8)
+    part = build_chain(default_field, path, span_grid(0.5, 1.5, dt), 8)
+    assert full.steps.shape[0] == 256 and part.steps.shape[0] == 128
+    assert np.array_equal(full.steps[64:192], part.steps)

@@ -21,7 +21,10 @@ from randattract import (
     restrict,
     sample_two_sided_path,
     span_grid,
+    wiener_shift,
 )
+from randattract.errors import ConfigurationError
+from randattract.operators import FractionalNormSpec, FractionalReference
 
 from conftest import DT, synthetic_path
 
@@ -306,3 +309,53 @@ def test_self_convergence_linear_quick(default_field):
             errs[lev].append(np.linalg.norm(tr.states[-1] - ref_end))
     rms = [float(np.sqrt(np.mean(np.square(errs[lev])))) for lev in levels]
     assert observed_order([2.0 ** -lev for lev in levels], rms) >= 0.4
+
+
+def test_cube_by_multiplication_within_ulps():
+    rng = np.random.default_rng(11)
+    u = np.concatenate([
+        rng.standard_normal(4000),
+        rng.uniform(0.9, 1.1, 4000) * rng.choice([-1.0, 1.0], 4000),
+        rng.standard_normal(4000) * 1e3,
+        rng.standard_normal(4000) * 1e-3,
+    ])
+    cube = u ** 3
+    assert np.all(np.abs(u * u * u - cube) <= 4 * np.spacing(np.abs(cube)))
+    pure = NonlinearitySpec.pure_cubic()(u)
+    assert np.all(np.abs(pure + cube) <= 4 * np.spacing(np.abs(cube)))
+    # u - u^3 cancels near |u| = 1, so the bound is on the size of the terms
+    scale = np.maximum(np.abs(u), np.abs(cube))
+    fisher = NonlinearitySpec.cubic_fisher()(u)
+    assert np.all(np.abs(fisher - (u - cube)) <= 4 * np.spacing(scale))
+
+
+def test_integrate_matches_step_loop_on_any_path_object(default_field, medium_path):
+    m = 16
+    chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), m)
+    problem = SemilinearProblem(
+        field=default_field, nonlinearity=NonlinearitySpec.cubic_fisher(),
+        forcing=np.full(m, 0.05), sigma=0.3, u0=np.linspace(0.5, -0.5, m),
+    )
+    own = integrate_semilinear(problem, chain, medium_path)
+    again = integrate_semilinear(problem, chain)
+    # an equal path that is a different object is not served from the chain
+    other = integrate_semilinear(problem, chain, wiener_shift(medium_path, 0))
+    # reference: the step written out with the linear pathwise step
+    u = problem.u0.copy()
+    ref = [u]
+    for k in range(chain.grid.n_steps):
+        stage = u + DT * nemytskii(problem.nonlinearity, u) + DT * problem.forcing
+        u = linear_pathwise_step(chain, medium_path, k * DT, (k + 1) * DT, stage, 0.3)
+        ref.append(u)
+    assert np.array_equal(own.states, np.stack(ref))
+    assert np.array_equal(again.states, own.states)
+    assert np.array_equal(other.states, own.states)
+
+
+def test_semilinear_problem_rejects_instantaneous_norm(default_field):
+    spec = FractionalNormSpec(alpha=0.2, reference=FractionalReference.INSTANTANEOUS)
+    with pytest.raises(ConfigurationError, match="fixed-Laplacian"):
+        SemilinearProblem(
+            field=default_field, nonlinearity=NonlinearitySpec.zero(),
+            forcing=None, sigma=0.0, u0=np.zeros(4), norm_spec=spec,
+        )

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
-from .evolution import PropagatorChain, build_chain, field_rate, span_grid
+from .errors import AlignmentError, ConfigurationError
+from .evolution import PropagatorChain, build_chain, span_grid
 from .noise import WienerPath, _as_index, wiener_shift
 from .operators import (
     DiffusionField,
@@ -28,14 +28,13 @@ from .operators import (
 )
 from .ou import construct_initial, propagate
 from .pathwise import (
-    NonlinearityKind,
     NonlinearitySpec,
     SemilinearProblem,
     Trajectory,
     _sine_quadrature,
+    _step,
     dealias_node_count,
     integrate_semilinear,
-    nemytskii,
 )
 
 
@@ -52,18 +51,10 @@ def v_step(
     """One exponential-Euler step v_{k+1} = S_k (v_k + dt (F(v_k + sigma z_k) + f))."""
     k = chain.grid.index(t_k)
     if chain.grid.index(t_k1) != k + 1:
-        raise ConfigurationError("v_step needs consecutive grid times")
-    dt = chain.grid.dt
-    stage = np.asarray(v_k, dtype=float)
-    if nonlinearity.kind is not NonlinearityKind.ZERO:
-        argument = stage if sigma == 0.0 else stage + sigma * z_k
-        stage = stage + dt * nemytskii(nonlinearity, argument)
-    if forcing is not None:
-        stage = stage + dt * forcing
-    out = chain.steps[k] @ stage
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("non-finite state in v_step")
-    return out
+        raise AlignmentError("v_step needs consecutive grid times")
+    shift = None if sigma == 0.0 else sigma * z_k
+    v_k = np.asarray(v_k, dtype=float)
+    return _step(chain.steps[k], v_k, chain.grid.dt, nonlinearity, forcing, shift)
 
 
 def integrate_v(
@@ -77,22 +68,13 @@ def integrate_v(
 ) -> Trajectory:
     """March v over the chain grid; z_states[k] is Z(theta_{t_k} w)."""
     grid = chain.grid
-    m = chain.dim
     v = np.asarray(v0, dtype=float)
-    states = np.empty((grid.n_steps + 1, m))
+    shifts = None if (z_states is None or sigma == 0.0) else sigma * z_states
+    states = np.empty((grid.n_steps + 1, chain.dim))
     states[0] = v
     for k in range(grid.n_steps):
-        z_k = z_states[k] if (z_states is not None and sigma != 0.0) else np.zeros(m)
-        v = v_step(
-            chain,
-            grid.t0 + k * grid.dt,
-            grid.t0 + (k + 1) * grid.dt,
-            v,
-            z_k,
-            sigma,
-            nonlinearity,
-            forcing,
-        )
+        shift = None if shifts is None else shifts[k]
+        v = _step(chain.steps[k], v, grid.dt, nonlinearity, forcing, shift)
         states[k + 1] = v
     return Trajectory(grid, states)
 
@@ -177,7 +159,7 @@ def energy_monitor(
     with B_k the discrete exponentially weighted convolution of
     (||Z||_{X_alpha}^{rho+1} + 1).  Pure diagnostic: flags, never raises.
     """
-    rate = field_rate(field)
+    rate = field.poincare_rate
     grid = v_traj.grid
     dt = grid.dt
     n = v_traj.states.shape[0]
@@ -227,7 +209,7 @@ def calibrate_monitor(
     """Monitor constant from a sigma = 0 run: smallest C making the bound hold
     there with margin 2, i.e. bound_k >= 2 ||v_k||^2 (then frozen).
     """
-    rate = field_rate(field)
+    rate = field.poincare_rate
     dt = v_traj.grid.dt
     v2 = np.einsum("ij,ij->i", v_traj.states, v_traj.states)
     times = v_traj.times
@@ -271,7 +253,7 @@ def absorbing_diagnostics(
     fiber = wiener_shift(path, k_a)
     state = construct_initial(field, fiber, a, m)
     traj = propagate(state, field, fiber, a, m, beta=alpha)
-    rate = field_rate(field)
+    rate = field.poincare_rate
     taus = traj.grid.times - a  # tau in [-a, 0]
     weights = np.full(taus.shape, traj.grid.dt)
     weights[0] = weights[-1] = traj.grid.dt / 2.0

@@ -383,7 +383,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     record(
         "operator_spectral_bound",
         op.max_eigenvalue,
-        -field.poincare_rate * (1.0 - 1e-6),
+        field.spectral_ceiling,
     )
     vec = np.linspace(1.0, 2.0, m)
     once = fractional_apply(m, 0.3, fractional_apply(m, 0.4, vec))
@@ -444,7 +444,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     v_direct = v.copy()
     for k in range(grid.n_steps):
         stage = v_direct + dt * nemytskii(NonlinearitySpec.cubic_fisher(), v_direct)
-        v_direct = chain.steps[k] @ stage
+        v_direct = chain_apply(chain, (k + 1) * dt, k * dt, stage)
     record(
         "pathwise_sigma_zero_reduction_bitwise",
         0.0 if np.array_equal(tr.states[-1], v_direct) else 1.0,

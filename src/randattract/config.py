@@ -1,8 +1,8 @@
 """Run configuration: flat key-value text with section headers.
 
 Sections [noise], [field], [problem], [experiment]; every parameter constraint
-from the owning module is re-validated at load time and rejected configs name
-the violated constraint.
+is validated at load time, by the owning module's constructor where there is
+one, and rejected configs name the violated constraint.
 """
 
 from __future__ import annotations
@@ -118,22 +118,27 @@ class RunConfig:
         if spec_text == "zero":
             return np.zeros(m)
         parts = spec_text.split(":")
-        if parts[0] == "mode" and len(parts) == 3:
-            n, amp = int(parts[1]), float(parts[2])
+        try:
+            if parts[0] == "mode" and len(parts) == 3:
+                n, amp = int(parts[1]), float(parts[2])
+            elif parts[0] == "random" and len(parts) == 2:
+                radius = float(parts[1])
+            else:
+                raise ValueError(spec_text)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"cannot parse coefficient spec {spec_text!r} "
+                "(use zero | mode:<n>:<amp> | random:<radius>)"
+            ) from exc
+        if parts[0] == "mode":
             if not 1 <= n <= m:
                 raise ConfigurationError("mode index outside 1..galerkin_dim")
             out = np.zeros(m)
             out[n - 1] = amp
             return out
-        if parts[0] == "random" and len(parts) == 2:
-            radius = float(parts[1])
-            rng = np.random.default_rng([self.seed, 999])
-            g = rng.standard_normal(m)
-            return g * (radius / float(np.linalg.norm(g)))
-        raise ConfigurationError(
-            f"cannot parse coefficient spec {spec_text!r} "
-            "(use zero | mode:<n>:<amp> | random:<radius>)"
-        )
+        rng = np.random.default_rng([self.seed, 999])
+        g = rng.standard_normal(m)
+        return g * (radius / float(np.linalg.norm(g)))
 
     def problem(self) -> SemilinearProblem:
         return SemilinearProblem(
@@ -217,43 +222,24 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Re-check every owning-module constraint, naming the violated one."""
-    if cfg.modes < 1:
-        raise ConfigurationError("noise.modes must be a positive integer")
-    if not cfg.decay_exponent > 0.5:
-        raise ConfigurationError(
-            "noise.decay_exponent must be > 1/2 (trace-class covariance)"
-        )
-    if cfg.sigma < 0:
-        raise ConfigurationError("noise.sigma must be nonnegative")
+    """Check every constraint, naming the violated one; the constructors of
+    the spectrum and the problem (field, norm spec) check their own."""
     if not cfg.dt > 0:
         raise ConfigurationError("noise.dt must be positive")
     if cfg.n_paths < 1:
         raise ConfigurationError("noise.n_paths must be a positive integer")
-    if not cfg.delta > 0:
-        raise ConfigurationError("field.delta must be positive")
-    if cfg.amp < 0:
-        raise ConfigurationError("field.amp must be nonnegative")
-    if cfg.amp * 2.0 >= cfg.delta:
-        raise ConfigurationError(
-            "uniform ellipticity violated: field.amp*sup|g| must be < field.delta"
-        )
-    if not (cfg.kappa > 0 and cfg.driver_horizon > 0):
-        raise ConfigurationError("field.kappa and field.driver_horizon must be positive")
     if cfg.galerkin_dim < 1:
         raise ConfigurationError("field.galerkin_dim must be a positive integer")
     if cfg.modes > cfg.galerkin_dim:
         raise ConfigurationError("noise.modes must not exceed field.galerkin_dim")
-    if not -0.5 <= cfg.alpha < 1.0:
-        raise ConfigurationError("field.alpha must lie in [-1/2, 1)")
+    cfg.spectrum()
+    cfg.problem()
     if not 0.0 <= cfg.beta < 0.5:
         raise ConfigurationError("field.beta must lie in [0, 1/2)")
     if not (cfg.eta > cfg.alpha and cfg.eta + cfg.alpha < 1.0):
         raise ConfigurationError(
             "field.eta must satisfy eta > alpha and eta + alpha < 1"
         )
-    if not cfg.blowup_threshold > 0:
-        raise ConfigurationError("problem.blowup_threshold must be positive")
     if list(cfg.horizons) != sorted(cfg.horizons) or not cfg.horizons:
         raise ConfigurationError("experiment.horizons must be increasing and nonempty")
     if cfg.levels < 1:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (
     AlignmentError,
     ConfigurationError,
-    NumericalError,
+    DefinitenessError,
     OrderingError,
 )
 from .noise import WienerPath, wiener_shift
@@ -30,6 +30,7 @@ from .operators import (
     GalerkinOperator,
     _matrix_from_modulation,
     assemble_operator,
+    check_spectral_bound,
     driver_values,
 )
 
@@ -134,7 +135,7 @@ def build_chain(
     k_steps = grid.n_steps
     if field.amp == 0.0:
         op = GalerkinOperator(_matrix_from_modulation(field, m, 0.0), grid.t0)
-        _check_step_bound(op, field)
+        check_spectral_bound(op, field)
         single = propagator_step(op, grid.dt)
         steps = np.broadcast_to(single, (k_steps, m, m))
         return PropagatorChain(grid, steps, field, path)
@@ -159,18 +160,13 @@ def build_chain(
             mats[k - lo] = _matrix_from_modulation(field, m, float(modulation[k]))
         lam, q = np.linalg.eigh(mats)
         top = float(lam[..., -1].max())
-        if top > -field.poincare_rate * (1.0 - 1e-6):
-            raise NumericalError(
+        if top > field.spectral_ceiling:
+            raise DefinitenessError(
                 f"midpoint operator violates the spectral bound: {top}"
             )
         block = (q * np.exp(grid.dt * lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
         steps[lo:hi] = (block + np.swapaxes(block, 1, 2)) / 2.0
     return PropagatorChain(grid, steps, field, path)
-
-
-def _check_step_bound(op: GalerkinOperator, field: DiffusionField) -> None:
-    if op.max_eigenvalue > -field.poincare_rate * (1.0 - 1e-6):
-        raise NumericalError("operator violates the spectral bound")
 
 
 def apply(chain: PropagatorChain, t: float, s: float, vec: np.ndarray) -> np.ndarray:
@@ -187,14 +183,8 @@ def apply(chain: PropagatorChain, t: float, s: float, vec: np.ndarray) -> np.nda
 
 
 def chain_matrix(chain: PropagatorChain, t: float, s: float) -> np.ndarray:
-    """The full matrix of U(t, s) (left-fold of the step factors)."""
-    ks, kt = chain.grid.index(s), chain.grid.index(t)
-    if kt < ks:
-        raise OrderingError(f"t={t!r} < s={s!r}")
-    out = np.eye(chain.dim)
-    for k in range(ks, kt):
-        out = chain.steps[k] @ out
-    return out
+    """The full matrix of U(t, s): ``apply`` to the identity (S @ I is exact)."""
+    return apply(chain, t, s, np.eye(chain.dim))
 
 
 def operator_norm(mat: np.ndarray) -> float:
@@ -244,7 +234,7 @@ def decay_fit(
     """
     if not sample_pairs:
         raise ConfigurationError("decay_fit needs a nonempty sample set")
-    rate = field_rate(chain.field) if lambda_hat is None else lambda_hat
+    rate = chain.field.poincare_rate if lambda_hat is None else lambda_hat
     c = 1.0
     for t, s in sample_pairs:
         if t < s:
@@ -252,10 +242,6 @@ def decay_fit(
         norm = operator_norm(chain_matrix(chain, t, s))
         c = max(c, norm * math.exp(rate * (t - s)))
     return DecayFit(C_hat=c, lambda_hat=rate)
-
-
-def field_rate(field: DiffusionField) -> float:
-    return field.poincare_rate
 
 
 def smoothing_estimate(
@@ -269,7 +255,7 @@ def smoothing_estimate(
         raise ConfigurationError("alpha must lie in (0, 1)")
     if not sample_pairs:
         raise ConfigurationError("smoothing_estimate needs a nonempty sample set")
-    rate = field_rate(chain.field) if lambda_hat is None else lambda_hat
+    rate = chain.field.poincare_rate if lambda_hat is None else lambda_hat
     best = 0.0
     for t, s in sample_pairs:
         if t <= s:
@@ -285,7 +271,7 @@ def smoothing_estimate(
 
 def contractivity_margin(chain: PropagatorChain) -> float:
     """min over steps of (bound - ||S_k||_2); negative means a violation."""
-    bound = math.exp(-field_rate(chain.field) * chain.grid.dt * (1.0 - 1e-6))
+    bound = math.exp(-chain.field.poincare_rate * chain.grid.dt * (1.0 - 1e-6))
     worst = math.inf
     for k in range(chain.grid.n_steps):
         worst = min(worst, bound - operator_norm(chain.steps[k]))

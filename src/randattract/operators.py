@@ -78,6 +78,11 @@ class DiffusionField:
         """Guaranteed decay rate floor: ellipticity_floor * pi^2."""
         return self.ellipticity_floor * PI_SQUARED
 
+    @property
+    def spectral_ceiling(self) -> float:
+        """Largest admissible Galerkin eigenvalue: -poincare_rate, 1e-6 slack."""
+        return -self.poincare_rate * (1.0 - 1e-6)
+
 
 class FractionalReference(Enum):
     FIXED_LAPLACIAN = "fixed_laplacian"
@@ -170,8 +175,13 @@ def _driver_at_origin(path: WienerPath, field: DiffusionField) -> float:
             f"driver window needs {steps} backward steps, path has {-path.lo}"
         )
     weights = _driver_weights(field.driver_decay, field.driver_horizon, path.dt)
-    segment = path.base[o - steps : o + 1, 0] - path.base[o, 0]
-    return float(segment @ weights)
+    return float(_driver_window(path.base, o, steps, weights))
+
+
+def _driver_window(base: np.ndarray, i: int, steps: int, weights: np.ndarray) -> float:
+    """The driver's window dot product ending at base row i (mode 1)."""
+    segment = base[i - steps : i + 1, 0] - base[i, 0]
+    return segment @ weights
 
 
 def evaluate_coefficient(field: DiffusionField, x, t: float, path: WienerPath | None):
@@ -243,7 +253,7 @@ def assemble_operator(
 
 def check_spectral_bound(op: GalerkinOperator, field: DiffusionField) -> float:
     """Largest eigenvalue must stay below -floor*pi^2 (tiny slack for rounding)."""
-    bound = -field.poincare_rate * (1.0 - 1e-6)
+    bound = field.spectral_ceiling
     top = op.max_eigenvalue
     if top > bound:
         raise DefinitenessError(
@@ -314,6 +324,5 @@ def driver_values(
     weights = _driver_weights(field.driver_decay, field.driver_horizon, path.dt)
     out = np.empty(k_hi - k_lo + 1)
     for i, k in enumerate(range(k_lo, k_hi + 1)):
-        segment = path.base[o + k - steps : o + k + 1, 0] - path.base[o + k, 0]
-        out[i] = segment @ weights
+        out[i] = _driver_window(path.base, o + k, steps, weights)
     return out

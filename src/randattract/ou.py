@@ -24,7 +24,6 @@ from .evolution import (
     TimeGrid,
     apply,
     build_chain,
-    field_rate,
     span_grid,
 )
 from .noise import WienerPath, wiener_shift
@@ -35,7 +34,7 @@ from .operators import (
     fixed_laplacian_symbols,
     fractional_norm,
 )
-from .pathwise import _embedded, corrected_increments
+from .pathwise import _ZERO, _embedded, _step, corrected_increments
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def construct_initial(
             acc = contribution
         else:
             acc = chain.steps[j - 1] @ acc + contribution
-    rate = decay.lambda_hat if decay is not None else field_rate(field)
+    rate = decay.lambda_hat if decay is not None else field.poincare_rate
     c_hat = decay.C_hat if decay is not None else 1.0
     tail_norm = _max_norm_on(path, -a, -a / 2.0)
     bound = c_hat * tail_norm * math.exp(-rate * a)
@@ -131,7 +130,7 @@ def propagate(
     # the linear pathwise step with sigma = 1
     noise = corrected_increments(chain, path)
     for k in range(grid.n_steps):
-        z = chain.steps[k] @ (z + noise[k])
+        z = _step(chain.steps[k], z, grid.dt, _ZERO, None, None, noise[k])
         states[k + 1] = z
     l2 = np.sqrt(np.einsum("ij,ij->i", states, states))
     symbols = fixed_laplacian_symbols(m, beta)

@@ -8,6 +8,9 @@ where the corrector is the trapezoid (at path resolution, with vanishing
 right endpoint) of U(t_{k+1}, s) A(s) (w_{t_{k+1}} - w_s).  The semilinear
 integrator adds the explicitly treated nonlinearity under the propagator
 (exponential-Euler splitting); stiffness lives entirely in the propagator.
+Every pathwise march (u here, Z in ``ou``, v = u - sigma Z in ``attractor``)
+takes its steps x_{k+1} = S_k (x_k + dt (F(x_k + shift) + f) + noise) through
+the single step function ``_step``.
 """
 
 from __future__ import annotations
@@ -81,6 +84,10 @@ class NonlinearitySpec:
         if self.kind is NonlinearityKind.PURE_CUBIC:
             return -(u * u * u)
         return self.fn(u)
+
+
+# the linear marches (linear_pathwise_step, ou.propagate) step with F = 0
+_ZERO = NonlinearitySpec.zero()
 
 
 @lru_cache(maxsize=16)
@@ -215,6 +222,43 @@ def _embedded(values: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _step(
+    step: np.ndarray,
+    x: np.ndarray,
+    dt: float,
+    nonlinearity: NonlinearitySpec,
+    forcing: np.ndarray | None,
+    shift: np.ndarray | None = None,
+    noise: np.ndarray | None = None,
+) -> np.ndarray:
+    """One exponential-Euler step S_k (x + dt (F(x + shift) + f) + noise).
+
+    ``noise`` comes scaled by sigma; absent terms are skipped, not added as
+    zeros, so every march keeps its arithmetic bit for bit.
+    """
+    stage = x
+    if nonlinearity.kind is not NonlinearityKind.ZERO:
+        argument = x if shift is None else x + shift
+        stage = stage + dt * nemytskii(nonlinearity, argument)
+    if forcing is not None:
+        stage = stage + dt * forcing
+    if noise is not None:
+        stage = stage + noise
+    out = step @ stage
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("non-finite state during integration")
+    return out
+
+
+def _corrected_increment(
+    chain: PropagatorChain, path: WienerPath, k: int, k_path: int
+) -> np.ndarray:
+    """dw - (dt/2) A(t_k) dw for chain step k and path increment k_path."""
+    increment = _embedded(path.increment(k_path), chain.dim)
+    a_inc = chain.node_operator(k, cache=False).matrix @ increment
+    return increment - (chain.grid.dt / 2.0) * a_inc
+
+
 def linear_pathwise_step(
     chain: PropagatorChain,
     path: WienerPath,
@@ -228,13 +272,10 @@ def linear_pathwise_step(
     if chain.grid.index(t_k1) != k + 1:
         raise AlignmentError("linear step needs consecutive grid times")
     h_k = np.asarray(h_k, dtype=float)
-    if sigma == 0.0:
-        return chain.steps[k] @ h_k
-    kp = path.index_of(t_k)
-    increment = _embedded(path.increment(kp), chain.dim)
-    dt = chain.grid.dt
-    noise = sigma * (increment - (dt / 2.0) * (chain.node_operator(k).matrix @ increment))
-    return chain.steps[k] @ (h_k + noise)
+    noise = None
+    if sigma != 0.0:
+        noise = sigma * _corrected_increment(chain, path, k, path.index_of(t_k))
+    return _step(chain.steps[k], h_k, chain.grid.dt, _ZERO, None, noise=noise)
 
 
 def corrected_increments(chain: PropagatorChain, path: WienerPath) -> np.ndarray:
@@ -248,13 +289,10 @@ def corrected_increments(chain: PropagatorChain, path: WienerPath) -> np.ndarray
     if path is chain.path and chain._increments is not None:
         return chain._increments
     grid = chain.grid
-    m, dt = chain.dim, grid.dt
     k_path0 = path.index_of(grid.t0)
-    out = np.empty((grid.n_steps, m))
+    out = np.empty((grid.n_steps, chain.dim))
     for k in range(grid.n_steps):
-        increment = _embedded(path.increment(k_path0 + k), m)
-        a_inc = chain.node_operator(k, cache=False).matrix @ increment
-        out[k] = increment - (dt / 2.0) * a_inc
+        out[k] = _corrected_increment(chain, path, k, k_path0 + k)
     if path is chain.path:
         chain._increments = out
     return out
@@ -281,23 +319,16 @@ def integrate_semilinear(
     dt = grid.dt
     if sigma != 0.0 and path is None:
         raise ConfigurationError("a path is required when sigma > 0")
-    noise = corrected_increments(chain, path) if sigma != 0.0 else None
+    noise = sigma * corrected_increments(chain, path) if sigma != 0.0 else None
     # the blow-up norm is fractional_norm with the fixed-Laplacian reference
     symbols = fixed_laplacian_symbols(m, problem.norm_spec.alpha)
 
     states = np.empty((grid.n_steps + 1, m))
     states[0] = u
     for k in range(grid.n_steps):
-        stage = u
-        if nl.kind is not NonlinearityKind.ZERO:
-            stage = stage + dt * nemytskii(nl, u)
-        if f is not None:
-            stage = stage + dt * f
-        if sigma != 0.0:
-            stage = stage + sigma * noise[k]
-        u = chain.steps[k] @ stage
-        if not np.all(np.isfinite(u)):
-            raise NumericalError("non-finite state during integration")
+        u = _step(
+            chain.steps[k], u, dt, nl, f, None, None if noise is None else noise[k]
+        )
         states[k + 1] = u
         w = u * symbols
         if math.sqrt(w @ w) > problem.blowup_threshold:

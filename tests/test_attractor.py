@@ -21,6 +21,9 @@ from randattract import (
     hausdorff_distance,
     integrate_semilinear,
     integrate_v,
+    linear_pathwise_step,
+    nemytskii,
+    propagate,
     pullback_estimate,
     sample_two_sided_path,
     span_grid,
@@ -28,6 +31,7 @@ from randattract import (
     v_step,
     wiener_shift,
 )
+from randattract.errors import AlignmentError
 
 from conftest import DT, synthetic_path
 
@@ -49,6 +53,29 @@ def test_v_step_fixed_point_at_zero(chain16):
         NonlinearitySpec.cubic_fisher(), None,
     )
     assert np.all(got == 0.0)
+
+
+def test_step_functions_reject_non_consecutive_times(chain16, medium_path):
+    x = np.zeros(16)
+    with pytest.raises(AlignmentError, match="consecutive"):
+        v_step(chain16, 0.0, 2 * DT, x, x, 0.1, NonlinearitySpec.cubic_fisher(), None)
+    with pytest.raises(AlignmentError, match="consecutive"):
+        linear_pathwise_step(chain16, medium_path, 0.0, 2 * DT, x, 0.1)
+
+
+def test_integrate_v_matches_step_loop_with_z_states(default_field, chain16, medium_path):
+    st = construct_initial(default_field, medium_path, 4.0, 16)
+    z = propagate(st, default_field, medium_path, 1.0, 16, chain=chain16).states
+    sigma, nl = 0.1, NonlinearitySpec.cubic_fisher()
+    v0 = np.linspace(0.5, -0.5, 16)
+    traj = integrate_v(default_field, nl, None, sigma, v0, chain16, z)
+    # reference: the exponential-Euler step of the v-equation written out
+    v = v0
+    ref = [v]
+    for k in range(chain16.grid.n_steps):
+        v = chain16.steps[k] @ (v + DT * nemytskii(nl, v + sigma * z[k]))
+        ref.append(v)
+    assert np.array_equal(traj.states, np.stack(ref))
 
 
 def test_v_step_manufactured_order():

@@ -72,14 +72,35 @@ def test_config_names_trace_class_constraint(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize(
+    "section, key, value, match",
+    [
+        ("noise", "modes", "0", "positive integer"),
+        ("noise", "decay_exponent", "0.5", "trace-class"),
+        ("noise", "sigma", "-0.1", "sigma"),
+        ("field", "delta", "0.0", "delta"),
+        ("field", "amp", "-0.1", "amp"),
+        ("field", "amp", "0.25", "ellipticity"),
+        ("field", "kappa", "0.0", "horizon must be positive"),
+        ("field", "driver_horizon", "-8.0", "horizon must be positive"),
+        ("field", "alpha", "-0.6", "alpha"),
+        ("problem", "blowup_threshold", "0.0", "blowup_threshold"),
+    ],
+)
+def test_config_rejects_through_the_owning_constructor(section, key, value, match):
+    with pytest.raises(ConfigurationError, match=match):
+        load_config(None, {(section, key): value})
+
+
 def test_coefficient_vector_specs():
     cfg = load_config(None)
     u = cfg.coefficient_vector("mode:3:1.5")
     assert u[2] == 1.5 and u.sum() == 1.5
     r = cfg.coefficient_vector("random:2.0")
     assert abs((r ** 2).sum() ** 0.5 - 2.0) < 1e-12
-    with pytest.raises(ConfigurationError):
-        cfg.coefficient_vector("nonsense")
+    for bad in ("nonsense", "mode:x:1", "random:wide"):
+        with pytest.raises(ConfigurationError, match="cannot parse"):
+            cfg.coefficient_vector(bad)
 
 
 def test_cli_exit_code_on_bad_config(tmp_path, capsys):

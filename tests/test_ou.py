@@ -18,6 +18,7 @@ from randattract import (
 )
 from randattract.errors import ShiftRangeError
 from randattract.ou import global_form_reference, stationarity_residual_table
+from randattract.pathwise import corrected_increments
 
 from conftest import DT, synthetic_path
 
@@ -34,6 +35,20 @@ def test_propagate_initial_identity(default_field, medium_path):
     traj = propagate(st, default_field, medium_path, 0.5, 16)
     assert np.array_equal(traj.states[0], st.z0)
     assert np.array_equal(traj.state_at(0.0), st.z0)
+
+
+def test_propagate_matches_step_loop(default_field, medium_path):
+    chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), 16)
+    st = construct_initial(default_field, medium_path, 4.0, 16)
+    traj = propagate(st, default_field, medium_path, 0.5, 16, chain=chain)
+    # reference: the linear pathwise step with sigma = 1 written out
+    noise = corrected_increments(chain, medium_path)
+    z = st.z0
+    ref = [z]
+    for k in range(chain.grid.n_steps):
+        z = chain.steps[k] @ (z + noise[k])
+        ref.append(z)
+    assert np.array_equal(traj.states, np.stack(ref))
 
 
 def test_insufficient_coverage_raises(default_field, spectrum):

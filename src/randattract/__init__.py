@@ -25,7 +25,6 @@ from .noise import (
 from .operators import (
     DiffusionField,
     FractionalNormSpec,
-    FractionalReference,
     GalerkinOperator,
     assemble_operator,
     evaluate_coefficient,

@@ -22,7 +22,6 @@ from .noise import WienerPath, _as_index, wiener_shift
 from .operators import (
     DiffusionField,
     FractionalNormSpec,
-    FractionalReference,
     fixed_laplacian_symbols,
     fractional_norm,
 )
@@ -261,7 +260,7 @@ def absorbing_diagnostics(
     r2 = float(np.sum(weights * envelope * traj.fractional ** (rho + 1.0)))
     rrho = float(np.sum(weights * envelope * traj.fractional ** (2.0 * rho)))
     z_now = traj.states[-1]
-    eta_spec = FractionalNormSpec(alpha=eta, reference=FractionalReference.FIXED_LAPLACIAN)
+    eta_spec = FractionalNormSpec(alpha=eta)
     return AbsorbingDiagnostics(
         r2_integral=r2,
         rrho_integral=rrho,
@@ -357,7 +356,7 @@ def pullback_estimate(
     diameters: list[float] = []
     eta_norms: list[float] = []
     flagged = False
-    eta_spec = FractionalNormSpec(alpha=eta, reference=FractionalReference.FIXED_LAPLACIAN)
+    eta_spec = FractionalNormSpec(alpha=eta)
     for t_j in horizons:
         fiber = wiener_shift(path, -_as_index(t_j, path.dt, "horizon"))
         grid = span_grid(0.0, t_j, path.dt)

@@ -9,6 +9,10 @@ bitwise by construction.
 The midpoint coefficient uses the average of the endpoint driver values
 (the driver is defined on grid points only); this keeps second-order accuracy
 for smooth coefficients and exact shift-covariance on aligned grids.
+
+The generator at the grid nodes, A(t_k) = -(delta K0 + amp tanh(zeta_k) Kg),
+is never formed as a matrix: ``PropagatorChain.generator_rows`` applies it to
+noise vectors node by node from the two stiffness parts.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .operators import (
     DiffusionField,
     GalerkinOperator,
     _matrix_from_modulation,
+    _stiffness_parts,
     assemble_operator,
     check_spectral_bound,
     driver_values,
@@ -86,7 +91,6 @@ class PropagatorChain:
     steps: np.ndarray  # (n_steps, m, m)
     field: DiffusionField
     path: WienerPath | None
-    _node_cache: dict = field(default_factory=dict, repr=False)
     # noise increments on ``path``, kept by pathwise.corrected_increments
     _increments: np.ndarray | None = field(default=None, repr=False)
 
@@ -100,19 +104,31 @@ class PropagatorChain:
         if self.steps.shape[0] != self.grid.n_steps:
             raise ConfigurationError("step count does not match the grid")
 
-    def node_operator(self, k: int, cache: bool = True) -> GalerkinOperator:
-        """A(t_k) at a grid node (used by the corrector quadrature).
+    def generator_rows(self, k: int, vecs: np.ndarray) -> np.ndarray:
+        """A(t_{k+i}) vecs[i] at the grid nodes k, k+1, ...; shape (len(vecs), m).
 
-        Single-pass walks over long chains pass cache=False to keep memory flat.
+        ``vecs`` holds coefficients of the first mw <= m modes.  A row is
+        -(delta K0[:, :mw] v + amp tanh(zeta) Kg[:, :mw] v), the zeta of all rows
+        from one ``driver_values`` call on the chain's path.  Each row is its
+        own pair of products, so it does not depend on the block it is in.
         """
-        op = self._node_cache.get(k)
-        if op is None:
-            op = assemble_operator(
-                self.field, self.grid.t0 + k * self.grid.dt, self.path, self.dim
-            )
-            if cache:
-                self._node_cache[k] = op
-        return op
+        n, mw = vecs.shape
+        if mw > self.dim:
+            raise ConfigurationError("noise mode count exceeds Galerkin dimension")
+        if k < 0 or k + n > self.grid.n_steps + 1:
+            raise AlignmentError("generator rows outside the chain grid")
+        out = np.empty((n, self.dim))
+        k0, kg = (part[:, :mw] for part in _stiffness_parts(self.field, self.dim))
+        delta, amp = self.field.delta, self.field.amp
+        if amp == 0.0:
+            for i, v in enumerate(vecs):
+                out[i] = -(delta * (k0 @ v))
+            return out
+        k_path = self.path.index_of(self.grid.t0) + k
+        zetas = driver_values(self.field, self.path, k_path, k_path + n - 1)
+        for i, v in enumerate(vecs):
+            out[i] = -(delta * (k0 @ v) + (amp * math.tanh(zetas[i])) * (kg @ v))
+        return out
 
 
 # step matrices assembled and eigendecomposed together in build_chain
@@ -127,8 +143,8 @@ def build_chain(
 ) -> PropagatorChain:
     """Assemble midpoint-frozen step matrices over the grid.
 
-    The chain grid must run at the path resolution (the corrector quadrature
-    reuses path grid points).
+    With amp > 0 the chain grid must run at the path resolution (the driver
+    is read at path grid points).
     """
     if m < 1:
         raise ConfigurationError("Galerkin dimension must be >= 1")
@@ -261,7 +277,7 @@ def smoothing_estimate(
         if t <= s:
             raise OrderingError("smoothing pairs need t > s")
         u = chain_matrix(chain, t, s)
-        op = chain.node_operator(chain.grid.index(t))
+        op = assemble_operator(chain.field, t, chain.path, chain.dim)
         lam, q = op.eig
         frac = (q * ((-lam) ** alpha)) @ q.T
         val = (t - s) ** alpha * math.exp(rate * (t - s)) * operator_norm(frac @ u)

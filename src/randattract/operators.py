@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
     NumericalError,
     ShiftRangeError,
 )
-from .noise import WienerPath, wiener_shift
+from .noise import WienerPath
 
 PI_SQUARED = math.pi ** 2
 _GL_POINTS = 8
@@ -84,17 +83,11 @@ class DiffusionField:
         return -self.poincare_rate * (1.0 - 1e-6)
 
 
-class FractionalReference(Enum):
-    FIXED_LAPLACIAN = "fixed_laplacian"
-    INSTANTANEOUS = "instantaneous"
-
-
 @dataclass(frozen=True)
 class FractionalNormSpec:
-    """Which operator's fractional powers define the norm."""
+    """The order alpha of the norm ||(-Delta)^alpha u|| (Dirichlet Laplacian)."""
 
     alpha: float = 0.2
-    reference: FractionalReference = FractionalReference.FIXED_LAPLACIAN
 
     def __post_init__(self) -> None:
         if not -0.5 <= self.alpha < 1.0:
@@ -157,25 +150,28 @@ def _driver_weights(kappa: float, horizon: float, dt: float) -> np.ndarray:
     return w * np.exp(kappa * s)
 
 
+def _driver_setup(
+    field: DiffusionField, path: WienerPath, i_lo: int, i_hi: int
+) -> tuple[int, np.ndarray]:
+    """Window length and weights for driver windows ending at base rows
+    i_lo..i_hi, after checking that every window lies in the sampled path."""
+    steps = _driver_step_count(field, path.dt)
+    if i_lo - steps < 0 or i_hi >= path.base.shape[0]:
+        raise ShiftRangeError(
+            f"driver windows need {steps} backward steps inside the sampled path"
+        )
+    return steps, _driver_weights(field.driver_decay, field.driver_horizon, path.dt)
+
+
 def evaluate_driver(path: WienerPath, t: float, field: DiffusionField) -> float:
     """zeta at time t: the trapezoid of exp(kappa*s) * (shifted path mode 1).
 
-    Evaluated literally through the shifted view, so the value at (path, t)
-    is bitwise the value at (wiener_shift(path, t), 0).
+    The window is read on the shared base array at the absolute row of t, so
+    the value at (path, t) is bitwise the value at (wiener_shift(path, t), 0).
     """
-    shifted = wiener_shift(path, path.index_of(t))
-    return _driver_at_origin(shifted, field)
-
-
-def _driver_at_origin(path: WienerPath, field: DiffusionField) -> float:
-    steps = _driver_step_count(field, path.dt)
-    o = path.base_origin
-    if o - steps < 0:
-        raise ShiftRangeError(
-            f"driver window needs {steps} backward steps, path has {-path.lo}"
-        )
-    weights = _driver_weights(field.driver_decay, field.driver_horizon, path.dt)
-    return float(_driver_window(path.base, o, steps, weights))
+    i = path.base_origin + path.index_of(t)
+    steps, weights = _driver_setup(field, path, i, i)
+    return float(_driver_window(path.base, i, steps, weights))
 
 
 def _driver_window(base: np.ndarray, i: int, steps: int, weights: np.ndarray) -> float:
@@ -268,24 +264,14 @@ def fixed_laplacian_symbols(m: int, alpha: float) -> np.ndarray:
     return (n * np.pi) ** (2.0 * alpha)
 
 
-def fractional_apply(op_or_dim, alpha: float, vec: np.ndarray) -> np.ndarray:
-    """Apply (-A)^alpha.
+def fractional_apply(m: int, alpha: float, vec: np.ndarray) -> np.ndarray:
+    """Apply (-Delta)^alpha, the Dirichlet Laplacian of dimension m.
 
-    ``op_or_dim`` is a GalerkinOperator (instantaneous reference) or an int
-    (FixedLaplacian reference of that dimension).  alpha = 1 is allowed here
-    (it is plain -A); norm specs stay below 1.
+    alpha = 1 is allowed here (it is plain -Delta); norm specs stay below 1.
     """
     if not -0.5 <= alpha <= 1.0:
         raise ConfigurationError("alpha must lie in [-1/2, 1]")
     vec = np.asarray(vec, dtype=float)
-    if isinstance(op_or_dim, GalerkinOperator):
-        lam, q = op_or_dim.eig
-        if lam[-1] >= 0.0:
-            raise DefinitenessError("operator has a nonnegative eigenvalue")
-        if alpha == 0.0:
-            return vec.copy()
-        return q @ (((-lam) ** alpha) * (q.T @ vec))
-    m = int(op_or_dim)
     if vec.shape[-1] != m:
         raise ConfigurationError("vector length does not match dimension")
     if alpha == 0.0:
@@ -293,17 +279,9 @@ def fractional_apply(op_or_dim, alpha: float, vec: np.ndarray) -> np.ndarray:
     return vec * fixed_laplacian_symbols(m, alpha)
 
 
-def fractional_norm(
-    vec: np.ndarray,
-    spec: FractionalNormSpec,
-    op: GalerkinOperator | None = None,
-) -> float:
+def fractional_norm(vec: np.ndarray, spec: FractionalNormSpec) -> float:
     """Euclidean norm of the fractional image; alpha = 0 gives the L2 norm."""
     vec = np.asarray(vec, dtype=float)
-    if spec.reference is FractionalReference.INSTANTANEOUS:
-        if op is None:
-            raise ConfigurationError("instantaneous reference needs an operator")
-        return float(np.linalg.norm(fractional_apply(op, spec.alpha, vec)))
     return float(np.linalg.norm(fractional_apply(vec.shape[-1], spec.alpha, vec)))
 
 
@@ -315,13 +293,8 @@ def driver_values(
     Batched counterpart of evaluate_driver: one sliding-window dot per index,
     on the shared base array, so values agree bitwise across shifted fibers.
     """
-    steps = _driver_step_count(field, path.dt)
     o = path.base_origin
-    if o + k_lo - steps < 0 or o + k_hi >= path.base.shape[0]:
-        raise ShiftRangeError(
-            "driver windows for the requested index range leave the sampled path"
-        )
-    weights = _driver_weights(field.driver_decay, field.driver_horizon, path.dt)
+    steps, weights = _driver_setup(field, path, o + k_lo, o + k_hi)
     out = np.empty(k_hi - k_lo + 1)
     for i, k in enumerate(range(k_lo, k_hi + 1)):
         out[i] = _driver_window(path.base, o + k, steps, weights)

@@ -30,7 +30,6 @@ from .noise import WienerPath, wiener_shift
 from .operators import (
     DiffusionField,
     FractionalNormSpec,
-    FractionalReference,
     fixed_laplacian_symbols,
     fractional_norm,
 )
@@ -84,12 +83,13 @@ def construct_initial(
     chain = _history_chain(field, path, a, m)
     grid = chain.grid
     dt = grid.dt
-    k0 = path.index_of(-a)
+    o = path.base_origin
+    k0 = o + path.index_of(-a)
+    rows = chain.generator_rows(0, path.base[k0 : k0 + grid.n_steps + 1] - path.base[o])
     acc = np.zeros(m)
     for j in range(grid.n_steps + 1):
         weight = dt / 2.0 if j in (0, grid.n_steps) else dt
-        w_r = _embedded(path.value_at(k0 + j), m)
-        contribution = weight * (chain.node_operator(j, cache=False).matrix @ w_r)
+        contribution = weight * rows[j]
         if j == 0:
             acc = contribution
         else:
@@ -253,7 +253,7 @@ def temperedness_diagnostic(
     """
     if not 0.0 <= beta < 0.5:
         raise ConfigurationError("beta must lie in [0, 1/2)")
-    spec = FractionalNormSpec(alpha=beta, reference=FractionalReference.FIXED_LAPLACIAN)
+    spec = FractionalNormSpec(alpha=beta)
     raw = (
         np.asarray(ladder_times, dtype=float)
         if ladder_times is not None

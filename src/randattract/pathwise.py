@@ -5,7 +5,9 @@ The linear noise update on one grid step is
     h_{k+1} = S_k h_k + sigma S_k dw_k - sigma * (corrector over the step),
 
 where the corrector is the trapezoid (at path resolution, with vanishing
-right endpoint) of U(t_{k+1}, s) A(s) (w_{t_{k+1}} - w_s).  The semilinear
+right endpoint) of U(t_{k+1}, s) A(s) (w_{t_{k+1}} - w_s).  The products
+A(t_j) v at the nodes come from ``PropagatorChain.generator_rows``, and the
+noise path must run at the chain resolution.  The semilinear
 integrator adds the explicitly treated nonlinearity under the propagator
 (exponential-Euler splitting); stiffness lives entirely in the propagator.
 Every pathwise march (u here, Z in ``ou``, v = u - sigma Z in ``attractor``)
@@ -23,13 +25,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError, NumericalError, OrderingError
+from .errors import (
+    AlignmentError,
+    ConfigurationError,
+    NumericalError,
+    OrderingError,
+    ShiftRangeError,
+)
 from .evolution import PropagatorChain, TimeGrid, build_chain
 from .noise import WienerPath
 from .operators import (
     DiffusionField,
     FractionalNormSpec,
-    FractionalReference,
     fixed_laplacian_symbols,
     fractional_norm,
 )
@@ -129,11 +136,6 @@ class SemilinearProblem:
             raise ConfigurationError("u0 must be finite")
         if self.forcing is not None and not np.all(np.isfinite(self.forcing)):
             raise ConfigurationError("forcing must be finite")
-        if self.norm_spec.reference is not FractionalReference.FIXED_LAPLACIAN:
-            raise ConfigurationError(
-                "norm_spec must use the fixed-Laplacian reference: the blow-up "
-                "check has no instantaneous operator to take powers of"
-            )
 
 
 @dataclass(eq=False)
@@ -195,18 +197,15 @@ def corrector_integral(
     ka, kb = chain.grid.index(t_a), chain.grid.index(t_b)
     if kb < ka:
         raise OrderingError("corrector needs t_b >= t_a")
-    m = chain.dim
-    acc = np.zeros(m)
+    acc = np.zeros(chain.dim)
     if kb == ka:
         return acc
-    k_path0 = path.index_of(chain.grid.t0)
-    kb_path = path.index_of(t_b)
+    o = _base_row(chain, path, kb)
+    rows = chain.generator_rows(ka, path.base[o + kb] - path.base[o + ka : o + kb])
     dt = chain.grid.dt
     for j in range(ka, kb):
         weight = dt / 2.0 if j == ka else dt
-        increment = _embedded(path.difference(k_path0 + j, kb_path), m)
-        contribution = weight * (chain.node_operator(j).matrix @ increment)
-        acc = chain.steps[j] @ (acc + contribution)
+        acc = chain.steps[j] @ (acc + weight * rows[j - ka])
     return acc
 
 
@@ -217,8 +216,8 @@ def _embedded(values: np.ndarray, m: int) -> np.ndarray:
         raise ConfigurationError("noise mode count exceeds Galerkin dimension")
     if mw == m:
         return values
-    out = np.zeros(m)
-    out[:mw] = values
+    out = np.zeros(values.shape[:-1] + (m,))
+    out[..., :mw] = values
     return out
 
 
@@ -250,13 +249,26 @@ def _step(
     return out
 
 
-def _corrected_increment(
-    chain: PropagatorChain, path: WienerPath, k: int, k_path: int
-) -> np.ndarray:
-    """dw - (dt/2) A(t_k) dw for chain step k and path increment k_path."""
-    increment = _embedded(path.increment(k_path), chain.dim)
-    a_inc = chain.node_operator(k, cache=False).matrix @ increment
-    return increment - (chain.grid.dt / 2.0) * a_inc
+def _base_row(chain: PropagatorChain, path: WienerPath, k_hi: int) -> int:
+    """The base row of the chain's first node on ``path``.
+
+    The path must run at the chain resolution, or its increments are not the
+    chain's steps, and it must hold the chain nodes up to k_hi.
+    """
+    if abs(path.dt - chain.grid.dt) > 1e-12 * chain.grid.dt:
+        raise AlignmentError("noise path must run at the chain resolution")
+    o = path.base_origin + path.index_of(chain.grid.t0)
+    if o + k_hi >= path.base.shape[0]:
+        raise ShiftRangeError("chain nodes run past the sampled path")
+    return o
+
+
+def _noise_rows(chain: PropagatorChain, path: WienerPath, k: int, n: int) -> np.ndarray:
+    """dw_j - (dt/2) A(t_j) dw_j for chain steps j = k..k+n-1; shape (n, m)."""
+    o = _base_row(chain, path, k + n) + k
+    dw = path.base[o + 1 : o + n + 1] - path.base[o : o + n]
+    rows = chain.generator_rows(k, dw)
+    return _embedded(dw, chain.dim) - (chain.grid.dt / 2.0) * rows
 
 
 def linear_pathwise_step(
@@ -274,7 +286,7 @@ def linear_pathwise_step(
     h_k = np.asarray(h_k, dtype=float)
     noise = None
     if sigma != 0.0:
-        noise = sigma * _corrected_increment(chain, path, k, path.index_of(t_k))
+        noise = sigma * _noise_rows(chain, path, k, 1)[0]
     return _step(chain.steps[k], h_k, chain.grid.dt, _ZERO, None, noise=noise)
 
 
@@ -284,15 +296,11 @@ def corrected_increments(chain: PropagatorChain, path: WienerPath) -> np.ndarray
     The noise term of the linear pathwise step before the sigma factor.  It
     depends on the chain and the path only, so all members integrated on one
     chain share it: it is kept on the chain when ``path`` is the chain's own
-    path.  Node operators are assembled once each and not cached.
+    path.  The generator rows come from one ``generator_rows`` block.
     """
     if path is chain.path and chain._increments is not None:
         return chain._increments
-    grid = chain.grid
-    k_path0 = path.index_of(grid.t0)
-    out = np.empty((grid.n_steps, chain.dim))
-    for k in range(grid.n_steps):
-        out[k] = _corrected_increment(chain, path, k, k_path0 + k)
+    out = _noise_rows(chain, path, 0, chain.grid.n_steps)
     if path is chain.path:
         chain._increments = out
     return out

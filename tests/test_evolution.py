@@ -11,6 +11,7 @@ from randattract import (
     OrderingError,
     restrict,
     apply,
+    assemble_operator,
     build_chain,
     chain_matrix,
     cocycle_residual,
@@ -19,6 +20,7 @@ from randattract import (
     sample_two_sided_path,
     smoothing_estimate,
     span_grid,
+    wiener_shift,
 )
 from randattract.evolution import (
     PropagatorChain,
@@ -222,3 +224,32 @@ def test_build_chain_steps_do_not_depend_on_the_grid_span(default_field, spectru
     part = build_chain(default_field, path, span_grid(0.5, 1.5, dt), 8)
     assert full.steps.shape[0] == 256 and part.steps.shape[0] == 128
     assert np.array_equal(full.steps[64:192], part.steps)
+
+
+@pytest.mark.parametrize("amp", [0.2, 0.0])
+def test_generator_rows_match_assembled_operator(amp, medium_path):
+    # t0 != 0 on a shifted fiber: a wrong node-to-path offset reads other zetas
+    field = DiffusionField(amp=amp)
+    fiber = wiener_shift(medium_path, 300)
+    ch = build_chain(field, fiber, span_grid(-0.75, 0.25, DT), 24)
+    vecs = np.random.default_rng(5).standard_normal((40, fiber.mode_count))
+    k = 7
+    rows = ch.generator_rows(k, vecs)
+    assert rows.shape == (40, 24)
+    for i, v in enumerate(vecs):
+        t = ch.grid.t0 + (k + i) * DT
+        embedded = np.zeros(24)
+        embedded[: v.size] = v
+        ref = assemble_operator(field, t, fiber, 24).matrix @ embedded
+        assert np.abs(rows[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_generator_row_alone_equals_row_in_block(default_field, medium_path):
+    ch = build_chain(default_field, medium_path, span_grid(0.5, 1.0, DT), 24)
+    vecs = np.random.default_rng(6).standard_normal((ch.grid.n_steps + 1, 16))
+    block = ch.generator_rows(0, vecs)
+    for j in (0, 1, 77, ch.grid.n_steps):
+        assert np.array_equal(ch.generator_rows(j, vecs[j : j + 1])[0], block[j])
+    assert np.array_equal(ch.generator_rows(20, vecs[20:50]), block[20:50])
+    with pytest.raises(AlignmentError):
+        ch.generator_rows(1, vecs)

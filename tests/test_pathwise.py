@@ -23,8 +23,7 @@ from randattract import (
     span_grid,
     wiener_shift,
 )
-from randattract.errors import ConfigurationError
-from randattract.operators import FractionalNormSpec, FractionalReference
+from randattract.errors import AlignmentError, ConfigurationError
 
 from conftest import DT, synthetic_path
 
@@ -352,10 +351,26 @@ def test_integrate_matches_step_loop_on_any_path_object(default_field, medium_pa
     assert np.array_equal(other.states, own.states)
 
 
-def test_semilinear_problem_rejects_instantaneous_norm(default_field):
-    spec = FractionalNormSpec(alpha=0.2, reference=FractionalReference.INSTANTANEOUS)
-    with pytest.raises(ConfigurationError, match="fixed-Laplacian"):
-        SemilinearProblem(
-            field=default_field, nonlinearity=NonlinearitySpec.zero(),
-            forcing=None, sigma=0.0, u0=np.zeros(4), norm_spec=spec,
-        )
+def test_noise_on_a_finer_path_than_the_chain_is_rejected():
+    # a dt = 2^-7 chain over a dt = 2^-8 path would read each path increment
+    # as a whole grid step and cover only half the interval with noise
+    m = 4
+    fine = sample_two_sided_path(NoiseSpectrum(m, 1.0), -9.0, 1.0, DT, seed=7)
+    coarse = restrict(fine, 2)
+    grid = span_grid(0.0, 1.0, 2 * DT)
+    problem = SemilinearProblem(
+        field=DiffusionField(amp=0.0), nonlinearity=NonlinearitySpec.zero(),
+        forcing=None, sigma=1.0, u0=np.zeros(m),
+    )
+    flat = build_chain(problem.field, fine, grid, m)
+    with pytest.raises(AlignmentError, match="resolution"):
+        integrate_semilinear(problem, flat)
+    with pytest.raises(AlignmentError, match="resolution"):
+        linear_pathwise_step(flat, fine, 0.0, 2 * DT, np.zeros(m), 1.0)
+    with pytest.raises(AlignmentError, match="resolution"):
+        corrector_integral(flat, fine, 0.0, 1.0)
+    # a noise path other than the chain's own path
+    varying = build_chain(DiffusionField(), coarse, grid, m)
+    with pytest.raises(AlignmentError, match="resolution"):
+        integrate_semilinear(problem, varying, fine)
+    assert integrate_semilinear(problem, varying, coarse).status == "completed"

@@ -56,7 +56,6 @@ from .pathwise import (
     linear_pathwise_step,
     nemytskii,
     observed_order,
-    strong_error,
 )
 from .ou import (
     OUTrajectory,

@@ -141,7 +141,7 @@ class EnergyReport:
 def _lp_norms(states: np.ndarray, rho: float) -> np.ndarray:
     m = states.shape[1]
     n_sub = dealias_node_count(m, rho)
-    _, basis = _sine_quadrature(m, n_sub)
+    basis = _sine_quadrature(m, n_sub)
     point_values = states @ basis.T
     return np.abs(point_values) ** (rho + 1.0) @ np.full(basis.shape[0], 1.0 / n_sub)
 

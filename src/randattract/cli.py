@@ -602,6 +602,15 @@ _COMMANDS = {
 }
 
 
+def _sampled_seeds(command: str, cfg: RunConfig) -> list[int]:
+    """The noise seeds a command samples, for the manifest."""
+    if command in ("simulate", "convergence"):
+        return [cfg.seed + i for i in range(cfg.n_paths)]
+    if command == "verify":
+        return [cfg.seed, cfg.seed + 1]
+    return [cfg.seed]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "print-config":
@@ -643,8 +652,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     timings["total"] = time.perf_counter() - started
-    seeds = [cfg.seed + i for i in range(cfg.n_paths)]
-    sink.manifest(timings, seeds)
+    sink.manifest(timings, _sampled_seeds(args.command, cfg))
     print(f"outputs in {out_dir}")
     return code
 

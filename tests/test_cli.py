@@ -122,6 +122,8 @@ def test_verify_passes_and_is_deterministic(tmp_path, small_config, capsys):
     report = json.loads(r1)
     assert report["all_passed"] is True
     assert all(c["passed"] for c in report["checks"])
+    manifest = json.loads((out1 / "verify" / "manifest.json").read_text())
+    assert manifest["per_path_seeds"] == [777, 778]
 
 
 def test_simulate_outputs_and_manifest(tmp_path, small_config):
@@ -163,6 +165,8 @@ def test_ou_diagnose_outputs(tmp_path, small_config):
     assert table[1].split(",")[0] == "t"
     summary = json.loads((run_dir / "temperedness_summary.json").read_text())
     assert "slope_upper_half" in summary and "note" in summary
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["per_path_seeds"] == [777]
 
 
 def test_attractor_pullback_outputs(tmp_path, small_config):
@@ -176,6 +180,8 @@ def test_attractor_pullback_outputs(tmp_path, small_config):
     endpoints = (run_dir / "pullback_endpoints.csv").read_text().splitlines()
     # 2 horizons x 5 members + comment + header
     assert len(endpoints) == 2 + 10
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["per_path_seeds"] == [777]
 
 
 def test_convergence_reports_order(tmp_path, small_config):

@@ -208,7 +208,7 @@ def test_fractional_monotone_in_alpha():
     assert norms[0] < norms[1] < norms[2]
 
 
-def test_fractional_rejects_bad_alpha_and_sign():
+def test_fractional_rejects_bad_alpha():
     with pytest.raises(ConfigurationError):
         fractional_apply(4, 1.5, np.zeros(4))
 

@@ -24,6 +24,7 @@ from randattract import (
     wiener_shift,
 )
 from randattract.errors import AlignmentError, ConfigurationError
+from randattract.pathwise import dealias_node_count
 
 from conftest import DT, synthetic_path
 
@@ -88,6 +89,26 @@ def test_nemytskii_dealias_exactness():
             limit=300,
         )
         assert out[mode - 1] == pytest.approx(target, abs=1e-8)
+
+
+def test_dealias_node_count_is_the_least_exact_count():
+    # F(u) phi_n has sine degree 4m at rho = 3 and the interior trapezoid on
+    # N subintervals is exact below degree 2N, so 2m + 1 is the least exact N
+    m = 64
+    assert dealias_node_count(m, 3.0) == 2 * m + 1
+    nl = NonlinearitySpec.cubic_fisher()
+    vec = np.random.default_rng(6).standard_normal(m) * 0.5
+
+    def projection(n_sub):
+        nodes = np.arange(1, n_sub) / n_sub
+        basis = math.sqrt(2.0) * np.sin(np.outer(nodes, np.arange(1, m + 1)) * np.pi)
+        return nl(basis @ vec) @ basis / n_sub
+
+    reference = projection(12 * m)
+    scale = np.abs(reference).max()
+    assert np.abs(nemytskii(nl, vec) - reference).max() <= 1e-13 * scale
+    aliased = projection(dealias_node_count(m, 3.0) - 1)
+    assert np.abs(aliased - reference).max() > 1e-6 * scale
 
 
 def test_corrector_zero_cases(default_field, medium_path):

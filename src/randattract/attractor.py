@@ -334,6 +334,32 @@ def default_ensemble(
     return np.stack(members)
 
 
+def _pullback_cloud(
+    problem: SemilinearProblem,
+    path: WienerPath,
+    t_j: float,
+    ensemble: np.ndarray,
+    m: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints phi(t_j, theta_{-t_j} w, u_i) (NaN rows blew up) and the
+    survivor mask.
+
+    The horizon's chain and its cached increments die on return, so a ladder
+    of horizons keeps one chain resident, never two.
+    """
+    fiber = wiener_shift(path, -_as_index(t_j, path.dt, "horizon"))
+    chain = build_chain(problem.field, fiber, span_grid(0.0, t_j, path.dt), m)
+    cloud = np.full((ensemble.shape[0], m), np.nan)
+    alive = np.zeros(ensemble.shape[0], dtype=bool)
+    for i, u0 in enumerate(ensemble):
+        member = dataclasses.replace(problem, u0=u0)
+        traj = integrate_semilinear(member, chain, fiber)
+        if traj.status == "completed":
+            cloud[i] = traj.states[-1]
+            alive[i] = True
+    return cloud, alive
+
+
 def pullback_estimate(
     problem: SemilinearProblem,
     path: WienerPath,
@@ -358,19 +384,8 @@ def pullback_estimate(
     flagged = False
     eta_spec = FractionalNormSpec(alpha=eta)
     for t_j in horizons:
-        fiber = wiener_shift(path, -_as_index(t_j, path.dt, "horizon"))
-        grid = span_grid(0.0, t_j, path.dt)
-        chain = build_chain(problem.field, fiber, grid, m)
-        cloud = np.full((ensemble.shape[0], m), np.nan)
-        alive = np.zeros(ensemble.shape[0], dtype=bool)
-        for i, u0 in enumerate(ensemble):
-            member = dataclasses.replace(problem, u0=u0)
-            traj = integrate_semilinear(member, chain, fiber)
-            if traj.status == "completed":
-                cloud[i] = traj.states[-1]
-                alive[i] = True
-            else:
-                flagged = True
+        cloud, alive = _pullback_cloud(problem, path, t_j, ensemble, m)
+        flagged = flagged or not alive.all()
         endpoints.append(cloud)
         survivors.append(alive)
         living = cloud[alive]

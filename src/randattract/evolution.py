@@ -167,21 +167,31 @@ def build_chain(
     modulation = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
 
     # block by block, so the temporaries stay a fixed size; each step is
-    # computed on its own, so the steps do not depend on the blocking
+    # computed on its own, so the steps do not depend on the blocking.  The
+    # two block buffers serve every block: fresh temporaries per block, freed
+    # together, let malloc hand the heap top back to the OS and fault it in
+    # again for the next block
     steps = np.empty((k_steps, m, m))
+    mats = np.empty((min(_BUILD_BLOCK, k_steps), m, m))
+    block = np.empty_like(mats)
     for lo in range(0, k_steps, _BUILD_BLOCK):
         hi = min(lo + _BUILD_BLOCK, k_steps)
-        mats = np.empty((hi - lo, m, m))
+        n = hi - lo
         for k in range(lo, hi):
             mats[k - lo] = _matrix_from_modulation(field, m, float(modulation[k]))
-        lam, q = np.linalg.eigh(mats)
+        lam, q = np.linalg.eigh(mats[:n])
         top = float(lam[..., -1].max())
         if top > field.spectral_ceiling:
             raise DefinitenessError(
                 f"midpoint operator violates the spectral bound: {top}"
             )
-        block = (q * np.exp(grid.dt * lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
-        steps[lo:hi] = (block + np.swapaxes(block, 1, 2)) / 2.0
+        # exp(dt A) = (q e^{dt lam}) q^T, symmetrized as (b + b^T) / 2; the
+        # scaled eigenvectors reuse the eigh input, which is no longer needed
+        scaled = np.multiply(q, np.exp(grid.dt * lam)[:, None, :], out=mats[:n])
+        np.matmul(scaled, np.swapaxes(q, 1, 2), out=block[:n])
+        out = steps[lo:hi]
+        np.add(block[:n], np.swapaxes(block[:n], 1, 2), out=out)
+        out /= 2.0
     return PropagatorChain(grid, steps, field, path)
 
 

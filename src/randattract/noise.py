@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from .errors import AlignmentError, ConfigurationError, ShiftRangeError
 
@@ -51,10 +50,6 @@ class NoiseSpectrum:
     def weights(self) -> np.ndarray:
         n = np.arange(1, self.mode_count + 1, dtype=float)
         return n ** (-2.0 * self.decay_exponent)
-
-    def trace_bound(self) -> float:
-        """Upper bound sum(q_n) <= zeta(2r) for the full (untruncated) trace."""
-        return float(_riemann_zeta(2.0 * self.decay_exponent))
 
 
 @dataclass(frozen=True)

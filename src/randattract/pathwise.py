@@ -76,12 +76,17 @@ class NonlinearitySpec:
     def pure_cubic(cls) -> "NonlinearitySpec":
         return cls(NonlinearityKind.PURE_CUBIC, rho=3.0, C0=1.0, C1=0.0, CF=3.0)
 
+    def __post_init__(self) -> None:
+        if self.kind is NonlinearityKind.CUSTOM:
+            _check_odd_polynomial(self.fn, self.rho)
+
     @classmethod
     def custom(cls, fn: Callable, rho: float = 3.0) -> "NonlinearitySpec":
-        """Arbitrary scalar drift; used by probes (no dissipativity implied).
+        """Scalar drift for probes (no dissipativity implied).
 
-        ``nemytskii`` projects it exactly only when fn is an odd polynomial of
-        degree at most rho; any other fn aliases (see ``dealias_node_count``).
+        fn must be an odd polynomial of degree at most rho, the drifts that
+        ``nemytskii`` projects exactly (see ``dealias_node_count``); any other
+        fn raises ConfigurationError here instead of aliasing silently.
         """
         return cls(NonlinearityKind.CUSTOM, rho=rho, C0=0.0, C1=0.0, CF=0.0, fn=fn)
 
@@ -95,6 +100,39 @@ class NonlinearitySpec:
         if self.kind is NonlinearityKind.PURE_CUBIC:
             return -(u * u * u)
         return self.fn(u)
+
+
+# probe points of _check_odd_polynomial: k/16 is exact, so the points are
+# exact negatives of each other
+_PROBE_POINTS = np.arange(-32, 33) / 16.0
+# rounding level of the probe's fit, relative to max |fn|
+_PROBE_TOL = 1e-10
+
+
+def _check_odd_polynomial(fn: Callable | None, rho: float) -> None:
+    """Refuse fn unless it is an odd polynomial of degree at most floor(rho).
+
+    fn is probed once, on points symmetric about 0 in [-2, 2]: it must be odd
+    there, and least squares in the odd powers up to floor(rho) must fit it
+    to rounding level relative to max |fn|.
+    """
+    if fn is None:
+        raise ConfigurationError("a custom nonlinearity needs a function")
+    values = np.asarray(fn(_PROBE_POINTS.copy()), dtype=float)
+    if values.shape != _PROBE_POINTS.shape or not _all_finite(values):
+        raise ConfigurationError(
+            "a custom nonlinearity must map an array to finite values of its shape"
+        )
+    scale = float(np.abs(values).max())
+    if float(np.abs(values + values[::-1]).max()) > _PROBE_TOL * scale:
+        raise ConfigurationError("a custom nonlinearity must be odd")
+    powers = np.arange(1, int(math.floor(rho)) + 1, 2)
+    basis = _PROBE_POINTS[:, None] ** powers
+    coef = np.linalg.lstsq(basis, values, rcond=None)[0]
+    if float(np.abs(basis @ coef - values).max()) > _PROBE_TOL * scale:
+        raise ConfigurationError(
+            f"a custom nonlinearity must be a polynomial of degree <= rho={rho!r}"
+        )
 
 
 # the linear marches (linear_pathwise_step, ou.propagate) step with F = 0

@@ -1,6 +1,7 @@
 """v-equation integration, energy monitoring, absorbing functionals, pullback."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,29 @@ def test_pullback_endpoints_match_members_on_fresh_chains(spectrum):
             )
             end = integrate_semilinear(member, chain, fiber).states[-1]
             assert np.array_equal(est.endpoints[j][i], end)
+
+
+def test_pullback_keeps_one_chain_resident():
+    # horizons (T/2, T): while the T chain is built and used, the T/2 chain
+    # (and its increments) must be gone; build_chain's block temporaries
+    # (128 steps each) are small beside the T/2 chain's 2048 steps
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt, horizon = 32, 2.0 ** -6, 64.0
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -horizon - 2.0, 0.0, dt, seed=41)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.zeros(m),
+    )
+    ens = default_ensemble(m, 0.2, radius=2.0, n_random=0, seed=7)[:3]
+    tracemalloc.start()
+    try:
+        est = pullback_estimate(problem, path, [horizon / 2, horizon], ens, 0.35, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not est.flagged
+    chain_bytes = int(round(horizon / dt)) * m * m * 8
+    assert peak < chain_bytes + chain_bytes // 2
 
 
 def test_pullback_pure_cubic_collapse(default_field, spectrum):

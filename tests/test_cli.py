@@ -1,6 +1,10 @@
 """Configuration validation, subcommand smoke runs, determinism, manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +241,16 @@ def test_cli_validation_errors_exit_1_with_cleanup(
     assert err.count("\n") == 1 and "window leaves the sampled path" in err
     assert not (out / "simulate" / "partial.csv").exists()
     assert (out / "simulate" / "run.log").exists()
+
+
+def test_cli_imports_numpy_only():
+    probe = (
+        "import randattract.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

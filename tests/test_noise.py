@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,8 @@ def test_spectrum_weights_formula():
     assert spec.weights[15] == pytest.approx(0.00390625)
     assert np.all(np.diff(spec.weights) < 0)
     assert np.all(spec.weights > 0)
-    assert spec.weights.sum() <= spec.trace_bound()
+    # the full (untruncated) trace is zeta(2r)
+    assert spec.weights.sum() <= scipy.special.zeta(2.0)
 
 
 def test_spectrum_rejects_non_summable():

@@ -38,6 +38,24 @@ def test_dissipativity_constants():
     assert np.all(cubic(u) * u <= -cubic.C0 * np.abs(u) ** 4 + cubic.C1 + 1e-12)
 
 
+@pytest.mark.parametrize(
+    "fn, rho",
+    [(np.sin, 3.0), (lambda u: u * u, 2.0), (lambda u: u * np.abs(u), 2.0)],
+    ids=["sin", "square", "u_abs_u"],
+)
+def test_custom_rejects_drifts_nemytskii_aliases(fn, rho):
+    # not odd polynomials of degree <= rho: no node count projects them exactly
+    with pytest.raises(ConfigurationError):
+        NonlinearitySpec.custom(fn, rho=rho)
+
+
+def test_custom_accepts_odd_polynomials_up_to_rho():
+    NonlinearitySpec.custom(lambda u: u ** 3, rho=3.0)
+    NonlinearitySpec.custom(lambda u: (math.pi ** 2 - 1.0) * u, rho=1.0)
+    with pytest.raises(ConfigurationError):
+        NonlinearitySpec.custom(lambda u: u ** 3, rho=2.0)
+
+
 def test_local_lipschitz_growth_bound():
     rng = np.random.default_rng(1)
     u, v = rng.uniform(-3, 3, 500), rng.uniform(-3, 3, 500)

@@ -14,10 +14,7 @@ from .errors import (
 )
 from .noise import (
     NoiseSpectrum,
-    ShiftIndex,
     WienerPath,
-    growth_diagnostic,
-    holder_seminorm,
     restrict,
     sample_two_sided_path,
     wiener_shift,
@@ -27,7 +24,6 @@ from .operators import (
     FractionalNormSpec,
     GalerkinOperator,
     assemble_operator,
-    evaluate_coefficient,
     evaluate_driver,
     fractional_apply,
     fractional_norm,
@@ -50,7 +46,6 @@ from .pathwise import (
     NonlinearitySpec,
     SemilinearProblem,
     Trajectory,
-    autonomous_reference,
     corrector_integral,
     integrate_semilinear,
     linear_pathwise_step,
@@ -63,7 +58,6 @@ from .ou import (
     TemperednessTable,
     construct_initial,
     propagate,
-    stationarity_residual,
     temperedness_diagnostic,
 )
 from .attractor import (

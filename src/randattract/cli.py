@@ -57,7 +57,6 @@ from .operators import (
 from .ou import (
     construct_initial,
     propagate,
-    stationarity_residual,
     stationarity_residual_table,
     temperedness_diagnostic,
 )
@@ -246,7 +245,8 @@ def cmd_attractor_pullback(cfg: RunConfig, sink: OutputSink, threads: int) -> No
         cfg.driver_horizon if cfg.amp > 0 else 0.0
     )
     path = _path_window_for(cfg, -cover, 1.0, cfg.seed)
-    n_random = max(cfg.ensemble_size - 17, 0)
+    # default_ensemble's fixed members: 0 and +-R e_n for n <= min(8, m)
+    n_random = max(cfg.ensemble_size - (1 + 2 * min(8, m)), 0)
     ensemble = default_ensemble(
         m, cfg.alpha, radius=cfg.ball_radius, n_random=n_random, seed=cfg.seed
     )[: cfg.ensemble_size]
@@ -486,7 +486,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     )
     resolved = DiffusionField(delta=1.0, amp=0.2)
     rp = sample_two_sided_path(NoiseSpectrum(4, 1.0), -16.0, 6.0, 2.0 ** -9, cfg.seed + 1)
-    res = stationarity_residual(resolved, rp, 2.0, 1.0, 4.0, 4)
+    res = stationarity_residual_table(resolved, rp, [2.0], [1.0], 4.0, 4)[0].residual
     z_norm = float(np.linalg.norm(st.z0))
     record("ou_stationarity_residual", res, 1e-8 * (1.0 + z_norm))
 

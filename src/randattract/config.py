@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class RunConfig:
     ensemble_size: int
     ball_radius: float
     temperedness_horizon: float
-    raw_text: str = dc_field(repr=False, default="")
 
     def spectrum(self) -> NoiseSpectrum:
         return NoiseSpectrum(self.modes, self.decay_exponent)
@@ -161,8 +160,6 @@ class RunConfig:
     def canonical_text(self) -> str:
         rows = []
         for key, value in sorted(self.__dict__.items()):
-            if key == "raw_text":
-                continue
             rows.append(f"{key}={value!r}")
         return "\n".join(rows)
 
@@ -174,7 +171,6 @@ def _floats(text: str) -> tuple[float, ...]:
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.read_dict(_DEFAULTS)
-    raw = ""
     if path is not None:
         with open(path) as fh:
             raw = fh.read()
@@ -213,7 +209,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             ensemble_size=parser.getint("experiment", "ensemble_size"),
             ball_radius=parser.getfloat("experiment", "ball_radius"),
             temperedness_horizon=parser.getfloat("experiment", "temperedness_horizon"),
-            raw_text=raw,
         )
     except ValueError as exc:
         raise ConfigurationError(f"malformed config value: {exc}") from exc
@@ -226,6 +221,8 @@ def validate_config(cfg: RunConfig) -> None:
     the spectrum and the problem (field, norm spec) check their own."""
     if not cfg.dt > 0:
         raise ConfigurationError("noise.dt must be positive")
+    if cfg.seed < 0:
+        raise ConfigurationError("noise.seed must be a nonnegative integer")
     if cfg.n_paths < 1:
         raise ConfigurationError("noise.n_paths must be a positive integer")
     if cfg.galerkin_dim < 1:
@@ -246,6 +243,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError("experiment.levels must be >= 1")
     if not cfg.truncation_horizon > 0:
         raise ConfigurationError("experiment.truncation_horizon must be positive")
+    if not cfg.temperedness_horizon > 0:
+        raise ConfigurationError("experiment.temperedness_horizon must be positive")
     if cfg.ensemble_size < 1:
         raise ConfigurationError("experiment.ensemble_size must be >= 1")
     spans = [

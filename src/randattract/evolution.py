@@ -28,7 +28,7 @@ from .errors import (
     DefinitenessError,
     OrderingError,
 )
-from .noise import WienerPath, wiener_shift
+from .noise import WienerPath, _as_index, wiener_shift
 from .operators import (
     DiffusionField,
     GalerkinOperator,
@@ -53,27 +53,29 @@ class TimeGrid:
             raise ConfigurationError("grid needs n_steps >= 0 and dt > 0")
 
     @property
-    def t1(self) -> float:
-        return self.t0 + self.n_steps * self.dt
-
-    @property
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.n_steps + 1) * self.dt
 
     def index(self, t: float) -> int:
-        k = int(round((t - self.t0) / self.dt))
-        if abs(t - (self.t0 + k * self.dt)) > 1e-9 * max(1.0, abs(t)):
-            raise AlignmentError(f"t={t!r} is not on the chain grid")
+        k = _as_index(t - self.t0, self.dt, "t - t0")
         if not 0 <= k <= self.n_steps:
             raise AlignmentError(f"t={t!r} outside the chain grid")
         return k
 
 
 def span_grid(t0: float, t1: float, dt: float) -> TimeGrid:
-    n = int(round((t1 - t0) / dt))
-    if abs((t1 - t0) - n * dt) > 1e-9 * max(1.0, abs(t1 - t0)) or n < 0:
-        raise AlignmentError("span is not an integer number of steps")
+    n = _as_index(t1 - t0, dt, "t1 - t0")
+    if n < 0:
+        raise AlignmentError(f"span from t0={t0!r} to t1={t1!r} is negative")
     return TimeGrid(t0, n, dt)
+
+
+def _check_resolution(path: WienerPath, grid: TimeGrid) -> None:
+    """A path read at the grid nodes must run at the grid's dt."""
+    if abs(path.dt - grid.dt) > 1e-12 * grid.dt:
+        raise AlignmentError(
+            f"path dt={path.dt!r} differs from the chain resolution dt={grid.dt!r}"
+        )
 
 
 def propagator_step(op: GalerkinOperator, dt: float) -> np.ndarray:
@@ -118,7 +120,7 @@ class PropagatorChain:
         if k < 0 or k + n > self.grid.n_steps + 1:
             raise AlignmentError("generator rows outside the chain grid")
         out = np.empty((n, self.dim))
-        k0, kg = (part[:, :mw] for part in _stiffness_parts(self.field, self.dim))
+        k0, kg = (part[:, :mw] for part in _stiffness_parts(self.dim))
         delta, amp = self.field.delta, self.field.amp
         if amp == 0.0:
             for i, v in enumerate(vecs):
@@ -158,8 +160,7 @@ def build_chain(
 
     if path is None:
         raise ConfigurationError("a path is required when amp > 0")
-    if abs(path.dt - grid.dt) > 1e-12 * grid.dt:
-        raise AlignmentError("chain grid must run at the path resolution")
+    _check_resolution(path, grid)
     k0 = path.index_of(grid.t0)
     if k_steps == 0:
         return PropagatorChain(grid, np.empty((0, m, m)), field, path)

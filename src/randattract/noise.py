@@ -1,4 +1,4 @@
-"""Two-sided Q-Wiener paths, the Wiener shift, and path diagnostics.
+"""Two-sided Q-Wiener paths and the Wiener shift.
 
 A path is stored as one immutable ``base`` array of raw sampled values plus an
 ``origin`` index marking where the path's own time zero sits.  Path values are
@@ -20,7 +20,11 @@ _REL_TOL = 1e-9
 
 
 def _as_index(value: float, dt: float, what: str) -> int:
-    """Map a time to its integer grid index, refusing off-grid values."""
+    """Map a time to its integer grid index, refusing off-grid values.
+
+    The package's one alignment rule: every time or span that must lie on a
+    grid of step dt goes through here.
+    """
     k = int(round(value / dt))
     if abs(value - k * dt) > _REL_TOL * max(1.0, abs(value)):
         raise AlignmentError(f"{what}={value!r} is not a multiple of dt={dt!r}")
@@ -50,13 +54,6 @@ class NoiseSpectrum:
     def weights(self) -> np.ndarray:
         n = np.arange(1, self.mode_count + 1, dtype=float)
         return n ** (-2.0 * self.decay_exponent)
-
-
-@dataclass(frozen=True)
-class ShiftIndex:
-    """A shift by ``offset`` grid steps, i.e. time s = offset*dt."""
-
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -136,10 +133,6 @@ class WienerPath:
             raise ShiftRangeError("difference window outside the sampled grid")
         return self.base[self.base_origin + k] - self.base[self.base_origin + j]
 
-    def increment(self, k: int) -> np.ndarray:
-        """w(t_{k+1}) - w(t_k); origin-free."""
-        return self.difference(k, k + 1)
-
 
 def sample_two_sided_path(
     spectrum: NoiseSpectrum, t_lo: float, t_hi: float, dt: float, seed: int
@@ -173,13 +166,12 @@ def sample_two_sided_path(
     return WienerPath(base, n_back, dt, spectrum, seed)
 
 
-def wiener_shift(path: WienerPath, shift: ShiftIndex | int) -> WienerPath:
+def wiener_shift(path: WienerPath, offset: int) -> WienerPath:
     """The Wiener shift: (shifted w)(t) = w(t + s) - w(s) with s = offset*dt.
 
     Pure re-indexing of the shared base array; the shifted window must still
     contain time zero, otherwise the caller has to sample a wider path.
     """
-    offset = shift.offset if isinstance(shift, ShiftIndex) else int(shift)
     new_origin = path.base_origin + offset
     if not 0 <= new_origin < path.base.shape[0]:
         raise ShiftRangeError(
@@ -209,87 +201,3 @@ def restrict(path: WienerPath, factor: int) -> WienerPath:
         base, path.base_origin // factor, path.dt * factor, path.spectrum,
         path.base_seed,
     )
-
-
-def holder_seminorm(path: WienerPath, gamma: float, window: tuple[float, float]) -> float:
-    """Discrete Hoelder-gamma quotient max ||w(t_j)-w(t_i)|| / (t_j-t_i)**gamma.
-
-    The norm is the Euclidean norm of the mode coefficients (orthonormal
-    basis), maximized over all grid pairs inside the window.
-    """
-    if not 0.0 < gamma < 0.5:
-        raise ConfigurationError("gamma must lie in (0, 1/2)")
-    a, b = window
-    ia, ib = path.index_of(a), path.index_of(b)
-    if ib <= ia:
-        raise ConfigurationError("holder window is empty")
-    vals = path.base[path.base_origin + ia : path.base_origin + ib + 1]
-    best = 0.0
-    for lag in range(1, ib - ia + 1):
-        diffs = vals[lag:] - vals[:-lag]
-        norms = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        best = max(best, float(norms.max()) / (lag * path.dt) ** gamma)
-    return best
-
-
-def growth_diagnostic(path: WienerPath, eps: float) -> float:
-    """Smallest grid time T0 > 0 with ||w(t)|| <= eps*|t| for all grid |t| >= T0.
-
-    Returns the window edge max(|t_lo|, t_hi) when no threshold inside the
-    sampled window works (interpreted by callers as "sample a longer path").
-    """
-    if not eps > 0:
-        raise ConfigurationError("eps must be positive")
-    vals = path.values
-    norms = np.sqrt(np.einsum("ij,ij->i", vals, vals))
-    o = path.base_origin
-    edge = max(-path.lo, path.hi)
-
-    ok_fwd = np.ones(edge + 1, dtype=bool)
-    k_fwd = np.arange(path.hi + 1)
-    ok_fwd[: path.hi + 1] = norms[o:] <= eps * k_fwd * path.dt
-    ok_back = np.ones(edge + 1, dtype=bool)
-    k_back = np.arange(-path.lo + 1)
-    ok_back[: -path.lo + 1] = norms[o::-1] <= eps * k_back * path.dt
-
-    good = ok_fwd & ok_back
-    # suffix-and over thresholds m = edge .. 1
-    tail_ok = True
-    smallest = None
-    for m in range(edge, 0, -1):
-        tail_ok = tail_ok and bool(good[m])
-        if tail_ok:
-            smallest = m
-        else:
-            break
-    return (smallest if smallest is not None else edge) * path.dt
-
-
-def export_path_csv(path: WienerPath, stream=None) -> str:
-    """CSV with columns (t, mode_1..mode_Mw); header comments record the
-    spectrum parameters and seed.  Returns the text; writes to ``stream`` too.
-    """
-    lines = [
-        f"# mode_count={path.mode_count}",
-        f"# decay_exponent={path.spectrum.decay_exponent:.17g}",
-        f"# dt={path.dt:.17g}",
-        f"# base_seed={path.base_seed}",
-        "t," + ",".join(f"mode_{n}" for n in range(1, path.mode_count + 1)),
-    ]
-    vals = path.values
-    for k, t in zip(range(path.lo, path.hi + 1), path.times):
-        row = vals[path.base_origin + k]
-        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
-    if stream is not None:
-        stream.write(text)
-    return text
-
-
-def sample_statistics(paths: list[WienerPath], t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode sample mean and variance (ddof=1) of w(t) over an ensemble."""
-    if not paths:
-        raise ConfigurationError("empty ensemble")
-    k = paths[0].index_of(t)
-    stack = np.stack([p.value_at(k) for p in paths])
-    return stack.mean(axis=0), stack.var(axis=0, ddof=1)

@@ -25,15 +25,17 @@ from .errors import (
     NumericalError,
     ShiftRangeError,
 )
-from .noise import WienerPath
+from .noise import WienerPath, _as_index
 
 PI_SQUARED = math.pi ** 2
 _GL_POINTS = 8
 _ELEMENTS_PER_MODE = 4
+# sup |g| of the profile one_plus_sine, the bound of the ellipticity check
+PROFILE_SUP = 2.0
 
 
 def one_plus_sine(x):
-    """Default spatial modulation profile g(x) = 1 + sin(pi x), sup|g| = 2."""
+    """The spatial modulation profile g(x) = 1 + sin(pi x), sup|g| = 2."""
     return 1.0 + np.sin(np.pi * x)
 
 
@@ -41,16 +43,14 @@ def one_plus_sine(x):
 class DiffusionField:
     """Random uniformly elliptic diffusion coefficient on (0, 1).
 
-    Ellipticity requires amp * profile_sup < delta; the guaranteed floor
-    delta - amp * profile_sup is reported as ``ellipticity_floor``.
+    Ellipticity requires amp * PROFILE_SUP < delta; the guaranteed floor
+    delta - amp * PROFILE_SUP is reported as ``ellipticity_floor``.
     """
 
     delta: float = 0.5
     amp: float = 0.2
     driver_decay: float = 1.0
     driver_horizon: float = 8.0
-    profile: object = one_plus_sine
-    profile_sup: float = 2.0
 
     def __post_init__(self) -> None:
         if not self.delta > 0:
@@ -59,18 +59,14 @@ class DiffusionField:
             raise ConfigurationError("field.amp must be nonnegative")
         if not (self.driver_decay > 0 and self.driver_horizon > 0):
             raise ConfigurationError("driver decay and horizon must be positive")
-        if self.amp * self.profile_sup >= self.delta:
+        if self.amp * PROFILE_SUP >= self.delta:
             raise ConfigurationError(
                 "uniform ellipticity violated: field.amp*sup|g| must be < field.delta"
             )
 
     @property
     def ellipticity_floor(self) -> float:
-        return self.delta - self.amp * self.profile_sup
-
-    @property
-    def ellipticity_ceiling(self) -> float:
-        return self.delta + self.amp * self.profile_sup
+        return self.delta - self.amp * PROFILE_SUP
 
     @property
     def poincare_rate(self) -> float:
@@ -133,13 +129,6 @@ class GalerkinOperator:
         return float(self.eig[0][-1])
 
 
-def _driver_step_count(field: DiffusionField, dt: float) -> int:
-    steps = int(round(field.driver_horizon / dt))
-    if abs(field.driver_horizon - steps * dt) > 1e-9 * field.driver_horizon or steps < 1:
-        raise ConfigurationError("driver_horizon must be a multiple of dt")
-    return steps
-
-
 @lru_cache(maxsize=32)
 def _driver_weights(kappa: float, horizon: float, dt: float) -> np.ndarray:
     """Trapezoid weights for int_{-horizon}^0 exp(kappa*s) f(s) ds on the grid."""
@@ -155,7 +144,7 @@ def _driver_setup(
 ) -> tuple[int, np.ndarray]:
     """Window length and weights for driver windows ending at base rows
     i_lo..i_hi, after checking that every window lies in the sampled path."""
-    steps = _driver_step_count(field, path.dt)
+    steps = _as_index(field.driver_horizon, path.dt, "driver_horizon")
     if i_lo - steps < 0 or i_hi >= path.base.shape[0]:
         raise ShiftRangeError(
             f"driver windows need {steps} backward steps inside the sampled path"
@@ -180,19 +169,6 @@ def _driver_window(base: np.ndarray, i: int, steps: int, weights: np.ndarray) ->
     return segment @ weights
 
 
-def evaluate_coefficient(field: DiffusionField, x, t: float, path: WienerPath | None):
-    """Pointwise E(x, t, w) in [ellipticity_floor, ellipticity_ceiling]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ConfigurationError("x must lie in [0, 1]")
-    if field.amp == 0.0:
-        return np.broadcast_to(np.asarray(field.delta), x.shape).copy()
-    if path is None:
-        raise ConfigurationError("a path is required when amp > 0")
-    modulation = math.tanh(evaluate_driver(path, t, field))
-    return field.delta + field.amp * field.profile(x) * modulation
-
-
 @lru_cache(maxsize=16)
 def _quadrature_mesh(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights: 8 points per element, 4m elements."""
@@ -214,19 +190,19 @@ def _basis_derivative(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _stiffness_parts(field: DiffusionField, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _stiffness_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
     """K0 = int phi_m' phi_n' dx and Kg = int g phi_m' phi_n' dx, symmetrized."""
     nodes, weights = _quadrature_mesh(m)
     dphi = _basis_derivative(m)
     k0 = dphi.T @ (weights[:, None] * dphi)
-    kg = dphi.T @ ((weights * field.profile(nodes))[:, None] * dphi)
+    kg = dphi.T @ ((weights * one_plus_sine(nodes))[:, None] * dphi)
     k0 = (k0 + k0.T) / 2.0
     kg = (kg + kg.T) / 2.0
     return k0, kg
 
 
 def _matrix_from_modulation(field: DiffusionField, m: int, modulation: float) -> np.ndarray:
-    k0, kg = _stiffness_parts(field, m)
+    k0, kg = _stiffness_parts(m)
     if field.amp == 0.0:
         return -field.delta * k0
     return -(field.delta * k0 + (field.amp * modulation) * kg)

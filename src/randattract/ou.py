@@ -157,24 +157,6 @@ def global_form_reference(
     return base - corrector_integral(chain, path, 0.0, t)
 
 
-def stationarity_residual(
-    field: DiffusionField,
-    path: WienerPath,
-    t: float,
-    s: float,
-    a: float,
-    m: int,
-) -> float:
-    """|| Z(t+s, w) - Z(t, theta_s w) ||_{L2} on aligned grids."""
-    left_state = construct_initial(field, path, a, m)
-    left = propagate(left_state, field, path, t + s, m)
-    shifted = wiener_shift(path, path.index_of(s))
-    right_state = construct_initial(field, shifted, a, m)
-    right = propagate(right_state, field, shifted, t, m)
-    diff = left.state_at(t + s) - right.state_at(t)
-    return float(np.linalg.norm(diff))
-
-
 @dataclass(frozen=True)
 class StationarityEntry:
     t: float

@@ -32,13 +32,12 @@ from .errors import (
     OrderingError,
     ShiftRangeError,
 )
-from .evolution import PropagatorChain, TimeGrid, build_chain
+from .evolution import PropagatorChain, TimeGrid, _check_resolution
 from .noise import WienerPath
 from .operators import (
     DiffusionField,
     FractionalNormSpec,
     fixed_laplacian_symbols,
-    fractional_norm,
 )
 
 
@@ -210,9 +209,6 @@ class Trajectory:
     def l2_norms(self) -> np.ndarray:
         return np.sqrt(np.einsum("ij,ij->i", self.states, self.states))
 
-    def fractional_norms(self, spec: FractionalNormSpec) -> np.ndarray:
-        return np.array([fractional_norm(s, spec) for s in self.states])
-
 
 def _all_finite(x: np.ndarray) -> bool:
     # np.all(np.isfinite(x)) without the Python-level reductions of np.all
@@ -310,8 +306,7 @@ def _base_row(chain: PropagatorChain, path: WienerPath, k_hi: int) -> int:
     The path must run at the chain resolution, or its increments are not the
     chain's steps, and it must hold the chain nodes up to k_hi.
     """
-    if abs(path.dt - chain.grid.dt) > 1e-12 * chain.grid.dt:
-        raise AlignmentError("noise path must run at the chain resolution")
+    _check_resolution(path, chain.grid)
     o = path.base_origin + path.index_of(chain.grid.t0)
     if o + k_hi >= path.base.shape[0]:
         raise ShiftRangeError("chain nodes run past the sampled path")
@@ -402,35 +397,6 @@ def integrate_semilinear(
                 blowup_time=grid.t0 + (k + 1) * dt,
             )
     return Trajectory(grid, states)
-
-
-def autonomous_reference(
-    problem: SemilinearProblem,
-    fine_path: WienerPath,
-    coarse_grid: TimeGrid,
-    refine: int,
-    m: int,
-) -> Trajectory:
-    """Strong-error reference: integrate on the ``refine``-times finer grid
-    (the fine path restricts to the coarse one) and restrict states back.
-    """
-    if refine < 1 or (refine & (refine - 1)):
-        raise ConfigurationError("refine must be a power of two >= 1")
-    if refine == 1:
-        chain = build_chain(problem.field, fine_path, coarse_grid, m)
-        return integrate_semilinear(problem, chain, fine_path)
-    fine_dt = coarse_grid.dt / refine
-    if abs(fine_path.dt - fine_dt) > 1e-12 * fine_dt:
-        raise AlignmentError("fine path resolution must match coarse_dt / refine")
-    fine_grid = TimeGrid(coarse_grid.t0, coarse_grid.n_steps * refine, fine_dt)
-    chain = build_chain(problem.field, fine_path, fine_grid, m)
-    fine = integrate_semilinear(problem, chain, fine_path)
-    states = fine.states[::refine].copy()
-    status, b_time = fine.status, fine.blowup_time
-    if status == "blowup":
-        keep = int(math.floor((fine.states.shape[0] - 1) / refine)) + 1
-        states = fine.states[::refine][:keep].copy()
-    return Trajectory(coarse_grid, states, status=status, blowup_time=b_time)
 
 
 def observed_order(dts: list[float], errors: list[float]) -> float:

@@ -254,3 +254,37 @@ def test_cli_imports_numpy_only():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_rejects_a_negative_seed(tmp_path, small_config, capsys):
+    out = tmp_path / "neg"
+    assert main(["simulate", "--config", small_config, "--out", str(out), "--seed", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "noise.seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0.0", "-4.0"])
+def test_cli_rejects_a_nonpositive_temperedness_horizon(value, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL.replace("temperedness_horizon = 8.0", f"temperedness_horizon = {value}"))
+    out = tmp_path / "ou"
+    assert main(["ou-diagnose", "--config", str(bad), "--out", str(out)]) == 1
+    assert "experiment.temperedness_horizon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_attractor_pullback_honours_ensemble_size_at_small_dimension(tmp_path):
+    # at galerkin_dim 4 the ensemble has 1 + 2*4 fixed members, not 17
+    small = tmp_path / "m4.cfg"
+    small.write_text(
+        SMALL.replace("galerkin_dim = 8", "galerkin_dim = 4")
+        .replace("ensemble_size = 5", "ensemble_size = 33")
+    )
+    out = tmp_path / "att"
+    assert main(["attractor-pullback", "--config", str(small), "--out", str(out)]) == 0
+    endpoints = (out / "attractor-pullback" / "pullback_endpoints.csv").read_text()
+    rows = endpoints.splitlines()[2:]
+    assert len(rows) == 2 * 33
+    assert sorted({int(r.split(",")[1]) for r in rows}) == list(range(33))

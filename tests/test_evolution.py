@@ -8,6 +8,7 @@ import pytest
 from randattract import (
     AlignmentError,
     DiffusionField,
+    NoiseSpectrum,
     OrderingError,
     restrict,
     apply,
@@ -253,3 +254,32 @@ def test_generator_row_alone_equals_row_in_block(default_field, medium_path):
     assert np.array_equal(ch.generator_rows(20, vecs[20:50]), block[20:50])
     with pytest.raises(AlignmentError):
         ch.generator_rows(1, vecs)
+
+
+# one alignment rule (noise._as_index) behind every "time on the grid" check;
+# dt = 0.01 is not dyadic, so k * dt itself carries rounding
+_ALIGN_DT = 0.01
+_ALIGN_T0 = -0.3
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda path, s: path.index_of(s),
+        lambda path, s: TimeGrid(_ALIGN_T0, 100, _ALIGN_DT).index(_ALIGN_T0 + s),
+        lambda path, s: span_grid(_ALIGN_T0, _ALIGN_T0 + s, _ALIGN_DT).n_steps,
+        lambda path, s: build_chain(
+            DiffusionField(driver_horizon=s), path,
+            span_grid(0.0, 2 * _ALIGN_DT, _ALIGN_DT), 4,
+        ).steps,
+    ],
+    ids=["index_of", "grid_index", "span_grid", "driver_horizon"],
+)
+def test_one_alignment_rule(reader):
+    path = sample_two_sided_path(NoiseSpectrum(2, 1.0), -1.0, 1.0, _ALIGN_DT, seed=3)
+    k = 37
+    exact = reader(path, k * _ALIGN_DT)
+    assert np.array_equal(reader(path, k * _ALIGN_DT * (1.0 + 1e-13)), exact)
+    assert np.array_equal(reader(path, k * _ALIGN_DT - 1e-12), exact)
+    with pytest.raises(AlignmentError, match="not a multiple of dt"):
+        reader(path, k * _ALIGN_DT + _ALIGN_DT / 3.0)

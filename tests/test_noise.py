@@ -1,6 +1,5 @@
-"""Sampling, shifting, and diagnostics of the two-sided Q-Wiener path."""
+"""Sampling and shifting of the two-sided Q-Wiener path."""
 
-import io
 import math
 
 import numpy as np
@@ -12,17 +11,13 @@ from hypothesis import strategies as st
 from randattract import (
     ConfigurationError,
     NoiseSpectrum,
-    ShiftIndex,
     ShiftRangeError,
-    growth_diagnostic,
-    holder_seminorm,
     restrict,
     sample_two_sided_path,
     wiener_shift,
 )
-from randattract.noise import export_path_csv, sample_statistics
 
-from conftest import DT, synthetic_path
+from conftest import DT
 
 
 def test_spectrum_weights_formula():
@@ -96,8 +91,8 @@ def test_increment_statistics(spectrum):
     incs_b = np.empty((n, spectrum.mode_count))
     for i in range(n):
         p = sample_two_sided_path(spectrum, 0.0, 4 * DT, DT, seed=20_000 + i)
-        incs_a[i] = p.increment(0)
-        incs_b[i] = p.increment(2)
+        incs_a[i] = p.difference(0, 1)
+        incs_b[i] = p.difference(2, 3)
     q_dt = spectrum.weights * DT
     se_mean = np.sqrt(q_dt / n)
     assert np.all(np.abs(incs_a.mean(axis=0)) <= 4.0 * se_mean)
@@ -111,7 +106,7 @@ def test_increment_statistics(spectrum):
 
 def test_shift_is_exact_reindexing(medium_path):
     s = 256  # one time unit
-    sh = wiener_shift(medium_path, ShiftIndex(s))
+    sh = wiener_shift(medium_path, s)
     assert np.all(sh.value_at(0) == 0.0)
     # (theta_s w)(t) = w(t+s) - w(s), bitwise on shared grid points
     for k in (-512, -1, 0, 1, 300):
@@ -160,96 +155,8 @@ def test_increment_stationarity(spectrum):
     assert np.all(np.abs(vals.var(axis=0, ddof=1) - target) <= 3.5 * se_var)
 
 
-def test_holder_two_point_formula():
-    # single increment dw over dt: quotient |dw| / dt^gamma exactly
-    dt = 0.25
-    path = synthetic_path(np.array([0.0, 0.7]), dt, 0)
-    got = holder_seminorm(path, 0.4, (0.0, dt))
-    assert got == pytest.approx(0.7 / dt ** 0.4, rel=1e-14)
-
-
-def test_holder_zero_path():
-    path = synthetic_path(np.zeros(17), 0.125, 0)
-    assert holder_seminorm(path, 0.3, (0.0, 2.0)) == 0.0
-
-
-def test_holder_refinement_stability():
-    # quotients at gamma < 1/2 stay stochastically bounded under one refinement
-    spec = NoiseSpectrum(4, 1.0)
-    ratios = []
-    for seed in range(40):
-        fine = sample_two_sided_path(spec, 0.0, 1.0, 2.0 ** -7, seed=seed)
-        coarse = restrict(fine, 2)
-        num = holder_seminorm(fine, 0.4, (0.0, 1.0))
-        den = holder_seminorm(coarse, 0.4, (0.0, 1.0))
-        assert num >= den  # more pairs can only increase the max
-        ratios.append(num / den)
-    assert np.median(ratios) < 2.0
-
-
-def test_holder_ensemble_finite_mean():
-    spec = NoiseSpectrum(4, 1.0)
-    vals = [
-        holder_seminorm(sample_two_sided_path(spec, 0.0, 1.0, 2.0 ** -6, seed=s), 0.4, (0.0, 1.0))
-        for s in range(1000)
-    ]
-    assert np.isfinite(np.mean(vals))
-
-
-def test_growth_zero_path():
-    path = synthetic_path(np.zeros((33, 2)), 0.5, 16)
-    assert growth_diagnostic(path, 1e-3) == pytest.approx(0.5)
-
-
-def test_growth_large_eps_small_T0(spectrum):
-    hits = 0
-    for seed in range(100):
-        p = sample_two_sided_path(spectrum, -100.0, 100.0, 0.25, seed=seed)
-        if growth_diagnostic(p, 1e3) <= 3 * 0.25:
-            hits += 1
-    assert hits >= 99
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    eps1=st.floats(min_value=0.01, max_value=10.0),
-    eps2=st.floats(min_value=0.01, max_value=10.0),
-)
-def test_growth_monotone_in_eps(eps1, eps2):
-    spec = NoiseSpectrum(2, 1.0)
-    path = sample_two_sided_path(spec, -8.0, 8.0, 0.25, seed=3)
-    lo, hi = min(eps1, eps2), max(eps1, eps2)
-    assert growth_diagnostic(path, lo) >= growth_diagnostic(path, hi)
-
-
-def test_growth_returns_edge_when_unsatisfied():
-    # force a violation at the last grid point
-    vals = np.zeros(9)
-    vals[-1] = 100.0
-    path = synthetic_path(vals, 1.0, 4)
-    assert growth_diagnostic(path, 1e-6) == pytest.approx(4.0)
-
-
 def test_restrict_is_restriction(spectrum):
     fine = sample_two_sided_path(spectrum, -1.0, 1.0, DT, seed=8)
     coarse = restrict(fine, 4)
     assert coarse.dt == pytest.approx(4 * DT)
     assert np.array_equal(coarse.values, fine.values[::4])
-
-
-def test_export_csv_roundtrip(medium_path):
-    buf = io.StringIO()
-    text = export_path_csv(medium_path, buf)
-    assert buf.getvalue() == text
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# mode_count=16")
-    header = lines[4].split(",")
-    assert header == ["t"] + [f"mode_{n}" for n in range(1, 17)]
-    first = lines[5].split(",")
-    assert float(first[0]) == pytest.approx(-20.0)
-
-
-def test_sample_statistics_shape(spectrum):
-    paths = [sample_two_sided_path(spectrum, 0.0, 1.0, 0.25, seed=s) for s in range(8)]
-    mean, var = sample_statistics(paths, 1.0)
-    assert mean.shape == (16,) and var.shape == (16,)

@@ -13,7 +13,6 @@ from randattract import (
     propagate,
     sample_two_sided_path,
     span_grid,
-    stationarity_residual,
     temperedness_diagnostic,
 )
 from randattract.errors import ShiftRangeError
@@ -85,7 +84,8 @@ def test_truncation_halving_bound(default_field, medium_path):
 
 
 def test_stationarity_zero_shift_exact(default_field, medium_path):
-    assert stationarity_residual(default_field, medium_path, 1.0, 0.0, 4.0, 16) == 0.0
+    entry = stationarity_residual_table(default_field, medium_path, [1.0], [0.0], 4.0, 16)[0]
+    assert entry.residual == 0.0
 
 
 def test_stationarity_residual_resolved_config():

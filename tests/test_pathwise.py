@@ -11,7 +11,6 @@ from randattract import (
     NoiseSpectrum,
     NonlinearitySpec,
     SemilinearProblem,
-    autonomous_reference,
     build_chain,
     corrector_integral,
     integrate_semilinear,
@@ -310,19 +309,6 @@ def test_blowup_prefix_bitwise(default_field, medium_path):
     assert np.array_equal(high.states[:n], low.states[:n])
 
 
-def test_autonomous_reference_refine_one_identity(default_field, medium_path):
-    m = 16
-    grid = span_grid(0.0, 0.5, DT)
-    problem = SemilinearProblem(
-        field=default_field, nonlinearity=NonlinearitySpec.cubic_fisher(),
-        forcing=None, sigma=0.1, u0=np.zeros(m),
-    )
-    chain = build_chain(default_field, medium_path, grid, m)
-    direct = integrate_semilinear(problem, chain, medium_path)
-    ref = autonomous_reference(problem, medium_path, grid, 1, m)
-    assert np.array_equal(direct.states, ref.states)
-
-
 def test_self_convergence_linear_quick(default_field):
     # 8 paths, dt = 2^-4 .. 2^-6 against a 2^-9 reference: order >= 0.4
     m = 8
@@ -338,8 +324,8 @@ def test_self_convergence_linear_quick(default_field):
     for i in range(8):
         fine = sample_two_sided_path(spec, -16.0, 1.0, 2.0 ** -9, seed=70_000 + i)
         problem = SemilinearProblem(u0=e1, **problem_kwargs)
-        ref = autonomous_reference(problem, fine, span_grid(0.0, 1.0, 2.0 ** -6), 8, m)
-        ref_end = ref.states[-1]
+        ref_chain = build_chain(default_field, fine, span_grid(0.0, 1.0, 2.0 ** -9), m)
+        ref_end = integrate_semilinear(problem, ref_chain, fine).states[-1]
         for lev in levels:
             coarse = restrict(fine, 2 ** (9 - lev))
             chain = build_chain(default_field, coarse, span_grid(0.0, 1.0, 2.0 ** -lev), m)

@@ -37,6 +37,7 @@ from .evolution import (
     contractivity_margin,
     decay_fit,
     operator_norm,
+    set_chain_workers,
     span_grid,
 )
 from .noise import (
@@ -145,6 +146,10 @@ def _path_window_for(cfg: RunConfig, t_lo: float, t_hi: float, seed: int):
 
 def cmd_simulate(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
     """Ensemble of semilinear trajectories; per-trajectory and summary CSVs."""
+    if cfg.n_paths < 2:
+        raise ConfigurationError(
+            "simulate needs noise.n_paths >= 2 for the ensemble variance"
+        )
     problem = cfg.problem()
     m = cfg.galerkin_dim
     horizon = cfg.horizon
@@ -588,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=os.cpu_count() or 1,
-            help="worker threads for path ensembles",
+            help="worker threads for path ensembles and chain builds",
         )
         p.add_argument("--seed", type=int, default=None, help="override noise.seed")
     return parser
@@ -617,6 +622,8 @@ def main(argv: list[str] | None = None) -> int:
         print(example_config(), end="")
         return 0
     try:
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         overrides = {}
         if args.seed is not None:
             overrides[("noise", "seed")] = args.seed
@@ -633,6 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     sink = OutputSink(out_dir, cfg.config_hash())
     timings: dict[str, float] = {}
     started = time.perf_counter()
+    set_chain_workers(args.threads)
     try:
         if args.command == "verify":
             code = cmd_verify(cfg, sink, args.threads)
@@ -651,6 +659,8 @@ def main(argv: list[str] | None = None) -> int:
         sink.cleanup_partial()
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_chain_workers(1)
     timings["total"] = time.perf_counter() - started
     sink.manifest(timings, _sampled_seeds(args.command, cfg))
     print(f"outputs in {out_dir}")

@@ -18,6 +18,7 @@ noise vectors node by node from the two stiffness parts.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,10 +80,11 @@ def _check_resolution(path: WienerPath, grid: TimeGrid) -> None:
 
 
 def propagator_step(op: GalerkinOperator, dt: float) -> np.ndarray:
-    """exp(dt*A) through the symmetric eigendecomposition; exactly symmetric."""
+    """exp(dt*A) = H H^T with H = Q e^{dt lam / 2}, as build_chain forms its
+    steps; matmul runs H H^T as syrk, so the result is exactly symmetric."""
     lam, q = op.eig
-    s = (q * np.exp(dt * lam)) @ q.T
-    return (s + s.T) / 2.0
+    h = q * np.exp((0.5 * dt) * lam)
+    return h @ h.T
 
 
 @dataclass(eq=False)
@@ -136,6 +138,24 @@ class PropagatorChain:
 # step matrices assembled and eigendecomposed together in build_chain
 _BUILD_BLOCK = 128
 
+# build_chain's width: the steps split into contiguous parts of whole blocks,
+# the first built in the calling thread and the others on the pool (NumPy's
+# eigh, matmul and ufuncs release the GIL).  Width 1 builds serially; the CLI
+# sets the width from --threads
+_workers = 1
+_pool: ThreadPoolExecutor | None = None
+
+
+def set_chain_workers(n: int) -> None:
+    """Build the steps of each chain on n threads, the caller's included."""
+    global _workers, _pool
+    if n < 1:
+        raise ConfigurationError("chain workers must be >= 1")
+    if _pool is not None:
+        _pool.shutdown()
+    _workers = n
+    _pool = ThreadPoolExecutor(max_workers=n - 1) if n > 1 else None
+
 
 def build_chain(
     field: DiffusionField,
@@ -167,33 +187,59 @@ def build_chain(
     zetas = driver_values(field, path, k0, k0 + k_steps)
     modulation = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
 
-    # block by block, so the temporaries stay a fixed size; each step is
-    # computed on its own, so the steps do not depend on the blocking.  The
-    # two block buffers serve every block: fresh temporaries per block, freed
-    # together, let malloc hand the heap top back to the OS and fault it in
-    # again for the next block
     steps = np.empty((k_steps, m, m))
-    mats = np.empty((min(_BUILD_BLOCK, k_steps), m, m))
-    block = np.empty_like(mats)
-    for lo in range(0, k_steps, _BUILD_BLOCK):
-        hi = min(lo + _BUILD_BLOCK, k_steps)
-        n = hi - lo
-        for k in range(lo, hi):
-            mats[k - lo] = _matrix_from_modulation(field, m, float(modulation[k]))
-        lam, q = np.linalg.eigh(mats[:n])
+    n_blocks = -(-k_steps // _BUILD_BLOCK)
+    n_parts = min(_workers, n_blocks)
+    cuts = [min(i * n_blocks // n_parts * _BUILD_BLOCK, k_steps) for i in range(n_parts + 1)]
+    args = (field, m, grid.dt, modulation, steps)
+    parts = [_pool.submit(_build_part, lo, hi, *args) for lo, hi in zip(cuts[1:], cuts[2:])]
+    # every part ends before the call returns or raises, and the first
+    # failing part raises, as the serial loop would
+    try:
+        _build_part(cuts[0], cuts[1], *args)
+    finally:
+        wait(parts)
+    for part in parts:
+        part.result()
+    return PropagatorChain(grid, steps, field, path)
+
+
+def _build_part(
+    lo: int,
+    hi: int,
+    field: DiffusionField,
+    m: int,
+    dt: float,
+    modulation: np.ndarray,
+    steps: np.ndarray,
+) -> None:
+    """Steps lo..hi-1 of a chain, block by block.
+
+    A block is assembled in its own slots of ``steps``; eigh's eigenvector
+    array is the one block-sized temporary.  Each step is computed on its
+    own, so a step does not depend on the block or the part it is in.
+    """
+    k0, kg = _stiffness_parts(m)
+    dk0 = field.delta * k0
+    for b_lo in range(lo, hi, _BUILD_BLOCK):
+        b_hi = min(b_lo + _BUILD_BLOCK, hi)
+        mats = steps[b_lo:b_hi]
+        # -(delta K0 + (amp mu_k) Kg), the bits of _matrix_from_modulation
+        np.multiply((field.amp * modulation[b_lo:b_hi])[:, None, None], kg, out=mats)
+        mats += dk0
+        np.negative(mats, out=mats)
+        lam, q = np.linalg.eigh(mats)
         top = float(lam[..., -1].max())
         if top > field.spectral_ceiling:
             raise DefinitenessError(
                 f"midpoint operator violates the spectral bound: {top}"
             )
-        # exp(dt A) = (q e^{dt lam}) q^T, symmetrized as (b + b^T) / 2; the
-        # scaled eigenvectors reuse the eigh input, which is no longer needed
-        scaled = np.multiply(q, np.exp(grid.dt * lam)[:, None, :], out=mats[:n])
-        np.matmul(scaled, np.swapaxes(q, 1, 2), out=block[:n])
-        out = steps[lo:hi]
-        np.add(block[:n], np.swapaxes(block[:n], 1, 2), out=out)
-        out /= 2.0
-    return PropagatorChain(grid, steps, field, path)
+        # exp(dt A) = H H^T with H = Q e^{dt lam / 2}, formed in place of Q;
+        # matmul runs H H^T as syrk, so each step is exactly symmetric
+        q *= np.exp((0.5 * dt) * lam)[:, None, :]
+        np.matmul(q, np.swapaxes(q, 1, 2), out=mats)
+        # freed before the next block's eigh allocates its own
+        del lam, q
 
 
 def apply(chain: PropagatorChain, t: float, s: float, vec: np.ndarray) -> np.ndarray:

@@ -227,8 +227,8 @@ def temperedness_diagnostic(
     n_ladder: int = 12,
     ladder_times: list[float] | None = None,
 ) -> TemperednessTable:
-    """Y(t) = ||Z(theta_{-t} w)||_{X_beta} on a log-spaced ladder up to ``horizon``
-    (or on explicit ``ladder_times``).
+    """Y(t) = ||Z(theta_{-t} w)||_{X_beta} on a log-spaced ladder from
+    min(1, ``horizon``) up to ``horizon`` (or on explicit ``ladder_times``).
 
     Also reports the least-squares slope of ln+ Y against t over the upper
     half of the ladder (temperedness pushes it toward zero).
@@ -239,7 +239,7 @@ def temperedness_diagnostic(
     raw = (
         np.asarray(ladder_times, dtype=float)
         if ladder_times is not None
-        else np.geomspace(1.0, horizon, n_ladder)
+        else np.geomspace(min(1.0, horizon), horizon, n_ladder)
     )
     ladder = sorted({max(1, int(round(t / path.dt))) for t in raw})
     rows = []

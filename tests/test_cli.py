@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from randattract import cli
@@ -288,3 +290,64 @@ def test_attractor_pullback_honours_ensemble_size_at_small_dimension(tmp_path):
     rows = endpoints.splitlines()[2:]
     assert len(rows) == 2 * 33
     assert sorted({int(r.split(",")[1]) for r in rows}) == list(range(33))
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_rejects_nonpositive_threads(threads, tmp_path, small_config, capsys):
+    out = tmp_path / "t"
+    code = main(["ou-diagnose", "--config", small_config, "--out", str(out), "--threads", threads])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "--threads" in err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_single_path(tmp_path, capsys):
+    one = tmp_path / "one.cfg"
+    one.write_text(SMALL.replace("n_paths = 4", "n_paths = 1"))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(one), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "n_paths" in err
+    assert list((out / "simulate").iterdir()) == []
+
+
+# 256-step history chains: two blocks, so --threads 2 builds them on two parts
+SPLIT = SMALL.replace("dt = 0.015625", "dt = 0.0078125")
+
+
+def test_ou_diagnose_same_bytes_on_one_and_two_threads(tmp_path):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(SPLIT)
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["ou-diagnose", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        run_dir = out / "ou-diagnose"
+        names = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+        runs.append({name: (run_dir / name).read_bytes() for name in names})
+    assert len(runs[0]) == 3 and runs[0] == runs[1]
+
+
+def test_definiteness_error_in_a_worker_exits_2_with_cleanup(tmp_path, monkeypatch, capsys):
+    # once the first output is written, eigh in the pool thread reports a
+    # spectrum above the ceiling, so the worker's own bound check raises
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(SPLIT)
+    out = tmp_path / "ou"
+    written = out / "ou-diagnose" / "stationarity_residuals.json"
+    eigh = np.linalg.eigh
+
+    def eigh_in_worker(a):
+        lam, q = eigh(a)
+        if threading.current_thread() is not threading.main_thread() and written.exists():
+            lam = lam + 1e6
+        return lam, q
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_in_worker)
+    assert main(["ou-diagnose", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "spectral bound" in err
+    assert not written.exists()
+    assert list((out / "ou-diagnose").iterdir()) == []

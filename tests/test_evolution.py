@@ -1,6 +1,8 @@
 """Evolution-family identities, decay envelopes, smoothing, scheme order."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +30,13 @@ from randattract.evolution import (
     TimeGrid,
     contractivity_margin,
     operator_norm,
+    set_chain_workers,
 )
-from randattract.operators import GalerkinOperator
+from randattract.operators import (
+    GalerkinOperator,
+    _matrix_from_modulation,
+    driver_values,
+)
 
 from conftest import DT
 
@@ -225,6 +232,75 @@ def test_build_chain_steps_do_not_depend_on_the_grid_span(default_field, spectru
     part = build_chain(default_field, path, span_grid(0.5, 1.5, dt), 8)
     assert full.steps.shape[0] == 256 and part.steps.shape[0] == 128
     assert np.array_equal(full.steps[64:192], part.steps)
+
+
+@pytest.fixture()
+def two_chain_workers():
+    set_chain_workers(2)
+    yield
+    set_chain_workers(1)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 127, 129, 300])
+def test_build_chain_on_two_workers_equals_serial(n_steps, medium_path):
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, n_steps * DT, DT)
+    serial = build_chain(field, medium_path, grid, 16)
+    set_chain_workers(2)
+    try:
+        split = build_chain(field, medium_path, grid, 16)
+    finally:
+        set_chain_workers(1)
+    assert split.steps.shape == (n_steps, 16, 16)
+    assert np.array_equal(split.steps, serial.steps)
+
+
+def test_build_chain_on_more_workers_than_cores(medium_path):
+    # 5 blocks on 4 threads with a short switch interval: the parts write
+    # disjoint slices of one array, so any cross-part write would show
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, 600 * DT, DT)
+    serial = build_chain(field, medium_path, grid, 12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    set_chain_workers(4)
+    try:
+        split = [build_chain(field, medium_path, grid, 12) for _ in range(3)]
+    finally:
+        set_chain_workers(1)
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(ch.steps, serial.steps) for ch in split)
+
+
+def test_build_chain_holds_one_block_per_worker(two_chain_workers):
+    # 8 blocks on 2 workers: besides the chain itself, each worker holds one
+    # 128-step block at a time (eigh's eigenvectors, turned into H in place)
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 32, 2.0 ** -7
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -2.0, 8.0, dt, seed=9)
+    build_chain(field, path, span_grid(0.0, 1.0, dt), m)  # warm the caches
+    tracemalloc.start()
+    try:
+        chain = build_chain(field, path, span_grid(0.0, 8.0, dt), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 128 * m * m * 8
+    assert chain.steps.shape[0] == 1024
+    assert peak - chain.steps.nbytes < 2 * (block_bytes + block_bytes // 4)
+
+
+def test_one_step_formula_for_every_chain(medium_path):
+    # an amp > 0 chain's step is propagator_step of its midpoint operator, bit
+    # for bit: amp = 0 chains take their one step from propagator_step
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, 0.5, DT)
+    ch = build_chain(field, medium_path, grid, 12)
+    zetas = driver_values(field, medium_path, 0, grid.n_steps)
+    mus = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
+    for k in (0, 77, grid.n_steps - 1):
+        op = GalerkinOperator(_matrix_from_modulation(field, 12, float(mus[k])), (k + 0.5) * DT)
+        assert np.array_equal(ch.steps[k], propagator_step(op, DT))
 
 
 @pytest.mark.parametrize("amp", [0.2, 0.0])

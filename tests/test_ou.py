@@ -197,3 +197,10 @@ def test_temperedness_discount_decays(default_field, spectrum):
     ts = sorted(at)
     assert at[ts[-1]].discounted[0] < at[ts[len(ts) // 2]].discounted[0]
     assert -0.2 <= table.slope <= 0.2
+
+
+def test_temperedness_ladder_stays_within_a_short_horizon(default_field, spectrum):
+    # the ladder used to start at t = 1 whatever the horizon
+    path = sample_two_sided_path(spectrum, -12.0, 0.0, 2.0 ** -6, seed=5)
+    table = temperedness_diagnostic(default_field, path, 0.2, [0.1], 0.5, 2.0, 16, n_ladder=4)
+    assert table.rows and max(r.t for r in table.rows) <= 0.5

@@ -655,7 +655,7 @@ def main(argv: list[str] | None = None) -> int:
         sink.cleanup_partial()
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         sink.cleanup_partial()
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,8 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -168,6 +169,10 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+# the config section of each RunConfig field, to name the key in errors
+_SECTION = {key: section for section, keys in _DEFAULTS.items() for key in keys}
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.read_dict(_DEFAULTS)
@@ -219,6 +224,15 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     """Check every constraint, naming the violated one; the constructors of
     the spectrum and the problem (field, norm spec) check their own."""
+    # one finiteness rule for every float: NaN and inf pass the constraint
+    # comparisons below and would fail only later, deep in the numerics
+    for spec in fields(cfg):
+        value = getattr(cfg, spec.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(x) for x in items if isinstance(x, float)):
+            raise ConfigurationError(
+                f"{_SECTION[spec.name]}.{spec.name} must be finite, got {value!r}"
+            )
     if not cfg.dt > 0:
         raise ConfigurationError("noise.dt must be positive")
     if cfg.seed < 0:
@@ -247,6 +261,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError("experiment.temperedness_horizon must be positive")
     if cfg.ensemble_size < 1:
         raise ConfigurationError("experiment.ensemble_size must be >= 1")
+    if not cfg.ball_radius > 0:
+        raise ConfigurationError("experiment.ball_radius must be positive")
     spans = [
         ("experiment.horizon", cfg.horizon),
         *(("experiment.horizons", t) for t in cfg.horizons),

@@ -2,9 +2,11 @@
 
 A chain holds one symmetric positive definite step matrix per grid interval,
 S_k = exp(dt * A(t_k + dt/2)), built by eigendecomposition of the symmetric
-midpoint-frozen generator.  Applying the chain is a left-to-right sequence of
-matrix-vector products, so the composition law U(t,s)U(s,r) = U(t,r) holds
-bitwise by construction.
+midpoint-frozen generator.  Every generator is block diagonal between the
+odd-n and the even-n sine modes, so it is decomposed in parity order, where
+LAPACK splits the two blocks, and the step is put back in natural order.
+Applying the chain is a left-to-right sequence of matrix-vector products, so
+the composition law U(t,s)U(s,r) = U(t,r) holds bitwise by construction.
 
 The midpoint coefficient uses the average of the endpoint driver values
 (the driver is defined on grid points only); this keeps second-order accuracy
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,10 +36,8 @@ from .noise import WienerPath, _as_index, wiener_shift
 from .operators import (
     DiffusionField,
     GalerkinOperator,
-    _matrix_from_modulation,
     _stiffness_parts,
     assemble_operator,
-    check_spectral_bound,
     driver_values,
 )
 
@@ -79,12 +80,54 @@ def _check_resolution(path: WienerPath, grid: TimeGrid) -> None:
         )
 
 
+@lru_cache(maxsize=8)
+def _parity_order(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mode indices in parity order (odd n first, then even n), and the
+    index that puts them back in natural order."""
+    order = np.r_[0:m:2, 1:m:2]
+    return order, np.argsort(order)
+
+
+@lru_cache(maxsize=8)
+def _parity_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """K0 and Kg in parity order."""
+    order = _parity_order(m)[0]
+    k0, kg = _stiffness_parts(m)
+    return k0[np.ix_(order, order)], kg[np.ix_(order, order)]
+
+
+def _exp_steps(gens: np.ndarray, dt: float, ceiling: float = math.inf) -> None:
+    """Overwrite each generator A of gens (k, m, m), given in parity order,
+    with its step exp(dt A) in natural order; A's spectrum must stay at or
+    below ``ceiling``.
+
+    exp(dt A) = H H^T with H = Q e^{dt lam / 2}, formed in place of eigh's Q,
+    whose rows then go back to natural order in place, one matrix at a time
+    (a block-sized gather would double the block's memory).  The reordering
+    is a permutation similarity, so the step is exact for any symmetric
+    generator; matmul runs H H^T as syrk, so each step is exactly symmetric.
+    Each step is computed on its own, so it does not depend on the other
+    matrices of gens.
+    """
+    lam, q = np.linalg.eigh(gens)
+    top = float(lam[:, -1].max())
+    if top > ceiling:
+        raise DefinitenessError(
+            f"spectral bound violated: max eigenvalue {top} > {ceiling}"
+        )
+    q *= np.exp((0.5 * dt) * lam)[:, None, :]
+    natural = _parity_order(gens.shape[-1])[1]
+    for h in q:
+        h[:] = h[natural]
+    np.matmul(q, np.swapaxes(q, 1, 2), out=gens)
+
+
 def propagator_step(op: GalerkinOperator, dt: float) -> np.ndarray:
-    """exp(dt*A) = H H^T with H = Q e^{dt lam / 2}, as build_chain forms its
-    steps; matmul runs H H^T as syrk, so the result is exactly symmetric."""
-    lam, q = op.eig
-    h = q * np.exp((0.5 * dt) * lam)
-    return h @ h.T
+    """exp(dt*A), formed as build_chain forms its steps."""
+    order = _parity_order(op.dim)[0]
+    gens = op.matrix[np.ix_(order, order)][None]
+    _exp_steps(gens, dt)
+    return gens[0]
 
 
 @dataclass(eq=False)
@@ -172,10 +215,10 @@ def build_chain(
         raise ConfigurationError("Galerkin dimension must be >= 1")
     k_steps = grid.n_steps
     if field.amp == 0.0:
-        op = GalerkinOperator(_matrix_from_modulation(field, m, 0.0), grid.t0)
-        check_spectral_bound(op, field)
-        single = propagator_step(op, grid.dt)
-        steps = np.broadcast_to(single, (k_steps, m, m))
+        # -(delta K0), the bits of _matrix_from_modulation, in parity order
+        single = (-field.delta * _parity_parts(m)[0])[None]
+        _exp_steps(single, grid.dt, field.spectral_ceiling)
+        steps = np.broadcast_to(single[0], (k_steps, m, m))
         return PropagatorChain(grid, steps, field, path)
 
     if path is None:
@@ -215,11 +258,10 @@ def _build_part(
 ) -> None:
     """Steps lo..hi-1 of a chain, block by block.
 
-    A block is assembled in its own slots of ``steps``; eigh's eigenvector
-    array is the one block-sized temporary.  Each step is computed on its
-    own, so a step does not depend on the block or the part it is in.
+    A block is assembled in parity order in its own slots of ``steps``;
+    eigh's eigenvector array is the one block-sized temporary.
     """
-    k0, kg = _stiffness_parts(m)
+    k0, kg = _parity_parts(m)
     dk0 = field.delta * k0
     for b_lo in range(lo, hi, _BUILD_BLOCK):
         b_hi = min(b_lo + _BUILD_BLOCK, hi)
@@ -228,18 +270,7 @@ def _build_part(
         np.multiply((field.amp * modulation[b_lo:b_hi])[:, None, None], kg, out=mats)
         mats += dk0
         np.negative(mats, out=mats)
-        lam, q = np.linalg.eigh(mats)
-        top = float(lam[..., -1].max())
-        if top > field.spectral_ceiling:
-            raise DefinitenessError(
-                f"midpoint operator violates the spectral bound: {top}"
-            )
-        # exp(dt A) = H H^T with H = Q e^{dt lam / 2}, formed in place of Q;
-        # matmul runs H H^T as syrk, so each step is exactly symmetric
-        q *= np.exp((0.5 * dt) * lam)[:, None, :]
-        np.matmul(q, np.swapaxes(q, 1, 2), out=mats)
-        # freed before the next block's eigh allocates its own
-        del lam, q
+        _exp_steps(mats, dt, field.spectral_ceiling)
 
 
 def apply(chain: PropagatorChain, t: float, s: float, vec: np.ndarray) -> np.ndarray:

@@ -7,8 +7,10 @@ same as zeta computed at (shifted path, 0); the assembled matrices inherit
 this exact structural stationarity.
 
 Matrices live in the Dirichlet sine basis phi_n(x) = sqrt(2) sin(n pi x) on
-(0, 1); entries are -int E phi_m' phi_n' dx via composite Gauss-Legendre
-quadrature (8 points on a 4M-element mesh).
+(0, 1); entries are -int E phi_m' phi_n' dx = -(delta K0 + amp tanh(zeta) Kg),
+with both stiffness parts in closed form.  The profile g is symmetric about
+x = 1/2, so Kg couples odd n only to odd n and even n only to even n: its
+off-parity entries are exactly 0, as is every off-diagonal entry of K0.
 """
 
 from __future__ import annotations
@@ -21,15 +23,12 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    DefinitenessError,
     NumericalError,
     ShiftRangeError,
 )
 from .noise import WienerPath, _as_index
 
 PI_SQUARED = math.pi ** 2
-_GL_POINTS = 8
-_ELEMENTS_PER_MODE = 4
 # sup |g| of the profile one_plus_sine, the bound of the ellipticity check
 PROFILE_SUP = 2.0
 
@@ -169,35 +168,28 @@ def _driver_window(base: np.ndarray, i: int, steps: int, weights: np.ndarray) ->
     return segment @ weights
 
 
-@lru_cache(maxsize=16)
-def _quadrature_mesh(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights: 8 points per element, 4m elements."""
-    ref_x, ref_w = np.polynomial.legendre.leggauss(_GL_POINTS)
-    n_el = _ELEMENTS_PER_MODE * m
-    h = 1.0 / n_el
-    left = np.arange(n_el) * h
-    nodes = (left[:, None] + (ref_x[None, :] + 1.0) * (h / 2.0)).ravel()
-    weights = np.tile(ref_w * (h / 2.0), n_el)
-    return nodes, weights
-
-
-@lru_cache(maxsize=16)
-def _basis_derivative(m: int) -> np.ndarray:
-    """phi_n'(x) = sqrt(2) n pi cos(n pi x) at the quadrature nodes; (nq, m)."""
-    nodes, _ = _quadrature_mesh(m)
-    n = np.arange(1, m + 1)
-    return math.sqrt(2.0) * n * np.pi * np.cos(np.outer(nodes, n) * np.pi)
+def _sine_cosine_moment(k: np.ndarray) -> np.ndarray:
+    """c(k) = int_0^1 sin(pi x) cos(k pi x) dx for integer k."""
+    out = np.zeros(k.shape)
+    even = k % 2 == 0
+    out[even] = 2.0 / (np.pi * (1.0 - k[even] ** 2))
+    return out
 
 
 @lru_cache(maxsize=8)
 def _stiffness_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """K0 = int phi_m' phi_n' dx and Kg = int g phi_m' phi_n' dx, symmetrized."""
-    nodes, weights = _quadrature_mesh(m)
-    dphi = _basis_derivative(m)
-    k0 = dphi.T @ (weights[:, None] * dphi)
-    kg = dphi.T @ ((weights * one_plus_sine(nodes))[:, None] * dphi)
-    k0 = (k0 + k0.T) / 2.0
-    kg = (kg + kg.T) / 2.0
+    """K0 = int phi_m' phi_n' dx and Kg = int g phi_m' phi_n' dx, exactly.
+
+    K0 = diag((n pi)^2).  With sin(pi x) = g - 1, Kg = K0 + Ks where
+    Ks_mn = m n pi^2 (c(m - n) + c(m + n)) and c(k) = int_0^1 sin(pi x)
+    cos(k pi x) dx, which is 2 / (pi (1 - k^2)) for even k and 0 for odd k.
+    Both parts are exactly symmetric.
+    """
+    n = np.arange(1, m + 1)
+    k0 = np.diag((n * np.pi) ** 2)
+    c = _sine_cosine_moment(np.subtract.outer(n, n))
+    c += _sine_cosine_moment(np.add.outer(n, n))
+    kg = k0 + (np.outer(n, n) * PI_SQUARED) * c
     return k0, kg
 
 
@@ -221,17 +213,6 @@ def assemble_operator(
             raise ConfigurationError("a path is required when amp > 0")
         modulation = math.tanh(evaluate_driver(path, t, field))
     return GalerkinOperator(_matrix_from_modulation(field, m, modulation), t)
-
-
-def check_spectral_bound(op: GalerkinOperator, field: DiffusionField) -> float:
-    """Largest eigenvalue must stay below -floor*pi^2 (tiny slack for rounding)."""
-    bound = field.spectral_ceiling
-    top = op.max_eigenvalue
-    if top > bound:
-        raise DefinitenessError(
-            f"spectral bound violated: max eigenvalue {top} > {bound}"
-        )
-    return top
 
 
 def fixed_laplacian_symbols(m: int, alpha: float) -> np.ndarray:

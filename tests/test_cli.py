@@ -219,6 +219,49 @@ def test_print_config(capsys):
     assert "[noise]" in text and "galerkin_dim" in text
 
 
+# each bad float used to load: NaN and inf fail every constraint comparison
+# and died later (an eigh traceback, exit 2, or silently zeroed weights)
+@pytest.mark.parametrize(
+    "section, key, value, command",
+    [
+        ("field", "amp", "nan", "ou-diagnose"),
+        ("field", "delta", "inf", "ou-diagnose"),
+        ("noise", "sigma", "nan", "simulate"),
+        ("noise", "decay_exponent", "inf", "simulate"),
+        ("experiment", "ball_radius", "-3", "attractor-pullback"),
+        ("experiment", "ball_radius", "0", "attractor-pullback"),
+    ],
+)
+def test_cli_rejects_a_bad_float_naming_its_key(section, key, value, command, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(bad), "--out", str(out), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert f"{section}.{key}" in err
+    assert not out.exists()
+
+
+def test_linalg_error_exits_2_with_cleanup(tmp_path, small_config, monkeypatch, capsys):
+    # once the first output is written, eigh fails to converge
+    out = tmp_path / "ou"
+    written = out / "ou-diagnose" / "stationarity_residuals.json"
+    eigh = np.linalg.eigh
+
+    def failing_eigh(a):
+        if written.exists():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    assert main(["ou-diagnose", "--config", small_config, "--out", str(out), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+    assert not written.exists()
+    assert list((out / "ou-diagnose").iterdir()) == []
+
+
 def test_cli_rejects_horizon_off_the_time_grid(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[experiment]\nhorizon = 1.001\n")

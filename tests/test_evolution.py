@@ -303,6 +303,40 @@ def test_one_step_formula_for_every_chain(medium_path):
         assert np.array_equal(ch.steps[k], propagator_step(op, DT))
 
 
+@pytest.mark.parametrize("m", [1, 7, 16])
+def test_chain_steps_are_parity_exact_and_match_natural_order(m, medium_path):
+    # eigh in parity order is a permutation similarity: each step keeps
+    # exact zeros between odd-n and even-n modes and equals the step from a
+    # natural-order eigh up to rounding
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, 0.5, DT)
+    ch = build_chain(field, medium_path, grid, m)
+    zetas = driver_values(field, medium_path, 0, grid.n_steps)
+    mus = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
+    n = np.arange(m)
+    off_parity = (n[:, None] + n[None, :]) % 2 == 1
+    assert np.all(ch.steps[:, off_parity] == 0.0)
+    for k in range(grid.n_steps):
+        lam, q = np.linalg.eigh(_matrix_from_modulation(field, m, float(mus[k])))
+        natural = (q * np.exp(DT * lam)) @ q.T
+        assert np.abs(ch.steps[k] - natural).max() <= 1e-13
+
+
+def test_autonomous_chain_makes_one_eigh(monkeypatch):
+    # the bound check and the step of an amp = 0 chain share one eigh
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    ch = build_chain(DiffusionField(amp=0.0), None, span_grid(0.0, 1.0, DT), 16)
+    assert ch.steps.shape[0] == round(1.0 / DT)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("amp", [0.2, 0.0])
 def test_generator_rows_match_assembled_operator(amp, medium_path):
     # t0 != 0 on a shifted fiber: a wrong node-to-path offset reads other zetas

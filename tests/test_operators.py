@@ -20,7 +20,7 @@ from randattract import (
     sample_two_sided_path,
     wiener_shift,
 )
-from randattract.operators import PROFILE_SUP, check_spectral_bound, one_plus_sine
+from randattract.operators import PROFILE_SUP, _stiffness_parts, one_plus_sine
 
 from conftest import DT, synthetic_path
 
@@ -112,8 +112,7 @@ def test_assembly_scales_linearly_in_delta():
 def test_assembly_symmetry_and_bound(default_field, medium_path):
     op = assemble_operator(default_field, 0.5, medium_path, 24)
     assert np.abs(op.matrix - op.matrix.T).max() <= 1e-12 * np.abs(op.matrix).max()
-    top = check_spectral_bound(op, default_field)
-    assert top < 0
+    assert op.max_eigenvalue <= default_field.spectral_ceiling < 0
 
 
 def test_assembly_matches_quadrature_of_full_coefficient(default_field, medium_path):
@@ -137,6 +136,44 @@ def test_assembly_matches_quadrature_of_full_coefficient(default_field, medium_p
 
     for (i, j) in ((1, 1), (2, 4), (6, 6)):
         assert op.matrix[i - 1, j - 1] == pytest.approx(entry(i, j), abs=1e-9)
+
+
+def _quad_part(i, j, weight):
+    """int weight(x) phi_i'(x) phi_j'(x) dx on (0, 1) by adaptive quadrature."""
+
+    def integrand(x):
+        return (
+            weight(x) * 2.0 * (i * np.pi) * (j * np.pi)
+            * np.cos(i * np.pi * x) * np.cos(j * np.pi * x)
+        )
+
+    return quad(integrand, 0.0, 1.0, limit=1000)[0]
+
+
+@pytest.mark.parametrize("m", [7, 64])
+def test_stiffness_parts_match_quadrature(m):
+    # diagonal, (n, n +- 2) and off-parity entries of both parts
+    k0, kg = _stiffness_parts(m)
+    scale = (m * np.pi) ** 2
+    picks = {1, 2, m // 2, m - 1, m}
+    pairs = [(i, j) for i in picks for j in (i - 3, i - 2, i - 1, i, i + 1, i + 2) if 1 <= j <= m]
+    for i, j in pairs:
+        ref0 = _quad_part(i, j, lambda x: np.ones_like(x))
+        refg = _quad_part(i, j, one_plus_sine)
+        assert abs(k0[i - 1, j - 1] - ref0) <= 1e-13 * scale, (i, j)
+        assert abs(kg[i - 1, j - 1] - refg) <= 1e-13 * scale, (i, j)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 65])
+def test_stiffness_parts_are_parity_exact(m):
+    # g is symmetric about 1/2: no entry couples an odd n to an even n
+    k0, kg = _stiffness_parts(m)
+    n = np.arange(m)
+    off_parity = (n[:, None] + n[None, :]) % 2 == 1
+    assert np.all(kg[off_parity] == 0.0)
+    assert np.array_equal(k0, np.diag(np.diag(k0)))
+    assert np.array_equal(np.diag(k0), (np.arange(1, m + 1) * np.pi) ** 2)
+    assert np.array_equal(kg, kg.T)
 
 
 def test_structural_stationarity(default_field, medium_path):

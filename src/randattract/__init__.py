@@ -22,9 +22,8 @@ from .noise import (
 from .operators import (
     DiffusionField,
     FractionalNormSpec,
-    GalerkinOperator,
     assemble_operator,
-    evaluate_driver,
+    driver_values,
     fractional_apply,
     fractional_norm,
 )
@@ -37,7 +36,6 @@ from .evolution import (
     chain_matrix,
     cocycle_residual,
     decay_fit,
-    propagator_step,
     smoothing_estimate,
     span_grid,
 )
@@ -48,12 +46,10 @@ from .pathwise import (
     Trajectory,
     corrector_integral,
     integrate_semilinear,
-    linear_pathwise_step,
     nemytskii,
     observed_order,
 )
 from .ou import (
-    OUTrajectory,
     StationaryState,
     TemperednessTable,
     construct_initial,
@@ -73,5 +69,4 @@ from .attractor import (
     integrate_v,
     pullback_estimate,
     transform_consistency,
-    v_step,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError
+from .errors import ConfigurationError
 from .evolution import PropagatorChain, build_chain, span_grid
 from .noise import WienerPath, _as_index, wiener_shift
 from .operators import (
@@ -30,34 +30,14 @@ from .pathwise import (
     NonlinearitySpec,
     SemilinearProblem,
     Trajectory,
+    _march,
     _sine_quadrature,
-    _step,
     dealias_node_count,
     integrate_semilinear,
 )
 
 
-def v_step(
-    chain: PropagatorChain,
-    t_k: float,
-    t_k1: float,
-    v_k: np.ndarray,
-    z_k: np.ndarray,
-    sigma: float,
-    nonlinearity: NonlinearitySpec,
-    forcing: np.ndarray | None,
-) -> np.ndarray:
-    """One exponential-Euler step v_{k+1} = S_k (v_k + dt (F(v_k + sigma z_k) + f))."""
-    k = chain.grid.index(t_k)
-    if chain.grid.index(t_k1) != k + 1:
-        raise AlignmentError("v_step needs consecutive grid times")
-    shift = None if sigma == 0.0 else sigma * z_k
-    v_k = np.asarray(v_k, dtype=float)
-    return _step(chain.steps[k], v_k, chain.grid.dt, nonlinearity, forcing, shift)
-
-
 def integrate_v(
-    field: DiffusionField,
     nonlinearity: NonlinearitySpec,
     forcing: np.ndarray | None,
     sigma: float,
@@ -66,16 +46,9 @@ def integrate_v(
     z_states: np.ndarray | None,
 ) -> Trajectory:
     """March v over the chain grid; z_states[k] is Z(theta_{t_k} w)."""
-    grid = chain.grid
-    v = np.asarray(v0, dtype=float)
     shifts = None if (z_states is None or sigma == 0.0) else sigma * z_states
-    states = np.empty((grid.n_steps + 1, chain.dim))
-    states[0] = v
-    for k in range(grid.n_steps):
-        shift = None if shifts is None else shifts[k]
-        v = _step(chain.steps[k], v, grid.dt, nonlinearity, forcing, shift)
-        states[k + 1] = v
-    return Trajectory(grid, states)
+    v0 = np.asarray(v0, dtype=float)
+    return _march(chain, v0, nonlinearity, forcing, shifts, None)
 
 
 def transform_consistency(
@@ -101,7 +74,6 @@ def transform_consistency(
     u_traj = integrate_semilinear(problem, chain, path)
     v0 = problem.u0 - problem.sigma * state0.z0
     v_traj = integrate_v(
-        problem.field,
         problem.nonlinearity,
         problem.forcing,
         problem.sigma,
@@ -251,14 +223,16 @@ def absorbing_diagnostics(
     k_a = path.index_of(-a)
     fiber = wiener_shift(path, k_a)
     state = construct_initial(field, fiber, a, m)
-    traj = propagate(state, field, fiber, a, m, beta=alpha)
+    traj = propagate(state, field, fiber, a, m)
+    weighted = traj.states * fixed_laplacian_symbols(m, alpha)
+    z_alpha = np.sqrt(np.einsum("ij,ij->i", weighted, weighted))
     rate = field.poincare_rate
     taus = traj.grid.times - a  # tau in [-a, 0]
     weights = np.full(taus.shape, traj.grid.dt)
     weights[0] = weights[-1] = traj.grid.dt / 2.0
     envelope = np.exp(rate * taus)
-    r2 = float(np.sum(weights * envelope * traj.fractional ** (rho + 1.0)))
-    rrho = float(np.sum(weights * envelope * traj.fractional ** (2.0 * rho)))
+    r2 = float(np.sum(weights * envelope * z_alpha ** (rho + 1.0)))
+    rrho = float(np.sum(weights * envelope * z_alpha ** (2.0 * rho)))
     z_now = traj.states[-1]
     eta_spec = FractionalNormSpec(alpha=eta)
     return AbsorbingDiagnostics(

@@ -253,8 +253,12 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if list(cfg.horizons) != sorted(cfg.horizons) or not cfg.horizons:
         raise ConfigurationError("experiment.horizons must be increasing and nonempty")
-    if cfg.levels < 1:
-        raise ConfigurationError("experiment.levels must be >= 1")
+    if cfg.levels < 2:
+        raise ConfigurationError(
+            "experiment.levels must be >= 2 (the fitted order needs two levels)"
+        )
+    if not cfg.horizon > 0:
+        raise ConfigurationError("experiment.horizon must be positive")
     if not cfg.truncation_horizon > 0:
         raise ConfigurationError("experiment.truncation_horizon must be positive")
     if not cfg.temperedness_horizon > 0:

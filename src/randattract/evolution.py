@@ -30,12 +30,12 @@ from .errors import (
     AlignmentError,
     ConfigurationError,
     DefinitenessError,
+    NumericalError,
     OrderingError,
 )
 from .noise import WienerPath, _as_index, wiener_shift
 from .operators import (
     DiffusionField,
-    GalerkinOperator,
     _stiffness_parts,
     assemble_operator,
     driver_values,
@@ -120,14 +120,6 @@ def _exp_steps(gens: np.ndarray, dt: float, ceiling: float = math.inf) -> None:
     for h in q:
         h[:] = h[natural]
     np.matmul(q, np.swapaxes(q, 1, 2), out=gens)
-
-
-def propagator_step(op: GalerkinOperator, dt: float) -> np.ndarray:
-    """exp(dt*A), formed as build_chain forms its steps."""
-    order = _parity_order(op.dim)[0]
-    gens = op.matrix[np.ix_(order, order)][None]
-    _exp_steps(gens, dt)
-    return gens[0]
 
 
 @dataclass(eq=False)
@@ -327,9 +319,7 @@ class DecayFit:
 
 
 def decay_fit(
-    chain: PropagatorChain,
-    sample_pairs: list[tuple[float, float]],
-    lambda_hat: float | None = None,
+    chain: PropagatorChain, sample_pairs: list[tuple[float, float]]
 ) -> DecayFit:
     """Minimal C_hat >= 1 making the envelope hold on every sampled pair.
 
@@ -338,7 +328,7 @@ def decay_fit(
     """
     if not sample_pairs:
         raise ConfigurationError("decay_fit needs a nonempty sample set")
-    rate = chain.field.poincare_rate if lambda_hat is None else lambda_hat
+    rate = chain.field.poincare_rate
     c = 1.0
     for t, s in sample_pairs:
         if t < s:
@@ -365,8 +355,11 @@ def smoothing_estimate(
         if t <= s:
             raise OrderingError("smoothing pairs need t > s")
         u = chain_matrix(chain, t, s)
-        op = assemble_operator(chain.field, t, chain.path, chain.dim)
-        lam, q = op.eig
+        gen = assemble_operator(chain.field, t, chain.path, chain.dim)
+        lam, q = np.linalg.eigh(gen)
+        scale = float(np.abs(gen).max())
+        if float(np.abs(gen @ q - q * lam).max()) > 1e-10 * max(scale, 1e-300):
+            raise NumericalError("eigendecomposition residual too large")
         frac = (q * ((-lam) ** alpha)) @ q.T
         val = (t - s) ** alpha * math.exp(rate * (t - s)) * operator_norm(frac @ u)
         best = max(best, val)

@@ -16,16 +16,12 @@ off-parity entries are exactly 0, as is every off-diagonal entry of K0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    NumericalError,
-    ShiftRangeError,
-)
+from .errors import ConfigurationError, ShiftRangeError
 from .noise import WienerPath, _as_index
 
 PI_SQUARED = math.pi ** 2
@@ -89,45 +85,6 @@ class FractionalNormSpec:
             raise ConfigurationError("alpha must lie in [-1/2, 1)")
 
 
-@dataclass(eq=False)
-class GalerkinOperator:
-    """Symmetric negative definite Galerkin matrix with cached spectrum."""
-
-    matrix: np.ndarray
-    time_tag: float
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        mat = self.matrix
-        if not np.all(np.isfinite(mat)):
-            raise NumericalError("non-finite Galerkin entries")
-        scale = float(np.abs(mat).max())
-        if float(np.abs(mat - mat.T).max()) > 1e-12 * scale:
-            raise NumericalError("assembled operator is not symmetric")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition (eigvals ascending, eigvecs) with A = Q L Q^T."""
-        if self._eig is None:
-            lam, q = np.linalg.eigh(self.matrix)
-            scale = float(np.abs(self.matrix).max())
-            resid = float(np.abs(self.matrix @ q - q * lam).max())
-            if resid > 1e-10 * max(scale, 1e-300):
-                raise NumericalError("eigendecomposition residual too large")
-            self._eig = (lam, q)
-        return self._eig
-
-    @property
-    def max_eigenvalue(self) -> float:
-        return float(self.eig[0][-1])
-
-
 @lru_cache(maxsize=32)
 def _driver_weights(kappa: float, horizon: float, dt: float) -> np.ndarray:
     """Trapezoid weights for int_{-horizon}^0 exp(kappa*s) f(s) ds on the grid."""
@@ -136,36 +93,6 @@ def _driver_weights(kappa: float, horizon: float, dt: float) -> np.ndarray:
     w = np.full(steps + 1, dt)
     w[0] = w[-1] = dt / 2.0
     return w * np.exp(kappa * s)
-
-
-def _driver_setup(
-    field: DiffusionField, path: WienerPath, i_lo: int, i_hi: int
-) -> tuple[int, np.ndarray]:
-    """Window length and weights for driver windows ending at base rows
-    i_lo..i_hi, after checking that every window lies in the sampled path."""
-    steps = _as_index(field.driver_horizon, path.dt, "driver_horizon")
-    if i_lo - steps < 0 or i_hi >= path.base.shape[0]:
-        raise ShiftRangeError(
-            f"driver windows need {steps} backward steps inside the sampled path"
-        )
-    return steps, _driver_weights(field.driver_decay, field.driver_horizon, path.dt)
-
-
-def evaluate_driver(path: WienerPath, t: float, field: DiffusionField) -> float:
-    """zeta at time t: the trapezoid of exp(kappa*s) * (shifted path mode 1).
-
-    The window is read on the shared base array at the absolute row of t, so
-    the value at (path, t) is bitwise the value at (wiener_shift(path, t), 0).
-    """
-    i = path.base_origin + path.index_of(t)
-    steps, weights = _driver_setup(field, path, i, i)
-    return float(_driver_window(path.base, i, steps, weights))
-
-
-def _driver_window(base: np.ndarray, i: int, steps: int, weights: np.ndarray) -> float:
-    """The driver's window dot product ending at base row i (mode 1)."""
-    segment = base[i - steps : i + 1, 0] - base[i, 0]
-    return segment @ weights
 
 
 def _sine_cosine_moment(k: np.ndarray) -> np.ndarray:
@@ -202,7 +129,7 @@ def _matrix_from_modulation(field: DiffusionField, m: int, modulation: float) ->
 
 def assemble_operator(
     field: DiffusionField, t: float, path: WienerPath | None, m: int
-) -> GalerkinOperator:
+) -> np.ndarray:
     """Galerkin matrix (A_h)_{mn} = -int E(x,t,w) phi_m' phi_n' dx at time t."""
     if m < 1:
         raise ConfigurationError("Galerkin dimension must be >= 1")
@@ -211,8 +138,9 @@ def assemble_operator(
     else:
         if path is None:
             raise ConfigurationError("a path is required when amp > 0")
-        modulation = math.tanh(evaluate_driver(path, t, field))
-    return GalerkinOperator(_matrix_from_modulation(field, m, modulation), t)
+        k = path.index_of(t)
+        modulation = math.tanh(driver_values(field, path, k, k)[0])
+    return _matrix_from_modulation(field, m, modulation)
 
 
 def fixed_laplacian_symbols(m: int, alpha: float) -> np.ndarray:
@@ -247,12 +175,21 @@ def driver_values(
 ) -> np.ndarray:
     """zeta at every grid index k in [k_lo, k_hi] on the path's fiber.
 
-    Batched counterpart of evaluate_driver: one sliding-window dot per index,
-    on the shared base array, so values agree bitwise across shifted fibers.
+    zeta at k is the trapezoid of exp(kappa*s) * (shifted path mode 1) over
+    the window of ``driver_horizon`` ending at k: one dot product per index,
+    read on the shared base array at the absolute row of k, so the value at
+    (path, k) is bitwise the value at (wiener_shift(path, k), 0).
     """
-    o = path.base_origin
-    steps, weights = _driver_setup(field, path, o + k_lo, o + k_hi)
+    steps = _as_index(field.driver_horizon, path.dt, "driver_horizon")
+    base = path.base
+    i_lo = path.base_origin + k_lo
+    i_hi = path.base_origin + k_hi
+    if i_lo - steps < 0 or i_hi >= base.shape[0]:
+        raise ShiftRangeError(
+            f"driver windows need {steps} backward steps inside the sampled path"
+        )
+    weights = _driver_weights(field.driver_decay, field.driver_horizon, path.dt)
     out = np.empty(k_hi - k_lo + 1)
-    for i, k in enumerate(range(k_lo, k_hi + 1)):
-        out[i] = _driver_window(path.base, o + k, steps, weights)
+    for j, i in enumerate(range(i_lo, i_hi + 1)):
+        out[j] = (base[i - steps : i + 1, 0] - base[i, 0]) @ weights
     return out

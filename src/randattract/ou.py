@@ -18,22 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShiftRangeError
-from .evolution import (
-    DecayFit,
-    PropagatorChain,
-    TimeGrid,
-    apply,
-    build_chain,
-    span_grid,
-)
+from .evolution import PropagatorChain, apply, build_chain, span_grid
 from .noise import WienerPath, wiener_shift
-from .operators import (
-    DiffusionField,
-    FractionalNormSpec,
-    fixed_laplacian_symbols,
-    fractional_norm,
-)
-from .pathwise import _ZERO, _embedded, _step, corrected_increments
+from .operators import DiffusionField, FractionalNormSpec, fractional_norm
+from .pathwise import _ZERO, Trajectory, _embedded, _march, corrected_increments
 
 
 @dataclass(frozen=True)
@@ -43,20 +31,6 @@ class StationaryState:
     z0: np.ndarray
     truncation_horizon: float
     truncation_bound: float
-
-
-@dataclass(eq=False)
-class OUTrajectory:
-    """Z(theta_t w) on [0, T] with per-state L2 and fractional norms."""
-
-    grid: TimeGrid
-    states: np.ndarray
-    l2_norms: np.ndarray
-    fractional: np.ndarray
-    beta: float
-
-    def state_at(self, t: float) -> np.ndarray:
-        return self.states[self.grid.index(t)]
 
 
 def _history_chain(
@@ -75,7 +49,6 @@ def construct_initial(
     path: WienerPath,
     a: float,
     m: int,
-    decay: DecayFit | None = None,
 ) -> StationaryState:
     """Trapezoid of U(0, r) A(r) w_r over [-a, 0], streamed left to right."""
     if not a > 0:
@@ -94,10 +67,8 @@ def construct_initial(
             acc = contribution
         else:
             acc = chain.steps[j - 1] @ acc + contribution
-    rate = decay.lambda_hat if decay is not None else field.poincare_rate
-    c_hat = decay.C_hat if decay is not None else 1.0
     tail_norm = _max_norm_on(path, -a, -a / 2.0)
-    bound = c_hat * tail_norm * math.exp(-rate * a)
+    bound = tail_norm * math.exp(-field.poincare_rate * a)
     return StationaryState(acc, a, bound)
 
 
@@ -115,28 +86,19 @@ def propagate(
     path: WienerPath,
     horizon: float,
     m: int,
-    beta: float = 0.2,
     chain: PropagatorChain | None = None,
-) -> OUTrajectory:
-    """Z(theta_t w) on [0, horizon] via the local linear step with sigma = 1."""
+) -> Trajectory:
+    """Z(theta_t w) on [0, horizon] via the local linear step with sigma = 1.
+
+    A supplied chain must span exactly [0, horizon] at the path resolution.
+    """
     grid = span_grid(0.0, horizon, path.dt)
     if chain is None:
         chain = build_chain(field, path, grid, m)
-    elif chain.grid.t0 != 0.0 or chain.grid.n_steps < grid.n_steps:
-        raise ConfigurationError("supplied chain does not cover [0, horizon]")
-    states = np.empty((grid.n_steps + 1, m))
-    states[0] = state.z0
-    z = state.z0
-    # the linear pathwise step with sigma = 1
+    elif chain.grid.t0 != 0.0 or chain.grid.n_steps != grid.n_steps:
+        raise ConfigurationError("supplied chain does not span [0, horizon]")
     noise = corrected_increments(chain, path)
-    for k in range(grid.n_steps):
-        z = _step(chain.steps[k], z, grid.dt, _ZERO, None, None, noise[k])
-        states[k + 1] = z
-    l2 = np.sqrt(np.einsum("ij,ij->i", states, states))
-    symbols = fixed_laplacian_symbols(m, beta)
-    weighted = states * symbols
-    frac = np.sqrt(np.einsum("ij,ij->i", weighted, weighted))
-    return OUTrajectory(grid, states, l2, frac, beta)
+    return _march(chain, state.z0, _ZERO, None, None, noise)
 
 
 def global_form_reference(

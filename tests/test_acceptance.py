@@ -36,6 +36,7 @@ from randattract import (
     transform_consistency,
 )
 from randattract.evolution import operator_norm
+from randattract.operators import fixed_laplacian_symbols
 from randattract.ou import stationarity_residual_table, temperedness_diagnostic
 
 
@@ -294,14 +295,12 @@ def test_criterion_08_energy_and_absorbing_structure():
     grid = span_grid(0.0, horizon, DT8)
     chain = build_chain(field, path, grid, m)
 
-    cubic = integrate_v(field, NonlinearitySpec.pure_cubic(), None, 0.0, u0, chain, None)
+    cubic = integrate_v(NonlinearitySpec.pure_cubic(), None, 0.0, u0, chain, None)
     norms = cubic.l2_norms()
     envelope = norms[0] * np.exp(-rate * cubic.times * (1.0 - 1e-2))
     decay_ok = bool(np.all(norms <= envelope))
 
-    fisher = integrate_v(
-        field, NonlinearitySpec.cubic_fisher(), None, 0.0, u0, chain, None
-    )
+    fisher = integrate_v(NonlinearitySpec.cubic_fisher(), None, 0.0, u0, chain, None)
     n2 = fisher.l2_norms() ** 2
     limsup_bound = (2.0 * 0.5 * 1.0 / rate) * (1.0 + 1e-1)
     tail_max = float(n2[fisher.times >= horizon / 2].max())
@@ -314,12 +313,14 @@ def test_criterion_08_energy_and_absorbing_structure():
         p = sample_two_sided_path(spec, -17.0, horizon, DT8, seed=108_100 + i)
         ch = build_chain(field, p, grid, m)
         z0 = construct_initial(field, p, 8.0, m)
-        ztraj = propagate(z0, field, p, horizon, m, beta=0.2, chain=ch)
+        ztraj = propagate(z0, field, p, horizon, m, chain=ch)
+        weighted = ztraj.states * fixed_laplacian_symbols(m, 0.2)
+        z_beta = np.sqrt(np.einsum("ij,ij->i", weighted, weighted))
         vt = integrate_v(
-            field, NonlinearitySpec.cubic_fisher(), None, sigma, u0, ch, ztraj.states
+            NonlinearitySpec.cubic_fisher(), None, sigma, u0, ch, ztraj.states
         )
         rep = energy_monitor(
-            vt, ztraj.fractional, field, NonlinearitySpec.cubic_fisher(), c_mon
+            vt, z_beta, field, NonlinearitySpec.cubic_fisher(), c_mon
         )
         margins.append(rep.margin)
     monitor_ok = min(margins) >= 1.0

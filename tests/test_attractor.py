@@ -22,17 +22,14 @@ from randattract import (
     hausdorff_distance,
     integrate_semilinear,
     integrate_v,
-    linear_pathwise_step,
     nemytskii,
     propagate,
     pullback_estimate,
     sample_two_sided_path,
     span_grid,
     transform_consistency,
-    v_step,
     wiener_shift,
 )
-from randattract.errors import AlignmentError
 
 from conftest import DT, synthetic_path
 
@@ -42,26 +39,34 @@ def chain16(default_field, medium_path):
     return build_chain(default_field, medium_path, span_grid(0.0, 1.0, DT), 16)
 
 
-def test_v_step_pure_propagation(chain16, medium_path):
+def test_v_step_pure_propagation(chain16):
+    # with F = 0 and no forcing each step of the v march is S_k v
     v = np.linspace(0.0, 1.0, 16)
-    got = v_step(chain16, 0.0, DT, v, np.zeros(16), 0.0, NonlinearitySpec.zero(), None)
-    assert np.array_equal(got, apply(chain16, DT, 0.0, v))
+    z = np.ones((chain16.grid.n_steps + 1, 16))
+    traj = integrate_v(NonlinearitySpec.zero(), None, 0.1, v, chain16, z)
+    assert np.array_equal(traj.states[1], apply(chain16, DT, 0.0, v))
+    assert np.array_equal(traj.states[-1], apply(chain16, 1.0, 0.0, v))
 
 
 def test_v_step_fixed_point_at_zero(chain16):
-    got = v_step(
-        chain16, 0.0, DT, np.zeros(16), np.zeros(16), 0.1,
-        NonlinearitySpec.cubic_fisher(), None,
+    zeros = np.zeros((chain16.grid.n_steps + 1, 16))
+    traj = integrate_v(
+        NonlinearitySpec.cubic_fisher(), None, 0.1, zeros[0], chain16, zeros
     )
-    assert np.all(got == 0.0)
+    assert np.all(traj.states == 0.0)
 
 
-def test_step_functions_reject_non_consecutive_times(chain16, medium_path):
-    x = np.zeros(16)
-    with pytest.raises(AlignmentError, match="consecutive"):
-        v_step(chain16, 0.0, 2 * DT, x, x, 0.1, NonlinearitySpec.cubic_fisher(), None)
-    with pytest.raises(AlignmentError, match="consecutive"):
-        linear_pathwise_step(chain16, medium_path, 0.0, 2 * DT, x, 0.1)
+def test_integrate_v_at_sigma_zero_is_integrate_semilinear(default_field, chain16):
+    # u = v when sigma = 0: both marches take the same steps, bit for bit
+    nl, f = NonlinearitySpec.cubic_fisher(), np.full(16, 0.05)
+    u0 = np.linspace(0.5, -0.5, 16)
+    problem = SemilinearProblem(
+        field=default_field, nonlinearity=nl, forcing=f, sigma=0.0, u0=u0
+    )
+    u = integrate_semilinear(problem, chain16)
+    v = integrate_v(nl, f, 0.0, u0, chain16, None)
+    assert u.status == "completed"
+    assert np.array_equal(v.states, u.states)
 
 
 def test_integrate_v_matches_step_loop_with_z_states(default_field, chain16, medium_path):
@@ -69,7 +74,7 @@ def test_integrate_v_matches_step_loop_with_z_states(default_field, chain16, med
     z = propagate(st, default_field, medium_path, 1.0, 16, chain=chain16).states
     sigma, nl = 0.1, NonlinearitySpec.cubic_fisher()
     v0 = np.linspace(0.5, -0.5, 16)
-    traj = integrate_v(default_field, nl, None, sigma, v0, chain16, z)
+    traj = integrate_v(nl, None, sigma, v0, chain16, z)
     # reference: the exponential-Euler step of the v-equation written out
     v = v0
     ref = [v]
@@ -90,7 +95,7 @@ def test_v_step_manufactured_order():
     errors, dts = [], [2.0 ** -k for k in (7, 8, 9, 10)]
     for dt in dts:
         chain = build_chain(field, None, span_grid(0.0, 1.0, dt), m)
-        traj = integrate_v(field, drift, None, 0.0, v0, chain, None)
+        traj = integrate_v(drift, None, 0.0, v0, chain, None)
         errors.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
     from randattract import observed_order
 
@@ -128,7 +133,7 @@ def test_energy_decay_pure_cubic(default_field, medium_path):
     chain = build_chain(default_field, medium_path, span_grid(0.0, 4.0, DT), m)
     v0 = np.zeros(m)
     v0[0] = 1.0
-    traj = integrate_v(default_field, NonlinearitySpec.pure_cubic(), None, 0.0, v0, chain, None)
+    traj = integrate_v(NonlinearitySpec.pure_cubic(), None, 0.0, v0, chain, None)
     norms = traj.l2_norms()
     envelope = norms[0] * np.exp(-default_field.poincare_rate * traj.times * (1 - 1e-2))
     assert np.all(norms <= envelope)
@@ -137,7 +142,7 @@ def test_energy_decay_pure_cubic(default_field, medium_path):
 def test_energy_monitor_zero_solution_has_no_flags(default_field, medium_path):
     m = 8
     chain = build_chain(default_field, medium_path, span_grid(0.0, 1.0, DT), m)
-    traj = integrate_v(default_field, NonlinearitySpec.cubic_fisher(), None, 0.0,
+    traj = integrate_v(NonlinearitySpec.cubic_fisher(), None, 0.0,
                        np.zeros(m), chain, None)
     report = energy_monitor(traj, None, default_field, NonlinearitySpec.cubic_fisher(), 1.0)
     assert not report.flagged.any()
@@ -150,7 +155,7 @@ def test_energy_monitor_calibration_margin(default_field, medium_path):
     chain = build_chain(default_field, medium_path, span_grid(0.0, horizon, DT), m)
     v0 = np.zeros(m)
     v0[0] = 1.0
-    calib = integrate_v(default_field, NonlinearitySpec.cubic_fisher(), None, 0.0,
+    calib = integrate_v(NonlinearitySpec.cubic_fisher(), None, 0.0,
                         v0, chain, None)
     c_mon = calibrate_monitor(calib, default_field, NonlinearitySpec.cubic_fisher())
     assert c_mon > 0.0
@@ -168,7 +173,7 @@ def test_cubic_fisher_limsup_bound(default_field, medium_path):
     chain = build_chain(default_field, medium_path, span_grid(0.0, horizon, DT), m)
     v0 = np.zeros(m)
     v0[0] = 1.0
-    traj = integrate_v(default_field, NonlinearitySpec.cubic_fisher(), None, 0.0,
+    traj = integrate_v(NonlinearitySpec.cubic_fisher(), None, 0.0,
                        v0, chain, None)
     n2 = traj.l2_norms() ** 2
     tail = n2[traj.times >= horizon / 2]

@@ -320,6 +320,25 @@ def test_cli_rejects_a_nonpositive_temperedness_horizon(value, tmp_path, capsys)
     assert not out.exists()
 
 
+# both loaded, and convergence then wrote all-zero errors (horizon 0) or a
+# NaN order (one level), which is not valid JSON, and exited 0
+@pytest.mark.parametrize(
+    "key, value", [("horizon", "0.0"), ("horizon", "-0.5"), ("levels", "1")]
+)
+def test_convergence_config_needs_a_positive_horizon_and_two_levels(
+    key, value, tmp_path, capsys
+):
+    bad = tmp_path / "bad.cfg"
+    line = {"horizon": "\nhorizon = 0.5\n", "levels": "\nlevels = 2\n"}[key]
+    bad.write_text(SMALL.replace(line, f"\n{key} = {value}\n"))
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert f"experiment.{key}" in err
+    assert not out.exists()
+
+
 def test_attractor_pullback_honours_ensemble_size_at_small_dimension(tmp_path):
     # at galerkin_dim 4 the ensemble has 1 + 2*4 fixed members, not 17
     small = tmp_path / "m4.cfg"

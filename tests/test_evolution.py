@@ -19,7 +19,6 @@ from randattract import (
     chain_matrix,
     cocycle_residual,
     decay_fit,
-    propagator_step,
     sample_two_sided_path,
     smoothing_estimate,
     span_grid,
@@ -28,15 +27,13 @@ from randattract import (
 from randattract.evolution import (
     PropagatorChain,
     TimeGrid,
+    _exp_steps,
+    _parity_order,
     contractivity_margin,
     operator_norm,
     set_chain_workers,
 )
-from randattract.operators import (
-    GalerkinOperator,
-    _matrix_from_modulation,
-    driver_values,
-)
+from randattract.operators import _matrix_from_modulation, driver_values
 
 from conftest import DT
 
@@ -205,9 +202,7 @@ def test_manufactured_time_dependent_order():
         n = int(round(1.0 / dt))
         steps = np.empty((n, m, m))
         for k in range(n):
-            mid = (k + 0.5) * dt
-            op = GalerkinOperator(np.diag(-c(mid) * lam), mid)
-            steps[k] = propagator_step(op, dt)
+            steps[k] = np.diag(np.exp(-c((k + 0.5) * dt) * lam * dt))
         ch = PropagatorChain(TimeGrid(0.0, n, dt), steps, DiffusionField(amp=0.0), None)
         got = apply(ch, 1.0, 0.0, np.ones(m))
         # relative error of the slowest mode (faster modes sit at the
@@ -291,16 +286,19 @@ def test_build_chain_holds_one_block_per_worker(two_chain_workers):
 
 
 def test_one_step_formula_for_every_chain(medium_path):
-    # an amp > 0 chain's step is propagator_step of its midpoint operator, bit
-    # for bit: amp = 0 chains take their one step from propagator_step
+    # an amp > 0 chain's step is _exp_steps of its midpoint generator alone,
+    # bit for bit: amp = 0 chains take their one step from _exp_steps too
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 0.5, DT)
     ch = build_chain(field, medium_path, grid, 12)
     zetas = driver_values(field, medium_path, 0, grid.n_steps)
     mus = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
+    order = _parity_order(12)[0]
     for k in (0, 77, grid.n_steps - 1):
-        op = GalerkinOperator(_matrix_from_modulation(field, 12, float(mus[k])), (k + 0.5) * DT)
-        assert np.array_equal(ch.steps[k], propagator_step(op, DT))
+        gen = _matrix_from_modulation(field, 12, float(mus[k]))
+        single = gen[np.ix_(order, order)][None]
+        _exp_steps(single, DT)
+        assert np.array_equal(ch.steps[k], single[0])
 
 
 @pytest.mark.parametrize("m", [1, 7, 16])
@@ -351,7 +349,7 @@ def test_generator_rows_match_assembled_operator(amp, medium_path):
         t = ch.grid.t0 + (k + i) * DT
         embedded = np.zeros(24)
         embedded[: v.size] = v
-        ref = assemble_operator(field, t, fiber, 24).matrix @ embedded
+        ref = assemble_operator(field, t, fiber, 24) @ embedded
         assert np.abs(rows[i] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 

@@ -15,7 +15,7 @@ from randattract import (
     span_grid,
     temperedness_diagnostic,
 )
-from randattract.errors import ShiftRangeError
+from randattract.errors import ConfigurationError, ShiftRangeError
 from randattract.ou import global_form_reference, stationarity_residual_table
 from randattract.pathwise import corrected_increments
 
@@ -48,6 +48,16 @@ def test_propagate_matches_step_loop(default_field, medium_path):
         z = chain.steps[k] @ (z + noise[k])
         ref.append(z)
     assert np.array_equal(traj.states, np.stack(ref))
+
+
+def test_propagate_rejects_a_chain_off_its_span(default_field, medium_path):
+    # the march takes every step of a supplied chain, so the chain must span
+    # [0, horizon] exactly
+    st = construct_initial(default_field, medium_path, 4.0, 16)
+    for t0, t1 in ((0.0, 1.0), (0.0, 0.5 - DT), (DT, 0.5 + DT)):
+        chain = build_chain(default_field, medium_path, span_grid(t0, t1, DT), 16)
+        with pytest.raises(ConfigurationError, match="span"):
+            propagate(st, default_field, medium_path, 0.5, 16, chain=chain)
 
 
 def test_insufficient_coverage_raises(default_field, spectrum):

@@ -14,7 +14,6 @@ from randattract import (
     build_chain,
     corrector_integral,
     integrate_semilinear,
-    linear_pathwise_step,
     nemytskii,
     observed_order,
     restrict,
@@ -22,8 +21,8 @@ from randattract import (
     span_grid,
     wiener_shift,
 )
-from randattract.errors import AlignmentError, ConfigurationError
-from randattract.pathwise import dealias_node_count
+from randattract.errors import AlignmentError, ConfigurationError, NumericalError
+from randattract.pathwise import corrected_increments, dealias_node_count
 
 from conftest import DT, synthetic_path
 
@@ -165,17 +164,41 @@ def test_corrector_ramp_closed_form():
 def test_linear_step_sigma_zero_is_propagation(default_field, medium_path):
     chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), 8)
     h = np.linspace(0.0, 1.0, 8)
+    problem = SemilinearProblem(
+        field=default_field, nonlinearity=NonlinearitySpec.zero(), forcing=None,
+        sigma=0.0, u0=h,
+    )
     from randattract import apply
 
-    got = linear_pathwise_step(chain, medium_path, 0.0, DT, h, 0.0)
-    assert np.array_equal(got, apply(chain, DT, 0.0, h))
+    got = integrate_semilinear(problem, chain)
+    assert np.array_equal(got.states[1], apply(chain, DT, 0.0, h))
+    assert np.array_equal(got.states[-1], apply(chain, 0.5, 0.0, h))
 
 
 def test_linear_step_zero_state_flat_increment(default_field):
     flat = synthetic_path(np.zeros(1025), DT, 0)
     chain = build_chain(DiffusionField(amp=0.0), flat, span_grid(0.0, 0.5, DT), 4)
-    got = linear_pathwise_step(chain, flat, 0.0, DT, np.zeros(4), 1.0)
-    assert np.all(got == 0.0)
+    problem = SemilinearProblem(
+        field=chain.field, nonlinearity=NonlinearitySpec.zero(), forcing=None,
+        sigma=1.0, u0=np.zeros(4),
+    )
+    assert np.all(integrate_semilinear(problem, chain).states == 0.0)
+
+
+def test_overflowing_march_raises_without_a_blowup_threshold():
+    # the march checks each state it makes; nemytskii's input is the previous
+    # state, so an overflow shows as a non-finite step, never as a number
+    m = 8
+    u0 = np.zeros(m)
+    u0[0] = 1e100
+    problem = SemilinearProblem(
+        field=DiffusionField(amp=0.0), nonlinearity=NonlinearitySpec.cubic_fisher(),
+        forcing=None, sigma=0.0, u0=u0, blowup_threshold=math.inf,
+    )
+    chain = build_chain(problem.field, None, span_grid(0.0, 0.5, DT), m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite state"):
+            integrate_semilinear(problem, chain)
 
 
 def test_single_mode_variance_oracle():
@@ -364,12 +387,13 @@ def test_integrate_matches_step_loop_on_any_path_object(default_field, medium_pa
     again = integrate_semilinear(problem, chain)
     # an equal path that is a different object is not served from the chain
     other = integrate_semilinear(problem, chain, wiener_shift(medium_path, 0))
-    # reference: the step written out with the linear pathwise step
+    # reference: the step S_k (stage + sigma incr[k]) written out
+    incr = corrected_increments(chain, medium_path)
     u = problem.u0.copy()
     ref = [u]
     for k in range(chain.grid.n_steps):
         stage = u + DT * nemytskii(problem.nonlinearity, u) + DT * problem.forcing
-        u = linear_pathwise_step(chain, medium_path, k * DT, (k + 1) * DT, stage, 0.3)
+        u = chain.steps[k] @ (stage + 0.3 * incr[k])
         ref.append(u)
     assert np.array_equal(own.states, np.stack(ref))
     assert np.array_equal(again.states, own.states)
@@ -390,8 +414,6 @@ def test_noise_on_a_finer_path_than_the_chain_is_rejected():
     flat = build_chain(problem.field, fine, grid, m)
     with pytest.raises(AlignmentError, match="resolution"):
         integrate_semilinear(problem, flat)
-    with pytest.raises(AlignmentError, match="resolution"):
-        linear_pathwise_step(flat, fine, 0.0, 2 * DT, np.zeros(m), 1.0)
     with pytest.raises(AlignmentError, match="resolution"):
         corrector_integral(flat, fine, 0.0, 1.0)
     # a noise path other than the chain's own path

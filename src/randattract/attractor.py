@@ -31,8 +31,8 @@ from .pathwise import (
     SemilinearProblem,
     Trajectory,
     _march,
-    _sine_quadrature,
-    dealias_node_count,
+    _projection,
+    corrected_increments,
     integrate_semilinear,
 )
 
@@ -111,9 +111,7 @@ class EnergyReport:
 
 
 def _lp_norms(states: np.ndarray, rho: float) -> np.ndarray:
-    m = states.shape[1]
-    n_sub = dealias_node_count(m, rho)
-    basis = _sine_quadrature(m, n_sub)
+    basis, n_sub = _projection(states.shape[1], rho)
     point_values = states @ basis.T
     return np.abs(point_values) ** (rho + 1.0) @ np.full(basis.shape[0], 1.0 / n_sub)
 
@@ -308,6 +306,22 @@ def default_ensemble(
     return np.stack(members)
 
 
+# step matrices per pullback segment: about 1 MiB, which stays in cache while
+# every member of the ensemble marches across it (32 steps at m = 64)
+_SEGMENT_BYTES = 2**20
+
+
+def _check_horizons(horizons, key: str = "horizons") -> None:
+    """Pullback horizons must be nonempty, positive and strictly increasing."""
+    ladder = list(horizons)
+    if not ladder or not ladder[0] > 0 or any(
+        not later > earlier for earlier, later in zip(ladder, ladder[1:])
+    ):
+        raise ConfigurationError(
+            f"{key} must be positive and strictly increasing, got {tuple(horizons)!r}"
+        )
+
+
 def _pullback_cloud(
     problem: SemilinearProblem,
     path: WienerPath,
@@ -318,19 +332,32 @@ def _pullback_cloud(
     """Endpoints phi(t_j, theta_{-t_j} w, u_i) (NaN rows blew up) and the
     survivor mask.
 
-    The horizon's chain and its cached increments die on return, so a ladder
-    of horizons keeps one chain resident, never two.
+    The horizon's chain is marched segment by segment: every surviving member
+    crosses one segment (``_SEGMENT_BYTES`` of step matrices) before the next
+    is read, so the steps stay in cache across the ensemble.  The segments are
+    views sharing the chain's increments, and a member that blows up is frozen
+    there.  The chain dies on return, so a ladder of horizons keeps one chain
+    resident, never two.
     """
     fiber = wiener_shift(path, -_as_index(t_j, path.dt, "horizon"))
     chain = build_chain(problem.field, fiber, span_grid(0.0, t_j, path.dt), m)
-    cloud = np.full((ensemble.shape[0], m), np.nan)
-    alive = np.zeros(ensemble.shape[0], dtype=bool)
-    for i, u0 in enumerate(ensemble):
-        member = dataclasses.replace(problem, u0=u0)
-        traj = integrate_semilinear(member, chain, fiber)
-        if traj.status == "completed":
-            cloud[i] = traj.states[-1]
-            alive[i] = True
+    if problem.sigma != 0.0:
+        # kept on the chain, so each segment gets a slice: one driver
+        # evaluation per horizon, as for the whole chain
+        corrected_increments(chain, fiber)
+    seg_len = max(1, _SEGMENT_BYTES // (8 * m * m))
+    cloud = np.array(ensemble, dtype=float)
+    alive = np.ones(ensemble.shape[0], dtype=bool)
+    for lo in range(0, chain.grid.n_steps, seg_len):
+        segment = chain.segment(lo, min(lo + seg_len, chain.grid.n_steps))
+        for i in np.flatnonzero(alive):
+            member = dataclasses.replace(problem, u0=cloud[i])
+            traj = integrate_semilinear(member, segment, fiber)
+            if traj.status == "completed":
+                cloud[i] = traj.states[-1]
+            else:
+                alive[i] = False
+    cloud[~alive] = np.nan
     return cloud, alive
 
 
@@ -348,8 +375,7 @@ def pullback_estimate(
     problem on [0, T_j]; blow-ups are recorded per member and the estimate
     proceeds with survivors (the run is flagged).
     """
-    if sorted(horizons) != list(horizons):
-        raise ConfigurationError("horizons must be increasing")
+    _check_horizons(horizons)
     alpha = problem.norm_spec.alpha
     endpoints: list[np.ndarray] = []
     survivors: list[np.ndarray] = []

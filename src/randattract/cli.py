@@ -653,6 +653,16 @@ def main(argv: list[str] | None = None) -> int:
         sink.cleanup_partial()
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a config whose arrays exceed the address space (convergence with
+        # many levels) fails as a config, not with numpy's traceback
+        sink.cleanup_partial()
+        try:
+            out_dir.rmdir()
+        except OSError:
+            pass
+        print(f"configuration error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except (AlignmentError, ShiftRangeError, OrderingError) as exc:
         sink.cleanup_partial()
         print(f"validation error: {exc}", file=sys.stderr)

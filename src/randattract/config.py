@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .attractor import _check_horizons
 from .errors import AlignmentError, ConfigurationError
 from .noise import NoiseSpectrum, _as_index
 from .operators import DiffusionField, FractionalNormSpec
@@ -251,8 +252,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError(
             "field.eta must satisfy eta > alpha and eta + alpha < 1"
         )
-    if list(cfg.horizons) != sorted(cfg.horizons) or not cfg.horizons:
-        raise ConfigurationError("experiment.horizons must be increasing and nonempty")
+    _check_horizons(cfg.horizons, "experiment.horizons")
     if cfg.levels < 2:
         raise ConfigurationError(
             "experiment.levels must be >= 2 (the fitted order needs two levels)"

@@ -143,6 +143,16 @@ class PropagatorChain:
         if self.steps.shape[0] != self.grid.n_steps:
             raise ConfigurationError("step count does not match the grid")
 
+    def segment(self, lo: int, hi: int) -> "PropagatorChain":
+        """Steps lo..hi-1 as a chain over t0 + lo*dt, with the same field and
+        path; the steps (and the increments, when kept) are views, not copies.
+        """
+        if not 0 <= lo <= hi <= self.grid.n_steps:
+            raise AlignmentError(f"segment [{lo}, {hi}) outside the chain grid")
+        grid = TimeGrid(self.grid.t0 + lo * self.grid.dt, hi - lo, self.grid.dt)
+        increments = None if self._increments is None else self._increments[lo:hi]
+        return PropagatorChain(grid, self.steps[lo:hi], self.field, self.path, increments)
+
     def generator_rows(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """A(t_{k+i}) vecs[i] at the grid nodes k, k+1, ...; shape (len(vecs), m).
 

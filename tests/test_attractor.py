@@ -30,6 +30,8 @@ from randattract import (
     transform_consistency,
     wiener_shift,
 )
+from randattract import attractor, pathwise
+from randattract.errors import ConfigurationError
 
 from conftest import DT, synthetic_path
 
@@ -294,6 +296,120 @@ def test_pullback_endpoints_match_members_on_fresh_chains(spectrum):
             )
             end = integrate_semilinear(member, chain, fiber).states[-1]
             assert np.array_equal(est.endpoints[j][i], end)
+
+
+def _segment_case():
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 8, 2.0 ** -6
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -4.0, 0.5, dt, seed=31)
+    return field, m, dt, path
+
+
+def _full_chain_endpoint(problem, path, t_j, dt, m, u0):
+    fiber = wiener_shift(path, -int(round(t_j / dt)))
+    chain = build_chain(problem.field, fiber, span_grid(0.0, t_j, dt), m)
+    member = SemilinearProblem(
+        field=problem.field, nonlinearity=problem.nonlinearity, forcing=None,
+        sigma=problem.sigma, u0=u0, blowup_threshold=problem.blowup_threshold,
+    )
+    return integrate_semilinear(member, chain, fiber)
+
+
+def test_pullback_segments_match_members_on_the_full_chain(monkeypatch):
+    # 3-step segments: the 32- and 64-step horizons cross 10 and 21 whole
+    # segments and end in a partial one of 2 and 1 steps
+    field, m, dt, path = _segment_case()
+    monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 3 * 8 * m * m)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.zeros(m),
+    )
+    ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
+    horizons = [0.5, 1.0]
+    est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
+    assert not est.flagged
+    for j, t_j in enumerate(horizons):
+        for i, u0 in enumerate(ens):
+            end = _full_chain_endpoint(problem, path, t_j, dt, m, u0).states[-1]
+            assert np.array_equal(est.endpoints[j][i], end)
+
+
+def test_pullback_member_blowing_up_inside_a_segment_is_frozen(monkeypatch):
+    field, m, dt, path = _segment_case()
+    seg_len = 3
+    monkeypatch.setattr(attractor, "_SEGMENT_BYTES", seg_len * 8 * m * m)
+    probe = NonlinearitySpec.custom(lambda u: u ** 3, rho=3.0)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=probe, forcing=None, sigma=0.1,
+        u0=np.zeros(m), blowup_threshold=1e4,
+    )
+    ens = np.zeros((3, m))
+    ens[1, 0] = 3.0  # blows up
+    ens[2, 1] = 0.3
+    full = [_full_chain_endpoint(problem, path, 1.0, dt, m, u0) for u0 in ens]
+    blown = full[1].states.shape[0] - 1
+    assert full[1].status == "blowup" and blown > seg_len and blown % seg_len != 0
+    est = pullback_estimate(problem, path, [1.0], ens, 0.35, m)
+    assert est.flagged
+    assert est.survivors[0].tolist() == [True, False, True]
+    assert np.isnan(est.endpoints[0][1]).all()
+    for i in (0, 2):
+        assert full[i].status == "completed"
+        assert np.array_equal(est.endpoints[0][i], full[i].states[-1])
+
+
+def test_pullback_work_counts_are_members_times_steps(monkeypatch):
+    # the counts the benchmark checks, kept here too: one nemytskii call per
+    # member-step, every chain step built once, marched states summed over
+    # the integrate calls
+    counts = {"nemytskii": 0, "marched": 0, "built": 0, "blowups": 0}
+    nemytskii_fn = pathwise.nemytskii
+    integrate_fn = attractor.integrate_semilinear
+    build_fn = attractor.build_chain
+
+    def counted_nemytskii(nonlinearity, vec):
+        counts["nemytskii"] += 1
+        return nemytskii_fn(nonlinearity, vec)
+
+    def counted_integrate(problem, chain, path=None):
+        traj = integrate_fn(problem, chain, path)
+        counts["marched"] += traj.states.shape[0] - 1
+        counts["blowups"] += traj.status == "blowup"
+        return traj
+
+    def counted_build(field, path, grid, m):
+        chain = build_fn(field, path, grid, m)
+        counts["built"] += chain.steps.shape[0]
+        return chain
+
+    monkeypatch.setattr(pathwise, "nemytskii", counted_nemytskii)
+    monkeypatch.setattr(attractor, "integrate_semilinear", counted_integrate)
+    monkeypatch.setattr(attractor, "build_chain", counted_build)
+    monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 5 * 8 * 8 * 8)
+    field, m, dt, path = _segment_case()
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.zeros(m),
+    )
+    ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
+    horizons = [0.5, 1.0]
+    est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
+    assert not est.flagged
+    steps = sum(int(round(t / dt)) for t in horizons)
+    assert counts == {
+        "nemytskii": 5 * steps, "marched": 5 * steps, "built": steps, "blowups": 0,
+    }
+
+
+@pytest.mark.parametrize("horizons", [[], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]])
+def test_pullback_rejects_horizons_that_are_not_positive_and_increasing(horizons):
+    field, m, dt, path = _segment_case()
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.zeros(m),
+    )
+    with pytest.raises(ConfigurationError, match="positive and strictly increasing"):
+        pullback_estimate(problem, path, horizons, np.zeros((1, m)), 0.35, m)
 
 
 def test_pullback_keeps_one_chain_resident():

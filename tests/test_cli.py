@@ -413,3 +413,32 @@ def test_definiteness_error_in_a_worker_exits_2_with_cleanup(tmp_path, monkeypat
     assert err.startswith("numerical error:") and "spectral bound" in err
     assert not written.exists()
     assert list((out / "ou-diagnose").iterdir()) == []
+
+
+# "-1,1" failed only at run time with a validation error, "0,1" ran a T = 0
+# "pullback" that returned the initial ball, and "1,1" ran one horizon twice
+@pytest.mark.parametrize("value", ["-1,1", "0,1", "1,1", "1,0.5"])
+def test_cli_rejects_horizons_that_are_not_positive_and_strictly_increasing(
+    value, tmp_path, capsys
+):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL.replace("horizons = 0.5,1.0", f"horizons = {value}"))
+    out = tmp_path / "pb"
+    assert main(["attractor-pullback", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "experiment.horizons" in err
+    assert not out.exists()
+
+
+def test_cli_out_of_memory_exits_1_and_leaves_no_directory(tmp_path, capsys):
+    # 40 levels ask for a reference path of 2^42 steps per unit time: numpy
+    # refuses the petabytes at once, so nothing is allocated
+    big = tmp_path / "big.cfg"
+    big.write_text(SMALL.replace("\nlevels = 2\n", "\nlevels = 40\n"))
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(big), "--out", str(out), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "allocate" in err
+    assert not (out / "convergence").exists()

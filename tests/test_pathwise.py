@@ -22,7 +22,8 @@ from randattract import (
     wiener_shift,
 )
 from randattract.errors import AlignmentError, ConfigurationError, NumericalError
-from randattract.pathwise import corrected_increments, dealias_node_count
+from randattract.operators import fixed_laplacian_symbols
+from randattract.pathwise import _ZERO, _march, corrected_increments, dealias_node_count
 
 from conftest import DT, synthetic_path
 
@@ -199,6 +200,25 @@ def test_overflowing_march_raises_without_a_blowup_threshold():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="non-finite state"):
             integrate_semilinear(problem, chain)
+
+
+def test_march_under_a_blowup_threshold_tells_nan_from_blowup():
+    # with a threshold the weighted norm is the one per-step check: a NaN
+    # state still raises, and a finite state whose norm overflows is a blow-up
+    m = 8
+    chain = build_chain(DiffusionField(amp=0.0), None, span_grid(0.0, 0.5, DT), m)
+    blowup = (fixed_laplacian_symbols(m, 0.2), 1e6)
+    noise = np.zeros((chain.grid.n_steps, m))
+    noise[3, 2] = np.nan
+    with pytest.raises(NumericalError, match="non-finite state"):
+        _march(chain, np.zeros(m), _ZERO, None, None, noise, blowup)
+    huge = np.zeros(m)
+    huge[0] = 1e200
+    with np.errstate(over="ignore"):
+        traj = _march(chain, huge, _ZERO, None, None, None, blowup)
+    assert math.isfinite(traj.states[1][0])
+    assert traj.status == "blowup" and traj.states.shape[0] == 2
+    assert traj.blowup_time == DT
 
 
 def test_single_mode_variance_oracle():

@@ -336,14 +336,16 @@ def _pullback_cloud(
     crosses one segment (``_SEGMENT_BYTES`` of step matrices) before the next
     is read, so the steps stay in cache across the ensemble.  The segments are
     views sharing the chain's increments, and a member that blows up is frozen
-    there.  The chain dies on return, so a ladder of horizons keeps one chain
+    there.  A segment waits only for the blocks it covers, so with chain
+    workers the march starts while later blocks are still being built.  The chain dies on return, so a ladder of horizons keeps one chain
     resident, never two.
     """
     fiber = wiener_shift(path, -_as_index(t_j, path.dt, "horizon"))
     chain = build_chain(problem.field, fiber, span_grid(0.0, t_j, path.dt), m)
     if problem.sigma != 0.0:
         # kept on the chain, so each segment gets a slice: one driver
-        # evaluation per horizon, as for the whole chain
+        # evaluation per horizon, as for the whole chain.  It reads no step,
+        # so it runs while the chain's first blocks are being built
         corrected_increments(chain, fiber)
     seg_len = max(1, _SEGMENT_BYTES // (8 * m * m))
     cloud = np.array(ensemble, dtype=float)

@@ -649,30 +649,29 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _COMMANDS[args.command](cfg, sink, args.threads)
             code = 0
+        failure = None
     except ConfigurationError as exc:
-        sink.cleanup_partial()
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+        failure = 1, f"configuration error: {exc}"
     except MemoryError as exc:
         # a config whose arrays exceed the address space (convergence with
         # many levels) fails as a config, not with numpy's traceback
+        failure = 1, f"configuration error: out of memory: {exc}"
+    except (AlignmentError, ShiftRangeError, OrderingError) as exc:
+        failure = 1, f"validation error: {exc}"
+    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        failure = 2, f"numerical error: {exc}"
+    finally:
+        # drops the blocks still queued for chains nobody will read
+        set_chain_workers(1)
+    if failure is not None:
+        code, message = failure
         sink.cleanup_partial()
         try:
-            out_dir.rmdir()
+            out_dir.rmdir()  # only once empty: a kept *.log keeps it
         except OSError:
             pass
-        print(f"configuration error: out of memory: {exc}", file=sys.stderr)
-        return 1
-    except (AlignmentError, ShiftRangeError, OrderingError) as exc:
-        sink.cleanup_partial()
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        sink.cleanup_partial()
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        set_chain_workers(1)
+        print(message, file=sys.stderr)
+        return code
     timings["total"] = time.perf_counter() - started
     sink.manifest(timings, _sampled_seeds(args.command, cfg))
     print(f"outputs in {out_dir}")

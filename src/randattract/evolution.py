@@ -8,6 +8,16 @@ LAPACK splits the two blocks, and the step is put back in natural order.
 Applying the chain is a left-to-right sequence of matrix-vector products, so
 the composition law U(t,s)U(s,r) = U(t,r) holds bitwise by construction.
 
+Steps are built in blocks of 128.  With more than one chain worker
+(``set_chain_workers``) ``build_chain`` queues the blocks on a thread pool and
+returns at once, so the caller can go on (say, to the noise increments or the
+first segments of a march) while later steps are still being built.  A read
+waits for what it covers: ``PropagatorChain.steps`` for the whole chain,
+``PropagatorChain.segment`` for the blocks below its end.  A waiting reader
+builds in its own thread every block it needs that no worker has started, so
+no reader ever sees an unbuilt step, and each step has the same bits at any
+width.  A chain has one reading thread.
+
 The midpoint coefficient uses the average of the endpoint driver values
 (the driver is defined on grid points only); this keeps second-order accuracy
 for smooth coefficients and exact shift-covariance on aligned grids.
@@ -20,9 +30,9 @@ noise vectors node by node from the two stiffness parts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -102,8 +112,10 @@ def _exp_steps(gens: np.ndarray, dt: float, ceiling: float = math.inf) -> None:
     below ``ceiling``.
 
     exp(dt A) = H H^T with H = Q e^{dt lam / 2}, formed in place of eigh's Q,
-    whose rows then go back to natural order in place, one matrix at a time
-    (a block-sized gather would double the block's memory).  The reordering
+    whose rows then go back to natural order in place, 16 matrices at a time:
+    a block-sized gather would double the block's memory, and a loop over
+    single matrices holds the GIL often enough to slow a march running
+    beside a background build by about a tenth.  The reordering
     is a permutation similarity, so the step is exact for any symmetric
     generator; matmul runs H H^T as syrk, so each step is exactly symmetric.
     Each step is computed on its own, so it does not depend on the other
@@ -117,41 +129,85 @@ def _exp_steps(gens: np.ndarray, dt: float, ceiling: float = math.inf) -> None:
         )
     q *= np.exp((0.5 * dt) * lam)[:, None, :]
     natural = _parity_order(gens.shape[-1])[1]
-    for h in q:
-        h[:] = h[natural]
+    for lo in range(0, len(q), 16):
+        q[lo : lo + 16] = q[lo : lo + 16, natural]
     np.matmul(q, np.swapaxes(q, 1, 2), out=gens)
 
 
 @dataclass(eq=False)
 class PropagatorChain:
-    """U(t, s, w) as an indexed product of per-step propagator matrices."""
+    """U(t, s, w) as an indexed product of per-step propagator matrices.
+
+    A chain from ``build_chain`` may still be building its steps: reading
+    ``steps`` waits until every step is built, and ``segment(lo, hi)`` waits
+    only for the blocks below hi.  A chain has one reading thread.
+    """
 
     grid: TimeGrid
-    steps: np.ndarray  # (n_steps, m, m)
+    _steps: np.ndarray  # (n_steps, m, m)
     field: DiffusionField
     path: WienerPath | None
     # noise increments on ``path``, kept by pathwise.corrected_increments
     _increments: np.ndarray | None = field(default=None, repr=False)
+    # build_chain's blocks as (future, task) pairs in block order, the first
+    # _ready of them known built; None once every step is built
+    _blocks: list[tuple[Future, partial]] | None = field(default=None, repr=False)
+    _ready: int = field(default=0, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.steps.shape[-1]
+        return self._steps.shape[-1]
+
+    @property
+    def steps(self) -> np.ndarray:
+        """The (n_steps, m, m) step matrices, once all of them are built."""
+        self._wait(self.grid.n_steps)
+        return self._steps
 
     def __post_init__(self) -> None:
-        if self.steps.ndim != 3 or self.steps.shape[1] != self.steps.shape[2]:
+        if self._steps.ndim != 3 or self._steps.shape[1] != self._steps.shape[2]:
             raise ConfigurationError("steps must be (n_steps, m, m)")
-        if self.steps.shape[0] != self.grid.n_steps:
+        if self._steps.shape[0] != self.grid.n_steps:
             raise ConfigurationError("step count does not match the grid")
+
+    def _wait(self, hi: int) -> None:
+        """Return once steps 0..hi-1 are built.
+
+        Every block needed that no worker has started is built here first,
+        so a reader never queues behind the pool; the others are then waited
+        for in block order, so the first failing block's error is the one
+        raised, as in a serial build, and again on every later read.
+        """
+        if self._blocks is None:
+            return
+        need = range(self._ready, -(-hi // _BUILD_BLOCK))
+        for i in need:
+            future, task = self._blocks[i]
+            if future.cancel():  # not started (or cancelled by a pool shutdown)
+                self._blocks[i] = (done := Future(), task)
+                try:
+                    task()
+                except Exception as exc:
+                    done.set_exception(exc)
+                    break
+                done.set_result(None)
+        for i in need:
+            self._blocks[i][0].result()
+            self._ready = i + 1
+        if self._ready == len(self._blocks):
+            self._blocks = None
 
     def segment(self, lo: int, hi: int) -> "PropagatorChain":
         """Steps lo..hi-1 as a chain over t0 + lo*dt, with the same field and
-        path; the steps (and the increments, when kept) are views, not copies.
+        path, once they are built; the steps (and the increments, when kept)
+        are views, not copies.
         """
         if not 0 <= lo <= hi <= self.grid.n_steps:
             raise AlignmentError(f"segment [{lo}, {hi}) outside the chain grid")
+        self._wait(hi)
         grid = TimeGrid(self.grid.t0 + lo * self.grid.dt, hi - lo, self.grid.dt)
         increments = None if self._increments is None else self._increments[lo:hi]
-        return PropagatorChain(grid, self.steps[lo:hi], self.field, self.path, increments)
+        return PropagatorChain(grid, self._steps[lo:hi], self.field, self.path, increments)
 
     def generator_rows(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """A(t_{k+i}) vecs[i] at the grid nodes k, k+1, ...; shape (len(vecs), m).
@@ -183,23 +239,30 @@ class PropagatorChain:
 # step matrices assembled and eigendecomposed together in build_chain
 _BUILD_BLOCK = 128
 
-# build_chain's width: the steps split into contiguous parts of whole blocks,
-# the first built in the calling thread and the others on the pool (NumPy's
-# eigh, matmul and ufuncs release the GIL).  Width 1 builds serially; the CLI
-# sets the width from --threads
-_workers = 1
+# build_chain's pool: with width n > 1, n - 1 threads build each chain's
+# blocks in the background (NumPy's eigh, matmul and ufuncs release the GIL)
+# while the reading thread goes on, and builds any block they have not
+# started once it needs it.  Width 1 builds every block before build_chain
+# returns; the CLI sets the width from --threads
 _pool: ThreadPoolExecutor | None = None
 
 
 def set_chain_workers(n: int) -> None:
-    """Build the steps of each chain on n threads, the caller's included."""
-    global _workers, _pool
+    """Build the steps of each chain on n threads, the reader's included.
+
+    The old pool is shut down and its unstarted blocks are dropped; a chain
+    that still needs them builds them in its reading thread.
+    """
+    global _pool
     if n < 1:
         raise ConfigurationError("chain workers must be >= 1")
     if _pool is not None:
-        _pool.shutdown()
-    _workers = n
-    _pool = ThreadPoolExecutor(max_workers=n - 1) if n > 1 else None
+        _pool.shutdown(cancel_futures=True)
+    _pool = (
+        ThreadPoolExecutor(max_workers=n - 1, thread_name_prefix="chain-build")
+        if n > 1
+        else None
+    )
 
 
 def build_chain(
@@ -211,7 +274,10 @@ def build_chain(
     """Assemble midpoint-frozen step matrices over the grid.
 
     With amp > 0 the chain grid must run at the path resolution (the driver
-    is read at path grid points).
+    is read at path grid points).  The driver and the modulation are
+    computed here, at once; the steps are built in 128-step blocks, before
+    the call returns at width 1, and queued on the chain workers otherwise,
+    so the chain's reads wait for them (see ``PropagatorChain``).
     """
     if m < 1:
         raise ConfigurationError("Galerkin dimension must be >= 1")
@@ -233,23 +299,19 @@ def build_chain(
     modulation = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
 
     steps = np.empty((k_steps, m, m))
-    n_blocks = -(-k_steps // _BUILD_BLOCK)
-    n_parts = min(_workers, n_blocks)
-    cuts = [min(i * n_blocks // n_parts * _BUILD_BLOCK, k_steps) for i in range(n_parts + 1)]
     args = (field, m, grid.dt, modulation, steps)
-    parts = [_pool.submit(_build_part, lo, hi, *args) for lo, hi in zip(cuts[1:], cuts[2:])]
-    # every part ends before the call returns or raises, and the first
-    # failing part raises, as the serial loop would
-    try:
-        _build_part(cuts[0], cuts[1], *args)
-    finally:
-        wait(parts)
-    for part in parts:
-        part.result()
-    return PropagatorChain(grid, steps, field, path)
+    blocks = []
+    for lo in range(0, k_steps, _BUILD_BLOCK):
+        task = partial(_build_block, lo, min(lo + _BUILD_BLOCK, k_steps), *args)
+        # a future no worker runs is built by the chain's first read
+        blocks.append((Future() if _pool is None else _pool.submit(task), task))
+    chain = PropagatorChain(grid, steps, field, path, _blocks=blocks)
+    if _pool is None:
+        chain._wait(k_steps)
+    return chain
 
 
-def _build_part(
+def _build_block(
     lo: int,
     hi: int,
     field: DiffusionField,
@@ -258,21 +320,18 @@ def _build_part(
     modulation: np.ndarray,
     steps: np.ndarray,
 ) -> None:
-    """Steps lo..hi-1 of a chain, block by block.
+    """Steps lo..hi-1 of a chain, one block.
 
-    A block is assembled in parity order in its own slots of ``steps``;
+    The block is assembled in parity order in its own slots of ``steps``;
     eigh's eigenvector array is the one block-sized temporary.
     """
     k0, kg = _parity_parts(m)
-    dk0 = field.delta * k0
-    for b_lo in range(lo, hi, _BUILD_BLOCK):
-        b_hi = min(b_lo + _BUILD_BLOCK, hi)
-        mats = steps[b_lo:b_hi]
-        # -(delta K0 + (amp mu_k) Kg), the bits of _matrix_from_modulation
-        np.multiply((field.amp * modulation[b_lo:b_hi])[:, None, None], kg, out=mats)
-        mats += dk0
-        np.negative(mats, out=mats)
-        _exp_steps(mats, dt, field.spectral_ceiling)
+    mats = steps[lo:hi]
+    # -(delta K0 + (amp mu_k) Kg), the bits of _matrix_from_modulation
+    np.multiply((field.amp * modulation[lo:hi])[:, None, None], kg, out=mats)
+    mats += field.delta * k0
+    np.negative(mats, out=mats)
+    _exp_steps(mats, dt, field.spectral_ceiling)
 
 
 def apply(chain: PropagatorChain, t: float, s: float, vec: np.ndarray) -> np.ndarray:
@@ -283,8 +342,9 @@ def apply(chain: PropagatorChain, t: float, s: float, vec: np.ndarray) -> np.nda
     out = np.asarray(vec, dtype=float)
     if kt == ks:
         return out.copy()
+    steps = chain.steps
     for k in range(ks, kt):
-        out = chain.steps[k] @ out
+        out = steps[k] @ out
     return out
 
 
@@ -380,6 +440,6 @@ def contractivity_margin(chain: PropagatorChain) -> float:
     """min over steps of (bound - ||S_k||_2); negative means a violation."""
     bound = math.exp(-chain.field.poincare_rate * chain.grid.dt * (1.0 - 1e-6))
     worst = math.inf
-    for k in range(chain.grid.n_steps):
-        worst = min(worst, bound - operator_norm(chain.steps[k]))
+    for step in chain.steps:
+        worst = min(worst, bound - operator_norm(step))
     return worst

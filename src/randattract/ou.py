@@ -60,13 +60,14 @@ def construct_initial(
     k0 = o + path.index_of(-a)
     rows = chain.generator_rows(0, path.base[k0 : k0 + grid.n_steps + 1] - path.base[o])
     acc = np.zeros(m)
+    steps = chain.steps
     for j in range(grid.n_steps + 1):
         weight = dt / 2.0 if j in (0, grid.n_steps) else dt
         contribution = weight * rows[j]
         if j == 0:
             acc = contribution
         else:
-            acc = chain.steps[j - 1] @ acc + contribution
+            acc = steps[j - 1] @ acc + contribution
     tail_norm = _max_norm_on(path, -a, -a / 2.0)
     bound = tail_norm * math.exp(-field.poincare_rate * a)
     return StationaryState(acc, a, bound)

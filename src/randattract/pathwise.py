@@ -259,9 +259,10 @@ def corrector_integral(
     o = _base_row(chain, path, kb)
     rows = chain.generator_rows(ka, path.base[o + kb] - path.base[o + ka : o + kb])
     dt = chain.grid.dt
+    steps = chain.steps
     for j in range(ka, kb):
         weight = dt / 2.0 if j == ka else dt
-        acc = chain.steps[j] @ (acc + weight * rows[j - ka])
+        acc = steps[j] @ (acc + weight * rows[j - ka])
     return acc
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,19 @@ from randattract import (
     WienerPath,
     sample_two_sided_path,
 )
+from randattract.evolution import set_chain_workers
 
 DT = 2.0 ** -8
+
+
+@pytest.fixture(autouse=True)
+def serial_chain_builds():
+    """Chains build at width 1 after every test, and no chain-build thread
+    outlives it, even when a test fails with blocks still queued."""
+    yield
+    set_chain_workers(1)
+    left = [t.name for t in threading.enumerate() if t.name.startswith("chain-build")]
+    assert not left, f"chain-build threads outlived the test: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -259,7 +259,7 @@ def test_linalg_error_exits_2_with_cleanup(tmp_path, small_config, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("numerical error:") and err.count("\n") == 1
     assert not written.exists()
-    assert list((out / "ou-diagnose").iterdir()) == []
+    assert not (out / "ou-diagnose").exists()
 
 
 def test_cli_rejects_horizon_off_the_time_grid(tmp_path, capsys):
@@ -372,7 +372,7 @@ def test_simulate_rejects_a_single_path(tmp_path, capsys):
     assert main(["simulate", "--config", str(one), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "n_paths" in err
-    assert list((out / "simulate").iterdir()) == []
+    assert not (out / "simulate").exists()
 
 
 # 256-step history chains: two blocks, so --threads 2 builds them on two parts
@@ -380,16 +380,20 @@ SPLIT = SMALL.replace("dt = 0.015625", "dt = 0.0078125")
 
 
 def test_ou_diagnose_same_bytes_on_one_and_two_threads(tmp_path):
+    # attractor-pullback too, on horizons of one and two blocks, whose
+    # march reads each chain while its blocks are still being built
     cfg = tmp_path / "split.cfg"
-    cfg.write_text(SPLIT)
-    runs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        assert main(["ou-diagnose", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
-        run_dir = out / "ou-diagnose"
-        names = json.loads((run_dir / "manifest.json").read_text())["outputs"]
-        runs.append({name: (run_dir / name).read_bytes() for name in names})
-    assert len(runs[0]) == 3 and runs[0] == runs[1]
+    cfg.write_text(SPLIT.replace("horizons = 0.5,1.0", "horizons = 1.0,2.0"))
+    for command, n_outputs in (("ou-diagnose", 3), ("attractor-pullback", 2)):
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            argv = [command, "--config", str(cfg), "--out", str(out), "--threads", threads]
+            assert main(argv) == 0
+            run_dir = out / command
+            names = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+            runs.append({name: (run_dir / name).read_bytes() for name in names})
+        assert len(runs[0]) == n_outputs and runs[0] == runs[1]
 
 
 def test_definiteness_error_in_a_worker_exits_2_with_cleanup(tmp_path, monkeypatch, capsys):
@@ -412,7 +416,7 @@ def test_definiteness_error_in_a_worker_exits_2_with_cleanup(tmp_path, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("numerical error:") and "spectral bound" in err
     assert not written.exists()
-    assert list((out / "ou-diagnose").iterdir()) == []
+    assert not (out / "ou-diagnose").exists()
 
 
 # "-1,1" failed only at run time with a validation error, "0,1" ran a T = 0

@@ -9,6 +9,7 @@ import pytest
 
 from randattract import (
     AlignmentError,
+    DefinitenessError,
     DiffusionField,
     NoiseSpectrum,
     OrderingError,
@@ -24,6 +25,7 @@ from randattract import (
     span_grid,
     wiener_shift,
 )
+from randattract import evolution
 from randattract.evolution import (
     PropagatorChain,
     TimeGrid,
@@ -241,18 +243,70 @@ def test_build_chain_on_two_workers_equals_serial(n_steps, medium_path):
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, n_steps * DT, DT)
     serial = build_chain(field, medium_path, grid, 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     set_chain_workers(2)
     try:
         split = build_chain(field, medium_path, grid, 16)
+        # streamed: read in 32-step segments while later blocks are built
+        streamed = build_chain(field, medium_path, grid, 16)
+        for lo in range(0, n_steps, 32):
+            hi = min(lo + 32, n_steps)
+            assert np.array_equal(streamed.segment(lo, hi).steps, serial.steps[lo:hi])
+        assert np.array_equal(streamed.steps, serial.steps)
     finally:
         set_chain_workers(1)
+        sys.setswitchinterval(interval)
     assert split.steps.shape == (n_steps, 16, 16)
     assert np.array_equal(split.steps, serial.steps)
 
 
+def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
+    # blocks 1 and 3 of five fail, on whichever thread builds them: a read
+    # below block 1 succeeds, and every read that covers block 1 raises its
+    # error, never block 3's, however the blocks were shared out
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, 600 * DT, DT)
+    firsts = []
+    exp_steps = evolution._exp_steps
+
+    def recording(gens, dt, ceiling=math.inf):
+        firsts.append(gens[0].tobytes())
+        exp_steps(gens, dt, ceiling)
+
+    monkeypatch.setattr(evolution, "_exp_steps", recording)
+    build_chain(field, medium_path, grid, 12)  # width 1: blocks in order
+    failing = {firsts[1]: "block 1", firsts[3]: "block 3"}
+
+    def failing_blocks(gens, dt, ceiling=math.inf):
+        if gens[0].tobytes() in failing:
+            raise DefinitenessError(failing[gens[0].tobytes()])
+        exp_steps(gens, dt, ceiling)
+
+    monkeypatch.setattr(evolution, "_exp_steps", failing_blocks)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    set_chain_workers(2)
+    try:
+        for read in ("steps", "segment"):
+            for _ in range(3):
+                chain = build_chain(field, medium_path, grid, 12)
+                assert chain.segment(0, 128).steps.shape == (128, 12, 12)
+                for _ in range(2):
+                    with pytest.raises(DefinitenessError, match="block 1"):
+                        if read == "steps":
+                            chain.steps
+                        else:
+                            chain.segment(500, 600)
+    finally:
+        set_chain_workers(1)
+        sys.setswitchinterval(interval)
+
+
 def test_build_chain_on_more_workers_than_cores(medium_path):
-    # 5 blocks on 4 threads with a short switch interval: the parts write
-    # disjoint slices of one array, so any cross-part write would show
+    # 3 chains of 5 blocks on 3 pool threads and the reader with a short
+    # switch interval: the blocks write disjoint slices of their chain, so
+    # any cross-block write would show
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
     serial = build_chain(field, medium_path, grid, 12)
@@ -261,10 +315,10 @@ def test_build_chain_on_more_workers_than_cores(medium_path):
     set_chain_workers(4)
     try:
         split = [build_chain(field, medium_path, grid, 12) for _ in range(3)]
+        assert all(np.array_equal(ch.steps, serial.steps) for ch in split)
     finally:
         set_chain_workers(1)
         sys.setswitchinterval(interval)
-    assert all(np.array_equal(ch.steps, serial.steps) for ch in split)
 
 
 def test_build_chain_holds_one_block_per_worker(two_chain_workers):
@@ -277,6 +331,7 @@ def test_build_chain_holds_one_block_per_worker(two_chain_workers):
     tracemalloc.start()
     try:
         chain = build_chain(field, path, span_grid(0.0, 8.0, dt), m)
+        chain.steps  # the blocks are built in the background until read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

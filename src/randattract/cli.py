@@ -77,6 +77,11 @@ from .attractor import (
 )
 
 
+# the widest --threads accepted: a width of n lets a chain build start n - 1
+# threads, one for each queued block
+MAX_THREADS = 64
+
+
 def fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -288,24 +293,26 @@ def cmd_convergence(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
     cover_lo = -(cfg.driver_horizon if cfg.amp > 0 else 0.0)
     seeds = [cfg.seed + i for i in range(cfg.n_paths)]
 
+    def final_state(path: WienerPath, dt: float, seed: int) -> np.ndarray:
+        # an order fitted over a blown-up run is no order at all
+        chain = build_chain(problem.field, path, span_grid(0.0, cfg.horizon, dt), m)
+        traj = integrate_semilinear(problem, chain, path)
+        if traj.status == "blowup":
+            raise NumericalError(
+                f"convergence path seed {seed} blew up at dt={dt!r}, "
+                f"t={traj.blowup_time!r}"
+            )
+        return traj.states[-1]
+
     def run_one(seed: int):
         fine = sample_two_sided_path(cfg.spectrum(), cover_lo, cfg.horizon, fine_dt, seed)
-        ref_chain = build_chain(
-            problem.field, fine, span_grid(0.0, cfg.horizon, fine_dt), m
-        )
-        ref = integrate_semilinear(problem, ref_chain, fine)
+        ref = final_state(fine, fine_dt, seed)
         errs = []
         for lev in range(levels):
             dt_lev = base / 2 ** lev
-            factor = int(round(dt_lev / fine_dt))
-            coarse_path = restrict(fine, factor)
-            chain = build_chain(
-                problem.field, coarse_path, span_grid(0.0, cfg.horizon, dt_lev), m
-            )
-            coarse = integrate_semilinear(problem, chain, coarse_path)
-            errs.append(
-                float(np.linalg.norm(coarse.states[-1] - ref.states[-1]))
-            )
+            coarse_path = restrict(fine, int(round(dt_lev / fine_dt)))
+            coarse = final_state(coarse_path, dt_lev, seed)
+            errs.append(float(np.linalg.norm(coarse - ref)))
         return errs
 
     all_errs = np.array(map_ordered(run_one, seeds, threads))
@@ -594,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=os.cpu_count() or 1,
-            help="worker threads for path ensembles and chain builds",
+            default=min(os.cpu_count() or 1, MAX_THREADS),
+            help=f"worker threads for path ensembles and chain builds (1..{MAX_THREADS})",
         )
         p.add_argument("--seed", type=int, default=None, help="override noise.seed")
     return parser
@@ -624,8 +631,10 @@ def main(argv: list[str] | None = None) -> int:
         print(example_config(), end="")
         return 0
     try:
-        if args.threads < 1:
-            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
+        if not 1 <= args.threads <= MAX_THREADS:
+            raise ConfigurationError(
+                f"--threads must lie in [1, {MAX_THREADS}], got {args.threads}"
+            )
         overrides = {}
         if args.seed is not None:
             overrides[("noise", "seed")] = args.seed

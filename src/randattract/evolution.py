@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -46,9 +46,11 @@ from .errors import (
 from .noise import WienerPath, _as_index, wiener_shift
 from .operators import (
     DiffusionField,
+    _parity_order,
     _stiffness_parts,
     assemble_operator,
     driver_values,
+    fill_generators,
 )
 
 
@@ -88,22 +90,6 @@ def _check_resolution(path: WienerPath, grid: TimeGrid) -> None:
         raise AlignmentError(
             f"path dt={path.dt!r} differs from the chain resolution dt={grid.dt!r}"
         )
-
-
-@lru_cache(maxsize=8)
-def _parity_order(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mode indices in parity order (odd n first, then even n), and the
-    index that puts them back in natural order."""
-    order = np.r_[0:m:2, 1:m:2]
-    return order, np.argsort(order)
-
-
-@lru_cache(maxsize=8)
-def _parity_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """K0 and Kg in parity order."""
-    order = _parity_order(m)[0]
-    k0, kg = _stiffness_parts(m)
-    return k0[np.ix_(order, order)], kg[np.ix_(order, order)]
 
 
 def _exp_steps(gens: np.ndarray, dt: float, ceiling: float = math.inf) -> None:
@@ -283,8 +269,7 @@ def build_chain(
         raise ConfigurationError("Galerkin dimension must be >= 1")
     k_steps = grid.n_steps
     if field.amp == 0.0:
-        # -(delta K0), the bits of _matrix_from_modulation, in parity order
-        single = (-field.delta * _parity_parts(m)[0])[None]
+        single = fill_generators(field, np.zeros(1), np.empty((1, m, m)), parity=True)
         _exp_steps(single, grid.dt, field.spectral_ceiling)
         steps = np.broadcast_to(single[0], (k_steps, m, m))
         return PropagatorChain(grid, steps, field, path)
@@ -299,7 +284,7 @@ def build_chain(
     modulation = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
 
     steps = np.empty((k_steps, m, m))
-    args = (field, m, grid.dt, modulation, steps)
+    args = (field, grid.dt, modulation, steps)
     blocks = []
     for lo in range(0, k_steps, _BUILD_BLOCK):
         task = partial(_build_block, lo, min(lo + _BUILD_BLOCK, k_steps), *args)
@@ -315,7 +300,6 @@ def _build_block(
     lo: int,
     hi: int,
     field: DiffusionField,
-    m: int,
     dt: float,
     modulation: np.ndarray,
     steps: np.ndarray,
@@ -325,12 +309,7 @@ def _build_block(
     The block is assembled in parity order in its own slots of ``steps``;
     eigh's eigenvector array is the one block-sized temporary.
     """
-    k0, kg = _parity_parts(m)
-    mats = steps[lo:hi]
-    # -(delta K0 + (amp mu_k) Kg), the bits of _matrix_from_modulation
-    np.multiply((field.amp * modulation[lo:hi])[:, None, None], kg, out=mats)
-    mats += field.delta * k0
-    np.negative(mats, out=mats)
+    mats = fill_generators(field, modulation[lo:hi], steps[lo:hi], parity=True)
     _exp_steps(mats, dt, field.spectral_ceiling)
 
 

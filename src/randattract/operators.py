@@ -120,11 +120,39 @@ def _stiffness_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
     return k0, kg
 
 
-def _matrix_from_modulation(field: DiffusionField, m: int, modulation: float) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _parity_order(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mode indices in parity order (odd n first, then even n), and the
+    index that puts them back in natural order."""
+    order = np.r_[0:m:2, 1:m:2]
+    return order, np.argsort(order)
+
+
+@lru_cache(maxsize=8)
+def _parity_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """K0 and Kg in parity order."""
+    order = _parity_order(m)[0]
     k0, kg = _stiffness_parts(m)
+    return k0[np.ix_(order, order)], kg[np.ix_(order, order)]
+
+
+def fill_generators(
+    field: DiffusionField, modulation: np.ndarray, out: np.ndarray, parity: bool = False
+) -> np.ndarray:
+    """Write -(delta K0 + (amp mu_k) Kg) for each modulation mu_k into out
+    (k, m, m), in natural or (``parity``) parity order, and return out.
+
+    Every generator is formed as (amp mu_k) Kg + delta K0, then negated, so
+    it has the same bits in either order and in any stack.  With amp = 0 each
+    is -delta K0, whatever the modulation.
+    """
+    m = out.shape[-1]
+    k0, kg = _parity_parts(m) if parity else _stiffness_parts(m)
     if field.amp == 0.0:
-        return -field.delta * k0
-    return -(field.delta * k0 + (field.amp * modulation) * kg)
+        return np.multiply(-field.delta, k0, out=out)
+    np.multiply((field.amp * modulation)[:, None, None], kg, out=out)
+    out += field.delta * k0
+    return np.negative(out, out=out)
 
 
 def assemble_operator(
@@ -140,7 +168,7 @@ def assemble_operator(
             raise ConfigurationError("a path is required when amp > 0")
         k = path.index_of(t)
         modulation = math.tanh(driver_values(field, path, k, k)[0])
-    return _matrix_from_modulation(field, m, modulation)
+    return fill_generators(field, np.array([modulation]), np.empty((1, m, m)))[0]
 
 
 def fixed_laplacian_symbols(m: int, alpha: float) -> np.ndarray:

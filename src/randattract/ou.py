@@ -2,9 +2,12 @@
 
 The stationary initial state is the truncated history integral
 
-    z0 = int_{-a}^{0} U(0, r, w) A(theta_r w) w_r dr          (trapezoid),
+    z0 = int_{-a}^{0} U(0, r, w) A(theta_r w) w_r dr          (trapezoid).
 
-propagated along the shift by the local linear pathwise step with sigma = 1
+Since w_0 = 0, this is minus ``pathwise.corrector_integral`` over [-a, 0] on
+the history chain, so it is accumulated by the one march and every history
+step is checked for finiteness (NumericalError).  The state is propagated
+along the shift by the local linear pathwise step with sigma = 1
 (O(K) instead of re-evaluating the history integral at every output time).
 The neglected tail is controlled by the exponential decay of the evolution
 family and reported as ``truncation_bound``.
@@ -17,11 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ShiftRangeError
+from .errors import ConfigurationError
 from .evolution import PropagatorChain, apply, build_chain, span_grid
 from .noise import WienerPath, wiener_shift
 from .operators import DiffusionField, FractionalNormSpec, fractional_norm
-from .pathwise import _ZERO, Trajectory, _embedded, _march, corrected_increments
+from .pathwise import (
+    _ZERO,
+    Trajectory,
+    _embedded,
+    _march,
+    corrected_increments,
+    corrector_integral,
+)
 
 
 @dataclass(frozen=True)
@@ -33,44 +43,22 @@ class StationaryState:
     truncation_bound: float
 
 
-def _history_chain(
-    field: DiffusionField, path: WienerPath, a: float, m: int
-) -> PropagatorChain:
-    grid = span_grid(-a, 0.0, path.dt)
-    if path.lo * path.dt > -a:
-        raise ShiftRangeError(
-            f"path must cover [-a, 0] = [{-a}, 0], has t_lo={path.t_lo}"
-        )
-    return build_chain(field, path, grid, m)
-
-
 def construct_initial(
     field: DiffusionField,
     path: WienerPath,
     a: float,
     m: int,
 ) -> StationaryState:
-    """Trapezoid of U(0, r) A(r) w_r over [-a, 0], streamed left to right."""
+    """Trapezoid of U(0, r) A(r) w_r over [-a, 0]: since w_0 = 0, minus the
+    corrector integral over [-a, 0] on the history chain.  The path must
+    cover [-a, 0] (ShiftRangeError)."""
     if not a > 0:
         raise ConfigurationError("truncation horizon a must be positive")
-    chain = _history_chain(field, path, a, m)
-    grid = chain.grid
-    dt = grid.dt
-    o = path.base_origin
-    k0 = o + path.index_of(-a)
-    rows = chain.generator_rows(0, path.base[k0 : k0 + grid.n_steps + 1] - path.base[o])
-    acc = np.zeros(m)
-    steps = chain.steps
-    for j in range(grid.n_steps + 1):
-        weight = dt / 2.0 if j in (0, grid.n_steps) else dt
-        contribution = weight * rows[j]
-        if j == 0:
-            acc = contribution
-        else:
-            acc = steps[j - 1] @ acc + contribution
+    chain = build_chain(field, path, span_grid(-a, 0.0, path.dt), m)
+    z0 = -corrector_integral(chain, path, -a, 0.0)
     tail_norm = _max_norm_on(path, -a, -a / 2.0)
     bound = tail_norm * math.exp(-field.poincare_rate * a)
-    return StationaryState(acc, a, bound)
+    return StationaryState(z0, a, bound)
 
 
 def _max_norm_on(path: WienerPath, t_lo: float, t_hi: float) -> float:
@@ -115,8 +103,6 @@ def global_form_reference(
     m = chain.dim
     k_t = path.index_of(t)
     base = apply(chain, t, 0.0, state.z0 + _embedded(path.value_at(k_t), m))
-    from .pathwise import corrector_integral
-
     return base - corrector_integral(chain, path, 0.0, t)
 
 

@@ -12,7 +12,9 @@ integrator adds the explicitly treated nonlinearity under the propagator
 (exponential-Euler splitting); stiffness lives entirely in the propagator.
 Every pathwise march (u here, Z in ``ou``, v = u - sigma Z in ``attractor``)
 is the one loop ``_march``, which takes its steps
-x_{k+1} = S_k (x_k + dt (F(x_k + shift) + f) + noise) in place.
+x_{k+1} = S_k (x_k + dt (F(x_k + shift) + f) + noise) in place.  So is the
+trapezoid of ``corrector_integral``: its weighted node rows are the noise of
+a linear march from 0.  ``ou``'s history integral is that corrector.
 """
 
 from __future__ import annotations
@@ -247,23 +249,20 @@ def corrector_integral(
 ) -> np.ndarray:
     """Trapezoid of U(t_b, s) A(s) (w_{t_b} - w_s) over path grid points in [t_a, t_b].
 
-    The s = t_b endpoint integrand is zero (the increment vanishes), so the
-    quadrature is proper at fixed Galerkin dimension.
+    The weighted rows at the nodes before t_b are the noise of one linear
+    ``_march`` from 0, which checks every step for finiteness
+    (NumericalError); the s = t_b row, A(t_b) 0, is added last.
     """
     ka, kb = chain.grid.index(t_a), chain.grid.index(t_b)
     if kb < ka:
         raise OrderingError("corrector needs t_b >= t_a")
-    acc = np.zeros(chain.dim)
-    if kb == ka:
-        return acc
     o = _base_row(chain, path, kb)
-    rows = chain.generator_rows(ka, path.base[o + kb] - path.base[o + ka : o + kb])
-    dt = chain.grid.dt
-    steps = chain.steps
-    for j in range(ka, kb):
-        weight = dt / 2.0 if j == ka else dt
-        acc = steps[j] @ (acc + weight * rows[j - ka])
-    return acc
+    rows = chain.generator_rows(ka, path.base[o + kb] - path.base[o + ka : o + kb + 1])
+    weights = np.full(kb - ka + 1, chain.grid.dt)
+    weights[[0, -1]] /= 2.0
+    rows *= weights[:, None]
+    traj = _march(chain.segment(ka, kb), np.zeros(chain.dim), _ZERO, None, None, rows[:-1])
+    return traj.states[-1] + rows[-1]
 
 
 def _embedded(values: np.ndarray, m: int) -> np.ndarray:
@@ -291,14 +290,6 @@ def _base_row(chain: PropagatorChain, path: WienerPath, k_hi: int) -> int:
     return o
 
 
-def _noise_rows(chain: PropagatorChain, path: WienerPath, k: int, n: int) -> np.ndarray:
-    """dw_j - (dt/2) A(t_j) dw_j for chain steps j = k..k+n-1; shape (n, m)."""
-    o = _base_row(chain, path, k + n) + k
-    dw = path.base[o + 1 : o + n + 1] - path.base[o : o + n]
-    rows = chain.generator_rows(k, dw)
-    return _embedded(dw, chain.dim) - (chain.grid.dt / 2.0) * rows
-
-
 def corrected_increments(chain: PropagatorChain, path: WienerPath) -> np.ndarray:
     """dw_k - (dt/2) A(t_k) dw_k for every chain step; shape (n_steps, m).
 
@@ -309,7 +300,11 @@ def corrected_increments(chain: PropagatorChain, path: WienerPath) -> np.ndarray
     """
     if path is chain.path and chain._increments is not None:
         return chain._increments
-    out = _noise_rows(chain, path, 0, chain.grid.n_steps)
+    n = chain.grid.n_steps
+    o = _base_row(chain, path, n)
+    dw = path.base[o + 1 : o + n + 1] - path.base[o : o + n]
+    rows = chain.generator_rows(0, dw)
+    out = _embedded(dw, chain.dim) - (chain.grid.dt / 2.0) * rows
     if path is chain.path:
         chain._increments = out
     return out

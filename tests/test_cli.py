@@ -365,6 +365,36 @@ def test_cli_rejects_nonpositive_threads(threads, tmp_path, small_config, capsys
     assert not out.exists()
 
 
+def test_cli_rejects_threads_above_the_bound(tmp_path, small_config, capsys):
+    # refused before the chain workers are set, so no thread starts (the
+    # autouse fixture checks that none is left)
+    out = tmp_path / "t"
+    code = main(["ou-diagnose", "--config", small_config, "--out", str(out), "--threads", "1000000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --threads") and err.count("\n") == 1
+    assert str(cli.MAX_THREADS) in err
+    assert not out.exists()
+
+
+def test_convergence_refuses_to_fit_over_a_blow_up(tmp_path, capsys):
+    # both runs used to exit 0: a huge forcing fitted an order of 3.76 over
+    # blown-up errors, and sigma = 1e200 wrote rms inf and order NaN
+    for name, text in (
+        ("forcing", SMALL + "\n[problem]\nforcing = mode:1:1e6\n"),
+        ("sigma", SMALL.replace("[noise]\n", "[noise]\nsigma = 1e200\n")),
+    ):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        argv = ["convergence", "--config", str(cfg), "--out", str(out), "--threads", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1
+        assert "seed 777" in err and "dt=" in err
+        assert not (out / "convergence").exists()
+
+
 def test_simulate_rejects_a_single_path(tmp_path, capsys):
     one = tmp_path / "one.cfg"
     one.write_text(SMALL.replace("n_paths = 4", "n_paths = 1"))

@@ -15,7 +15,7 @@ from randattract import (
     span_grid,
     temperedness_diagnostic,
 )
-from randattract.errors import ConfigurationError, ShiftRangeError
+from randattract.errors import ConfigurationError, NumericalError, ShiftRangeError
 from randattract.ou import global_form_reference, stationarity_residual_table
 from randattract.pathwise import corrected_increments
 
@@ -27,6 +27,38 @@ def test_zero_path_zero_state(default_field):
     st = construct_initial(default_field, zero, 8.0, 16)
     assert np.all(st.z0 == 0.0)
     assert st.truncation_bound == 0.0
+
+
+def _history_loop(field, path, a, m):
+    """z0 by the history trapezoid as a loop of its own, streamed left to
+    right: acc_j = S_{j-1} acc_{j-1} + weight_j A(t_j) w_j on [-a, 0]."""
+    chain = build_chain(field, path, span_grid(-a, 0.0, path.dt), m)
+    n = chain.grid.n_steps
+    o = path.base_origin
+    k0 = o + path.index_of(-a)
+    rows = chain.generator_rows(0, path.base[k0 : k0 + n + 1] - path.base[o])
+    acc = (path.dt / 2.0) * rows[0]
+    for j in range(1, n + 1):
+        weight = path.dt / 2.0 if j == n else path.dt
+        acc = chain.steps[j - 1] @ acc + weight * rows[j]
+    return acc
+
+
+@pytest.mark.parametrize("amp", [0.2, 0.0])
+def test_construct_initial_is_the_history_trapezoid_bitwise(amp, medium_path):
+    field = DiffusionField(amp=amp)
+    st = construct_initial(field, medium_path, 4.0, 16)
+    assert np.array_equal(st.z0, _history_loop(field, medium_path, 4.0, 16))
+
+
+def test_non_finite_history_raises():
+    # a NaN inside [-a, 0] used to come back as a NaN z0
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((1025, 4)).cumsum(axis=0) * math.sqrt(DT)
+    values[700] = np.nan
+    path = synthetic_path(values, DT, 1024)
+    with pytest.raises(NumericalError, match="non-finite"):
+        construct_initial(DiffusionField(amp=0.0), path, 2.0, 8)
 
 
 def test_propagate_initial_identity(default_field, medium_path):

@@ -136,6 +136,27 @@ def test_corrector_zero_cases(default_field, medium_path):
     assert np.all(corrector_integral(chain, medium_path, 0.25, 0.25) == 0.0)
 
 
+def _corrector_loop(chain, path, t_a, t_b):
+    """The corrector trapezoid as a loop of its own:
+    acc <- S_j (acc + weight_j A(t_j) (w_b - w_j)) for the nodes before t_b."""
+    ka, kb = chain.grid.index(t_a), chain.grid.index(t_b)
+    o = path.base_origin + path.index_of(chain.grid.t0)
+    rows = chain.generator_rows(ka, path.base[o + kb] - path.base[o + ka : o + kb])
+    acc = np.zeros(chain.dim)
+    for j in range(ka, kb):
+        weight = DT / 2.0 if j == ka else DT
+        acc = chain.steps[j] @ (acc + weight * rows[j - ka])
+    return acc
+
+
+@pytest.mark.parametrize("amp", [0.2, 0.0])
+def test_corrector_is_the_trapezoid_loop_bitwise(amp, medium_path):
+    chain = build_chain(DiffusionField(amp=amp), medium_path, span_grid(-0.5, 1.0, DT), 16)
+    for t_a, t_b in ((-0.5, 1.0), (0.25, 0.75)):
+        got = corrector_integral(chain, medium_path, t_a, t_b)
+        assert np.array_equal(got, _corrector_loop(chain, medium_path, t_a, t_b))
+
+
 def test_corrector_ramp_closed_form():
     # deterministic ramp w(s) = s, single autonomous mode with rate lam:
     # int_0^T exp(-lam (T-s)) (-lam) (T-s) ds = -(1 - exp(-lam T)(1 + lam T))/lam

@@ -249,7 +249,7 @@ class PullbackEstimate:
     horizons: tuple[float, ...]
     endpoints: list[np.ndarray]  # per horizon: (n_members, m), NaN rows blew up
     survivors: list[np.ndarray]  # boolean masks
-    diameters: list[float]  # X_alpha diameter of the survivor cloud
+    diameters: list[float]  # X_alpha diameter of the survivor cloud, NaN below 2
     eta_norms: list[float]  # max X_eta norm over survivors
     hausdorff_steps: list[float]  # d_H between successive survivor clouds
     flagged: bool  # any member blew up
@@ -265,8 +265,13 @@ def _alpha_metric(cloud: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def cloud_diameter(cloud: np.ndarray, alpha: float) -> float:
+    """Largest X_alpha distance between two points of the cloud.
+
+    NaN for fewer than two points: one survivor (or none) shows no spread,
+    and 0.0 would read as a collapsed cloud.
+    """
     if cloud.shape[0] < 2:
-        return 0.0
+        return math.nan
     w = _alpha_metric(cloud, alpha)
     best = 0.0
     for i in range(w.shape[0] - 1):
@@ -334,14 +339,18 @@ def _pullback_cloud(
 
     The horizon's chain is marched segment by segment: every surviving member
     crosses one segment (``_SEGMENT_BYTES`` of step matrices) before the next
-    is read, so the steps stay in cache across the ensemble.  The segments are
-    views sharing the chain's increments, and a member that blows up is frozen
+    is read, so the steps stay in cache across the ensemble.  The segments
+    share the chain's increments, and a member that blows up is frozen
     there.  A segment waits only for the blocks it covers, so with chain
-    workers the march starts while later blocks are still being built.  The chain dies on return, so a ladder of horizons keeps one chain
-    resident, never two.
+    workers the march starts while later blocks are still being built.  The
+    chain is read once: each segment releases the blocks below it, so a
+    horizon holds a few blocks of its chain, not the whole chain, whatever
+    its length.
     """
     fiber = wiener_shift(path, -_as_index(t_j, path.dt, "horizon"))
-    chain = build_chain(problem.field, fiber, span_grid(0.0, t_j, path.dt), m)
+    chain = build_chain(
+        problem.field, fiber, span_grid(0.0, t_j, path.dt), m, read_once=True
+    )
     if problem.sigma != 0.0:
         # kept on the chain, so each segment gets a slice: one driver
         # evaluation per horizon, as for the whole chain.  It reads no step,

@@ -163,7 +163,8 @@ def cmd_simulate(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
 
     def run_one(seed: int):
         path = _path_window_for(cfg, t_lo, horizon, seed)
-        chain = build_chain(problem.field, path, span_grid(0.0, horizon, cfg.dt), m)
+        grid = span_grid(0.0, horizon, cfg.dt)
+        chain = build_chain(problem.field, path, grid, m, read_once=True)
         return integrate_semilinear(problem, chain, path)
 
     trajectories = map_ordered(run_one, seeds, threads)
@@ -278,6 +279,7 @@ def cmd_attractor_pullback(cfg: RunConfig, sink: OutputSink, threads: int) -> No
             "eta_norms": estimate.eta_norms,
             "hausdorff_steps": estimate.hausdorff_steps,
             "flagged_blowup": estimate.flagged,
+            "survivors": [int(alive.sum()) for alive in estimate.survivors],
             "note": estimate.note,
         },
     )
@@ -295,7 +297,8 @@ def cmd_convergence(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
 
     def final_state(path: WienerPath, dt: float, seed: int) -> np.ndarray:
         # an order fitted over a blown-up run is no order at all
-        chain = build_chain(problem.field, path, span_grid(0.0, cfg.horizon, dt), m)
+        grid = span_grid(0.0, cfg.horizon, dt)
+        chain = build_chain(problem.field, path, grid, m, read_once=True)
         traj = integrate_semilinear(problem, chain, path)
         if traj.status == "blowup":
             raise NumericalError(

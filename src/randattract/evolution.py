@@ -13,10 +13,21 @@ Steps are built in blocks of 128.  With more than one chain worker
 returns at once, so the caller can go on (say, to the noise increments or the
 first segments of a march) while later steps are still being built.  A read
 waits for what it covers: ``PropagatorChain.steps`` for the whole chain,
-``PropagatorChain.segment`` for the blocks below its end.  A waiting reader
-builds in its own thread every block it needs that no worker has started, so
-no reader ever sees an unbuilt step, and each step has the same bits at any
-width.  A chain has one reading thread.
+``PropagatorChain.segment`` for the blocks below its end, and the march
+(``PropagatorChain.blocks``) for one block at a time.  A reader that waits for
+a block builds in its own thread the lowest queued block that no worker has
+started, so it never idles while there is a block to build; each step has
+the same bits at any width.  A chain has one reading thread.
+
+A chain is kept (the default) or read once.  A kept chain holds its steps in
+one array.  A read-once chain (``build_chain(..., read_once=True)``), for an
+owner that reads its chain once and in order, gives each block an array of
+its own and frees it once the reader has passed it: a read of steps
+[lo, hi), on the chain or through ``segment`` or the march, releases every
+block wholly below lo, and only ``_AHEAD`` blocks past the lowest live one
+are queued.  So its memory does not grow with its length.  Reading a
+released step raises AlignmentError; a segment taken earlier keeps its own
+steps.
 
 The midpoint coefficient uses the average of the endpoint driver values
 (the driver is defined on grid points only); this keeps second-order accuracy
@@ -30,7 +41,8 @@ noise vectors node by node from the two stiffness parts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import Iterator
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -125,75 +137,91 @@ class PropagatorChain:
     """U(t, s, w) as an indexed product of per-step propagator matrices.
 
     A chain from ``build_chain`` may still be building its steps: reading
-    ``steps`` waits until every step is built, and ``segment(lo, hi)`` waits
-    only for the blocks below hi.  A chain has one reading thread.
+    ``steps`` waits until every step is built, ``segment(lo, hi)`` only for
+    the blocks below hi, and ``blocks`` for one block at a time.  A
+    read-once chain frees each block once a read has passed it (see the
+    module notes).  A chain has one reading thread.
     """
 
     grid: TimeGrid
-    _steps: np.ndarray  # (n_steps, m, m)
+    _steps: np.ndarray | None  # (n_steps, m, m); None on a read-once chain until joined
     field: DiffusionField
     path: WienerPath | None
     # noise increments on ``path``, kept by pathwise.corrected_increments
     _increments: np.ndarray | None = field(default=None, repr=False)
-    # build_chain's blocks as (future, task) pairs in block order, the first
-    # _ready of them known built; None once every step is built
-    _blocks: list[tuple[Future, partial]] | None = field(default=None, repr=False)
-    _ready: int = field(default=0, repr=False)
+    # build_chain's blocks: on a kept chain until every step is built, on a
+    # read-once chain until ``steps`` joins them
+    _blocks: _Blocks | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self._steps.shape[-1]
+        return self._blocks.m if self._steps is None else self._steps.shape[-1]
 
     @property
     def steps(self) -> np.ndarray:
-        """The (n_steps, m, m) step matrices, once all of them are built."""
-        self._wait(self.grid.n_steps)
+        """The (n_steps, m, m) step matrices, once all of them are built.
+
+        A read-once chain joins its blocks into one array on this read (every
+        block is then queued and built) and serves every later read from it.
+        """
+        if self._blocks is not None:
+            steps = self._read(0, self.grid.n_steps)
+            if self._steps is None:
+                self._steps, self._blocks = steps, None
         return self._steps
 
     def __post_init__(self) -> None:
+        if self._steps is None:  # a read-once chain: its blocks hold the steps
+            return
         if self._steps.ndim != 3 or self._steps.shape[1] != self._steps.shape[2]:
             raise ConfigurationError("steps must be (n_steps, m, m)")
         if self._steps.shape[0] != self.grid.n_steps:
             raise ConfigurationError("step count does not match the grid")
 
-    def _wait(self, hi: int) -> None:
-        """Return once steps 0..hi-1 are built.
-
-        Every block needed that no worker has started is built here first,
-        so a reader never queues behind the pool; the others are then waited
-        for in block order, so the first failing block's error is the one
-        raised, as in a serial build, and again on every later read.
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        """Steps lo..hi-1 from build_chain's blocks, once built (see
+        ``_Blocks.read``): a view, except that a read-once chain's steps are
+        copied into one array where they span more than one block.
         """
-        if self._blocks is None:
-            return
-        need = range(self._ready, -(-hi // _BUILD_BLOCK))
-        for i in need:
-            future, task = self._blocks[i]
-            if future.cancel():  # not started (or cancelled by a pool shutdown)
-                self._blocks[i] = (done := Future(), task)
-                try:
-                    task()
-                except Exception as exc:
-                    done.set_exception(exc)
-                    break
-                done.set_result(None)
-        for i in need:
-            self._blocks[i][0].result()
-            self._ready = i + 1
-        if self._ready == len(self._blocks):
-            self._blocks = None
+        blocks = self._blocks.read(lo, hi)
+        if not self._blocks.read_once:
+            if self._blocks.built:
+                self._blocks = None
+            return self._steps[lo:hi]
+        parts = [
+            block[max(lo - i * _BUILD_BLOCK, 0) : hi - i * _BUILD_BLOCK]
+            for i, block in enumerate(blocks, lo // _BUILD_BLOCK)
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty((0, self.dim, self.dim))
 
     def segment(self, lo: int, hi: int) -> "PropagatorChain":
         """Steps lo..hi-1 as a chain over t0 + lo*dt, with the same field and
-        path, once they are built; the steps (and the increments, when kept)
-        are views, not copies.
+        path, once they are built.  The steps (and the increments, when kept)
+        are views, not copies, except where a read-once chain's steps span
+        more than one block; either way the segment keeps its steps after the
+        chain has released their blocks.
         """
         if not 0 <= lo <= hi <= self.grid.n_steps:
             raise AlignmentError(f"segment [{lo}, {hi}) outside the chain grid")
-        self._wait(hi)
+        steps = self._steps[lo:hi] if self._blocks is None else self._read(lo, hi)
         grid = TimeGrid(self.grid.t0 + lo * self.grid.dt, hi - lo, self.grid.dt)
         increments = None if self._increments is None else self._increments[lo:hi]
-        return PropagatorChain(grid, self._steps[lo:hi], self.field, self.path, increments)
+        return PropagatorChain(grid, steps, self.field, self.path, increments)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The steps in order as consecutive (k, m, m) arrays, each once it is
+        built: build_chain's 128-step blocks while the chain has any to wait
+        for, then the rest at once.  On a read-once chain taking a block is a
+        read, which releases the blocks below it.
+        """
+        n = self.grid.n_steps
+        for lo in range(0, n, _BUILD_BLOCK):
+            if self._blocks is None:
+                yield self._steps[lo:]
+                return
+            yield self._read(lo, min(lo + _BUILD_BLOCK, n))
 
     def generator_rows(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """A(t_{k+i}) vecs[i] at the grid nodes k, k+1, ...; shape (len(vecs), m).
@@ -225,11 +253,18 @@ class PropagatorChain:
 # step matrices assembled and eigendecomposed together in build_chain
 _BUILD_BLOCK = 128
 
+# blocks a read-once chain queues past its lowest live block.  A history
+# march reads faster than two threads build, so its reader builds too, and
+# with fewer queued the worker runs dry while the reader builds (a 2048-step
+# construct_initial at m = 64 took 16% longer at 2, and at 3 about as long as
+# on a kept chain); the chain's memory grows with this, not with its length
+_AHEAD = 3
+
 # build_chain's pool: with width n > 1, n - 1 threads build each chain's
 # blocks in the background (NumPy's eigh, matmul and ufuncs release the GIL)
 # while the reading thread goes on, and builds any block they have not
-# started once it needs it.  Width 1 builds every block before build_chain
-# returns; the CLI sets the width from --threads
+# started once it needs it.  Width 1 builds every block in the reading
+# thread; the CLI sets the width from --threads
 _pool: ThreadPoolExecutor | None = None
 
 
@@ -251,19 +286,105 @@ def set_chain_workers(n: int) -> None:
     )
 
 
+class _Blocks:
+    """build_chain's 128-step blocks of one chain, queued on the chain
+    workers and built by the reader where no worker has started them.
+
+    ``tasks[i]()`` builds block i and returns its steps.  Only the chain's
+    reading thread calls these methods; the workers only run tasks.
+    """
+
+    def __init__(self, tasks: list[partial], m: int, read_once: bool) -> None:
+        self.tasks = tasks
+        self.m = m
+        self.read_once = read_once
+        # block i's future once queued; None once released
+        self.futures: list[Future | None] = []
+        self.live = 0  # the lowest block not released
+        self.ready = 0  # the blocks below are known built
+        self._queue(_AHEAD + 1 if read_once else len(tasks))
+
+    @property
+    def built(self) -> bool:
+        return self.ready == len(self.tasks)
+
+    def _queue(self, end: int) -> None:
+        """Queue every block below ``end`` not queued yet."""
+        for task in self.tasks[len(self.futures) : end]:
+            # a future no worker runs is built by the reader
+            self.futures.append(Future() if _pool is None else _pool.submit(task))
+
+    def read(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The blocks holding steps lo..hi-1, once built.
+
+        Every block from the lowest live one up to hi is waited for in block
+        order, so the first failing block's error is the one raised, as in a
+        serial build, and again on every later read.  A read-once chain then
+        releases the blocks wholly below lo and queues as many past them; a
+        read of a released step raises AlignmentError.
+        """
+        first, end = lo // _BUILD_BLOCK, -(-hi // _BUILD_BLOCK)
+        if first < self.live:
+            raise AlignmentError(
+                f"step {lo} was released: a read-once chain is read once, in order"
+            )
+        self._queue(end)
+        for i in range(self.ready, end):
+            self._wait(i)
+            self.ready = i + 1
+        blocks = [self.futures[i].result() for i in range(first, end)]
+        if self.read_once and first > self.live:
+            self.futures[self.live : first] = [None] * (first - self.live)
+            self.live = first
+            self._queue(first + _AHEAD + 1)
+        return blocks
+
+    def _wait(self, i: int) -> None:
+        """Return once block i is built; raise its error if it failed.
+
+        While a worker builds it, the reader builds the lowest queued block
+        that no worker has started, so it never idles while there is one.
+        """
+        future = self.futures[i]
+        while not future.done() or future.cancelled():
+            for j in range(i, len(self.futures)):
+                # cancel() succeeds on a block not started, or dropped by a
+                # pool shutdown
+                if self.futures[j].cancel():
+                    self._build(j)
+                    break
+            else:
+                wait([future])  # every queued block has started
+            future = self.futures[i]
+        future.result()
+
+    def _build(self, j: int) -> None:
+        """Build block j in the reading thread, keeping its error."""
+        done = Future()
+        try:
+            done.set_result(self.tasks[j]())
+        except Exception as exc:
+            done.set_exception(exc)
+        self.futures[j] = done
+
+
 def build_chain(
     field: DiffusionField,
     path: WienerPath | None,
     grid: TimeGrid,
     m: int,
+    read_once: bool = False,
 ) -> PropagatorChain:
     """Assemble midpoint-frozen step matrices over the grid.
 
     With amp > 0 the chain grid must run at the path resolution (the driver
     is read at path grid points).  The driver and the modulation are
-    computed here, at once; the steps are built in 128-step blocks, before
-    the call returns at width 1, and queued on the chain workers otherwise,
-    so the chain's reads wait for them (see ``PropagatorChain``).
+    computed here, at once; the steps are built in 128-step blocks (see the
+    module notes).  A kept chain is built before the call returns at width
+    1, and queued on the chain workers otherwise, so its reads wait for them.
+    ``read_once`` is for an owner that reads the chain once, in order: its
+    blocks are queued ``_AHEAD`` past the reader (and built by the reader at
+    width 1), and each is freed once a read has passed it.
     """
     if m < 1:
         raise ConfigurationError("Galerkin dimension must be >= 1")
@@ -283,16 +404,18 @@ def build_chain(
     zetas = driver_values(field, path, k0, k0 + k_steps)
     modulation = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
 
-    steps = np.empty((k_steps, m, m))
-    args = (field, grid.dt, modulation, steps)
-    blocks = []
-    for lo in range(0, k_steps, _BUILD_BLOCK):
-        task = partial(_build_block, lo, min(lo + _BUILD_BLOCK, k_steps), *args)
-        # a future no worker runs is built by the chain's first read
-        blocks.append((Future() if _pool is None else _pool.submit(task), task))
+    steps = None if read_once else np.empty((k_steps, m, m))
+    tasks = [
+        partial(
+            _build_block, lo, min(lo + _BUILD_BLOCK, k_steps),
+            field, grid.dt, modulation, m, steps,
+        )
+        for lo in range(0, k_steps, _BUILD_BLOCK)
+    ]
+    blocks = _Blocks(tasks, m, read_once)
     chain = PropagatorChain(grid, steps, field, path, _blocks=blocks)
-    if _pool is None:
-        chain._wait(k_steps)
+    if _pool is None and not read_once:
+        chain.steps  # width 1: a kept chain is built before the call returns
     return chain
 
 
@@ -302,15 +425,19 @@ def _build_block(
     field: DiffusionField,
     dt: float,
     modulation: np.ndarray,
-    steps: np.ndarray,
-) -> None:
-    """Steps lo..hi-1 of a chain, one block.
+    m: int,
+    steps: np.ndarray | None,
+) -> np.ndarray:
+    """Steps lo..hi-1 of a chain, one block, returned.
 
-    The block is assembled in parity order in its own slots of ``steps``;
-    eigh's eigenvector array is the one block-sized temporary.
+    The block is assembled in parity order in its own slots of ``steps``, or
+    in an array of its own on a read-once chain (steps None); eigh's
+    eigenvector array is the one block-sized temporary.
     """
-    mats = fill_generators(field, modulation[lo:hi], steps[lo:hi], parity=True)
-    _exp_steps(mats, dt, field.spectral_ceiling)
+    out = np.empty((hi - lo, m, m)) if steps is None else steps[lo:hi]
+    fill_generators(field, modulation[lo:hi], out, parity=True)
+    _exp_steps(out, dt, field.spectral_ceiling)
+    return out
 
 
 def apply(chain: PropagatorChain, t: float, s: float, vec: np.ndarray) -> np.ndarray:

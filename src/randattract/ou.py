@@ -50,11 +50,11 @@ def construct_initial(
     m: int,
 ) -> StationaryState:
     """Trapezoid of U(0, r) A(r) w_r over [-a, 0]: since w_0 = 0, minus the
-    corrector integral over [-a, 0] on the history chain.  The path must
-    cover [-a, 0] (ShiftRangeError)."""
+    corrector integral over [-a, 0] on the history chain, which is read once.
+    The path must cover [-a, 0] (ShiftRangeError)."""
     if not a > 0:
         raise ConfigurationError("truncation horizon a must be positive")
-    chain = build_chain(field, path, span_grid(-a, 0.0, path.dt), m)
+    chain = build_chain(field, path, span_grid(-a, 0.0, path.dt), m, read_once=True)
     z0 = -corrector_integral(chain, path, -a, 0.0)
     tail_norm = _max_norm_on(path, -a, -a / 2.0)
     bound = tail_norm * math.exp(-field.poincare_rate * a)
@@ -79,11 +79,12 @@ def propagate(
 ) -> Trajectory:
     """Z(theta_t w) on [0, horizon] via the local linear step with sigma = 1.
 
-    A supplied chain must span exactly [0, horizon] at the path resolution.
+    A supplied chain must span exactly [0, horizon] at the path resolution;
+    without one, the chain built here is read once.
     """
     grid = span_grid(0.0, horizon, path.dt)
     if chain is None:
-        chain = build_chain(field, path, grid, m)
+        chain = build_chain(field, path, grid, m, read_once=True)
     elif chain.grid.t0 != 0.0 or chain.grid.n_steps != grid.n_steps:
         raise ConfigurationError("supplied chain does not span [0, horizon]")
     noise = corrected_increments(chain, path)

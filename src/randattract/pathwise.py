@@ -19,6 +19,7 @@ a linear march from 0.  ``ou``'s history integral is that corrector.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -261,7 +262,10 @@ def corrector_integral(
     weights = np.full(kb - ka + 1, chain.grid.dt)
     weights[[0, -1]] /= 2.0
     rows *= weights[:, None]
-    traj = _march(chain.segment(ka, kb), np.zeros(chain.dim), _ZERO, None, None, rows[:-1])
+    # the whole chain is marched as itself, not as a segment, so a read-once
+    # chain frees each block behind the march
+    span = chain if (ka, kb) == (0, chain.grid.n_steps) else chain.segment(ka, kb)
+    traj = _march(span, np.zeros(chain.dim), _ZERO, None, None, rows[:-1])
     return traj.states[-1] + rows[-1]
 
 
@@ -335,6 +339,9 @@ def integrate_semilinear(
     return _march(chain, u0, problem.nonlinearity, f, None, noise, blowup)
 
 
+# a blowing-up state overflows in the march; its blow-up and finiteness
+# checks catch that, so NumPy's warning would only add lines to stderr
+@np.errstate(over="ignore", invalid="ignore")
 def _march(
     chain: PropagatorChain,
     x0: np.ndarray,
@@ -345,7 +352,8 @@ def _march(
     blowup: tuple[np.ndarray, float] | None = None,
 ) -> Trajectory:
     """x_{k+1} = S_k (x_k + dt (F(x_k + shifts[k]) + f) + noise[k]) over the
-    chain grid, every state recorded.
+    chain grid, every state recorded, walking the chain block by block
+    (``PropagatorChain.blocks``), so a read-once chain is freed behind it.
 
     Every pathwise march (u, Z and v = u - sigma Z) is this loop.  ``noise``
     comes scaled by sigma; absent terms are skipped, not added as zeros, so
@@ -357,7 +365,6 @@ def _march(
     """
     grid = chain.grid
     dt = grid.dt
-    steps = chain.steps
     nonlinear = nonlinearity.kind is not NonlinearityKind.ZERO
     f_dt = None if forcing is None else dt * forcing
     symbols, threshold = blowup if blowup is not None else (None, math.inf)
@@ -365,7 +372,8 @@ def _march(
     limit = min(threshold, sys.float_info.max)
     states = np.empty((grid.n_steps + 1, chain.dim))
     states[0] = x0
-    for k in range(grid.n_steps):
+    steps = itertools.chain.from_iterable(chain.blocks())
+    for k, step in enumerate(steps):
         x = states[k]
         if nonlinear:
             # nemytskii's output is fresh, so the stage is built on it in place
@@ -379,7 +387,7 @@ def _march(
         if noise is not None:
             stage += noise[k]
         out = states[k + 1]
-        np.dot(steps[k], stage, out=out)  # matmul's gemv, dispatched faster
+        np.dot(step, stage, out=out)  # matmul's gemv, dispatched faster
         if symbols is None:
             if not _all_finite(out):
                 raise NumericalError("non-finite state during integration")

@@ -30,8 +30,9 @@ from randattract import (
     transform_consistency,
     wiener_shift,
 )
-from randattract import attractor, pathwise
+from randattract import attractor, ou, pathwise
 from randattract.errors import ConfigurationError
+from randattract.evolution import set_chain_workers
 
 from conftest import DT, synthetic_path
 
@@ -222,7 +223,8 @@ def test_hausdorff_and_diameter_basics():
     # alpha = 0: plain euclidean metric
     assert hausdorff_distance(a, b, 0.0) == pytest.approx(1.0)
     assert cloud_diameter(a, 0.0) == pytest.approx(1.0)
-    assert cloud_diameter(b, 0.0) == 0.0
+    # one point shows no spread: NaN, not a collapsed 0.0
+    assert math.isnan(cloud_diameter(b, 0.0))
     # weighted by the laplacian symbols for alpha > 0
     w = hausdorff_distance(a, b, 0.5)
     assert w == pytest.approx(math.pi)
@@ -377,8 +379,8 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
         counts["blowups"] += traj.status == "blowup"
         return traj
 
-    def counted_build(field, path, grid, m):
-        chain = build_fn(field, path, grid, m)
+    def counted_build(field, path, grid, m, **kwargs):
+        chain = build_fn(field, path, grid, m, **kwargs)
         counts["built"] += chain.steps.shape[0]
         return chain
 
@@ -399,6 +401,42 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     assert counts == {
         "nemytskii": 5 * steps, "marched": 5 * steps, "built": steps, "blowups": 0,
     }
+
+
+def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
+    # construct_initial's z0 and the pullback endpoints are the same on
+    # read-once chains as on kept ones, at widths 1 and 2; the 256-step
+    # history and the 192-step horizon span two blocks, and 5-step pullback
+    # segments straddle their boundary
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 8, 2.0 ** -6
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -7.0, 0.5, dt, seed=33)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.zeros(m),
+    )
+    ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
+    monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 5 * 8 * m * m)
+
+    def kept(field, path, grid, m, read_once=False):
+        return build_chain(field, path, grid, m)
+
+    def run():
+        z0 = construct_initial(field, path, 4.0, m).z0
+        return z0, pullback_estimate(problem, path, [1.0, 3.0], ens, 0.35, m).endpoints
+
+    runs = []
+    for width in (1, 2):
+        set_chain_workers(width)
+        runs.append(run())
+        with monkeypatch.context() as patch:
+            patch.setattr(ou, "build_chain", kept)
+            patch.setattr(attractor, "build_chain", kept)
+            runs.append(run())
+    z0, endpoints = runs[0]
+    for other_z0, other_endpoints in runs[1:]:
+        assert np.array_equal(other_z0, z0)
+        assert all(map(np.array_equal, other_endpoints, endpoints))
 
 
 @pytest.mark.parametrize("horizons", [[], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]])
@@ -462,6 +500,7 @@ def test_pullback_blowup_flagging(default_field, spectrum):
     assert est.flagged
     assert est.survivors[0].tolist() == [True, False]
     assert np.isnan(est.endpoints[0][1]).all()
+    assert math.isnan(est.diameters[0])  # one survivor has no diameter
 
 
 def test_pullback_dissipative_trap_and_support_bound(default_field, spectrum):

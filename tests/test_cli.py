@@ -1,6 +1,7 @@
 """Configuration validation, subcommand smoke runs, determinism, manifests."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,7 @@ def test_attractor_pullback_outputs(tmp_path, small_config):
     assert summary["horizons"] == [0.5, 1.0]
     assert len(summary["diameters_alpha"]) == 2
     assert summary["flagged_blowup"] is False
+    assert summary["survivors"] == [5, 5]
     endpoints = (run_dir / "pullback_endpoints.csv").read_text().splitlines()
     # 2 horizons x 5 members + comment + header
     assert len(endpoints) == 2 + 10
@@ -393,6 +395,22 @@ def test_convergence_refuses_to_fit_over_a_blow_up(tmp_path, capsys):
         assert err.startswith("numerical error:") and err.count("\n") == 1
         assert "seed 777" in err and "dt=" in err
         assert not (out / "convergence").exists()
+
+
+def test_attractor_pullback_counts_survivors_over_a_blow_up(tmp_path, capsys):
+    # sigma = 1e200 blows every member up at once: the diameters are NaN, not
+    # 0.0, the survivors per horizon are 0, and NumPy's overflow warning no
+    # longer reaches stderr
+    cfg = tmp_path / "sigma.cfg"
+    cfg.write_text(SMALL.replace("[noise]\n", "[noise]\nsigma = 1e200\n"))
+    out = tmp_path / "att"
+    argv = ["attractor-pullback", "--config", str(cfg), "--out", str(out), "--threads", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "attractor-pullback" / "pullback_summary.json").read_text())
+    assert summary["flagged_blowup"] is True
+    assert summary["survivors"] == [0, 0]
+    assert all(math.isnan(d) for d in summary["diameters_alpha"])
 
 
 def test_simulate_rejects_a_single_path(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Evolution-family identities, decay envelopes, smoothing, scheme order."""
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -12,7 +13,9 @@ from randattract import (
     DefinitenessError,
     DiffusionField,
     NoiseSpectrum,
+    NonlinearitySpec,
     OrderingError,
+    SemilinearProblem,
     restrict,
     apply,
     assemble_operator,
@@ -20,6 +23,7 @@ from randattract import (
     chain_matrix,
     cocycle_residual,
     decay_fit,
+    integrate_semilinear,
     sample_two_sided_path,
     smoothing_estimate,
     span_grid,
@@ -270,7 +274,8 @@ def test_build_chain_on_two_workers_equals_serial(n_steps, medium_path):
 def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
     # blocks 1 and 3 of five fail, on whichever thread builds them: a read
     # below block 1 succeeds, and every read that covers block 1 raises its
-    # error, never block 3's, however the blocks were shared out
+    # error, never block 3's, however the blocks were shared out; a
+    # read-once chain, queueing one block ahead, too
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
     firsts = []
@@ -290,13 +295,14 @@ def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
         exp_steps(gens, dt, ceiling)
 
     monkeypatch.setattr(evolution, "_exp_steps", failing_blocks)
+    monkeypatch.setattr(evolution, "_AHEAD", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     set_chain_workers(2)
     try:
-        for read in ("steps", "segment"):
+        for read, read_once in itertools.product(("steps", "segment"), (False, True)):
             for _ in range(3):
-                chain = build_chain(field, medium_path, grid, 12)
+                chain = build_chain(field, medium_path, grid, 12, read_once=read_once)
                 assert chain.segment(0, 128).steps.shape == (128, 12, 12)
                 for _ in range(2):
                     with pytest.raises(DefinitenessError, match="block 1"):
@@ -344,6 +350,91 @@ def test_build_chain_holds_one_block_per_worker(two_chain_workers):
     block_bytes = 128 * m * m * 8
     assert chain.steps.shape[0] == 1024
     assert peak - chain.steps.nbytes < 2 * (block_bytes + block_bytes // 4)
+
+
+def test_read_once_chain_releases_the_blocks_a_read_has_passed(medium_path):
+    # 600 steps, five blocks: a read from step 300 releases blocks 0 and 1,
+    # so any read below step 256 raises; segments taken before the release
+    # (one inside block 0, one straddling blocks 0 and 1) keep their steps
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, 600 * DT, DT)
+    kept = build_chain(field, medium_path, grid, 12)
+    for width in (1, 2):
+        set_chain_workers(width)
+        chain = build_chain(field, medium_path, grid, 12, read_once=True)
+        inside, straddling = chain.segment(0, 32), chain.segment(100, 200)
+        assert np.array_equal(chain.segment(300, 400).steps, kept.steps[300:400])
+        for lo, hi in ((0, 32), (255, 300)):
+            with pytest.raises(AlignmentError, match="released"):
+                chain.segment(lo, hi)
+        with pytest.raises(AlignmentError, match="released"):
+            chain.steps
+        assert np.array_equal(inside.steps, kept.steps[:32])
+        assert np.array_equal(straddling.steps, kept.steps[100:200])
+        # steps 256.. are still live: the march's blocks, read in order
+        assert np.array_equal(chain.segment(256, 600).steps, kept.steps[256:])
+        blocks = chain.blocks()
+        with pytest.raises(AlignmentError, match="released"):
+            next(blocks)
+
+
+def test_read_once_steps_are_joined_once(monkeypatch, medium_path):
+    # steps on a read-once chain builds every block once, queued or not, and
+    # later reads (segments, the march) come from the join
+    built = []
+    exp_steps = evolution._exp_steps
+
+    def counting(gens, dt, ceiling=math.inf):
+        built.append(len(gens))
+        exp_steps(gens, dt, ceiling)
+
+    monkeypatch.setattr(evolution, "_exp_steps", counting)
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, 1000 * DT, DT)
+    kept = build_chain(field, medium_path, grid, 12)
+    set_chain_workers(2)
+    chain = build_chain(field, medium_path, grid, 12, read_once=True)
+    assert np.array_equal(chain.steps, kept.steps)
+    assert np.array_equal(chain.segment(900, 1000).steps, kept.steps[900:])
+    assert np.array_equal(np.concatenate(list(chain.blocks())), kept.steps)
+    assert sum(built) == 2 * 1000
+
+
+def test_read_once_march_memory_is_bounded_in_the_horizon():
+    # integrate_semilinear on read-once chains of 768 and 3072 steps: the
+    # peaks differ by less than one 128-step block at width 1 (the march
+    # states, 3 * 768 * m floats apart, fit in that); at width 2 the longer
+    # march holds at most the queued window, the march's block and one eigh
+    # temporary per thread besides its states
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 32, 2.0 ** -7
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -2.0, 24.0, dt, seed=9)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.0, u0=np.full(m, 0.1),
+    )
+    block_bytes = 128 * m * m * 8
+    kept = build_chain(field, path, span_grid(0.0, 24.0, dt), m)
+    expected = integrate_semilinear(problem, kept).states
+    del kept
+
+    def peak(horizon):
+        build_chain(field, path, span_grid(0.0, 1.0, dt), m)  # warm the caches
+        tracemalloc.start()
+        try:
+            chain = build_chain(field, path, span_grid(0.0, horizon, dt), m, read_once=True)
+            traj = integrate_semilinear(problem, chain)
+            return tracemalloc.get_traced_memory()[1], traj.states
+        finally:
+            tracemalloc.stop()
+
+    (short, _), (long, states) = peak(6.0), peak(24.0)
+    assert np.array_equal(states, expected)
+    assert abs(long - short) < block_bytes
+    set_chain_workers(2)
+    long, states = peak(24.0)
+    assert np.array_equal(states, expected)
+    assert long - states.nbytes < (evolution._AHEAD + 5) * block_bytes
 
 
 def test_one_step_formula_for_every_chain(medium_path):

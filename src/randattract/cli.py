@@ -168,13 +168,16 @@ def cmd_simulate(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
         return integrate_semilinear(problem, chain, path)
 
     trajectories = map_ordered(run_one, seeds, threads)
+    # a path counts at t_k while it has not blown up: its blow-up state, the
+    # last one it records, is past the threshold (its norm may overflow), so
+    # it enters no row
+    alive = [
+        tr.states if tr.status == "completed" else tr.states[:-1]
+        for tr in trajectories
+    ]
     spec_alpha = FractionalNormSpec(alpha=cfg.alpha)
-    n_rec = min(tr.states.shape[0] for tr in trajectories)
-    times = trajectories[0].times[:n_rec]
-    first = trajectories[0]
     rows = []
-    for k, t in enumerate(first.times):
-        state = first.states[k]
+    for t, state in zip(trajectories[0].times, alive[0]):
         rows.append(
             [t, float(np.linalg.norm(state)), fractional_norm(state, spec_alpha)]
             + [float(v) for v in state[:8]]
@@ -182,14 +185,27 @@ def cmd_simulate(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
     header = ["t", "l2_norm", "alpha_norm"] + [f"mode_{i}" for i in range(1, 9)]
     sink.write_csv("trajectory_first.csv", header, rows)
 
-    stack = np.stack([tr.states[:n_rec] for tr in trajectories])
+    # every path survives below n_all, up to the longest record some do
+    n_all = min(len(states) for states in alive)
+    times = max(trajectories, key=lambda tr: tr.states.shape[0]).times
+    stack = np.stack([states[:n_all] for states in alive])
     mean_norm = np.sqrt(np.einsum("pki,pki->pk", stack, stack)).mean(axis=0)
     var_modes = stack.var(axis=0, ddof=1)[:, :8]
     rows = [
-        [float(times[k]), float(mean_norm[k])] + [float(v) for v in var_modes[k]]
-        for k in range(n_rec)
+        [float(times[k]), float(mean_norm[k])]
+        + [float(v) for v in var_modes[k]]
+        + [len(alive)]
+        for k in range(n_all)
     ]
-    header = ["t", "mean_l2_norm"] + [f"var_mode_{i}" for i in range(1, 9)]
+    for k in range(n_all, max(len(states) for states in alive)):
+        live = np.stack([states[k] for states in alive if k < len(states)])
+        norm = float(np.sqrt(np.einsum("pi,pi->p", live, live)).mean())
+        # a variance needs two paths
+        var = live.var(axis=0, ddof=1) if len(live) > 1 else np.full(m, np.nan)
+        rows.append([float(times[k]), norm] + [float(v) for v in var[:8]] + [len(live)])
+    header = (
+        ["t", "mean_l2_norm"] + [f"var_mode_{i}" for i in range(1, 9)] + ["survivors"]
+    )
     sink.write_csv("ensemble_summary.csv", header, rows)
     blowups = [tr.blowup_time for tr in trajectories if tr.status == "blowup"]
     sink.write_json(

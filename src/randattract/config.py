@@ -253,6 +253,11 @@ def validate_config(cfg: RunConfig) -> None:
             "field.eta must satisfy eta > alpha and eta + alpha < 1"
         )
     _check_horizons(cfg.horizons, "experiment.horizons")
+    # the temperedness limit e^{-gamma t} ||Z(theta_{-t} w)|| -> 0 is for gamma > 0
+    if not cfg.gammas or not all(g > 0 for g in cfg.gammas):
+        raise ConfigurationError(
+            f"experiment.gammas must be nonempty and positive, got {cfg.gammas!r}"
+        )
     if cfg.levels < 2:
         raise ConfigurationError(
             "experiment.levels must be >= 2 (the fitted order needs two levels)"

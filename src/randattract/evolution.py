@@ -25,9 +25,11 @@ owner that reads its chain once and in order, gives each block an array of
 its own and frees it once the reader has passed it: a read of steps
 [lo, hi), on the chain or through ``segment`` or the march, releases every
 block wholly below lo, and only ``_AHEAD`` blocks past the lowest live one
-are queued.  So its memory does not grow with its length.  Reading a
-released step raises AlignmentError; a segment taken earlier keeps its own
-steps.
+are queued.  So its memory does not grow with its length.  A chain made
+while its reader still holds blocks of another (``build_chain``'s
+``held``, the pullback's next horizon) queues at first only what those
+leave of the window.  Reading a released step raises AlignmentError; a
+segment taken earlier keeps its own steps.
 
 The midpoint coefficient uses the average of the endpoint driver values
 (the driver is defined on grid points only); this keeps second-order accuracy
@@ -211,17 +213,14 @@ class PropagatorChain:
         return PropagatorChain(grid, steps, self.field, self.path, increments)
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The steps in order as consecutive (k, m, m) arrays, each once it is
-        built: build_chain's 128-step blocks while the chain has any to wait
-        for, then the rest at once.  On a read-once chain taking a block is a
-        read, which releases the blocks below it.
+        """The steps in order as consecutive blocks of at most 128 (k, m, m),
+        each once it is built.  On a read-once chain taking a block is a read,
+        which releases the blocks below it.
         """
         n = self.grid.n_steps
         for lo in range(0, n, _BUILD_BLOCK):
-            if self._blocks is None:
-                yield self._steps[lo:]
-                return
-            yield self._read(lo, min(lo + _BUILD_BLOCK, n))
+            hi = min(lo + _BUILD_BLOCK, n)
+            yield self._steps[lo:hi] if self._blocks is None else self._read(lo, hi)
 
     def generator_rows(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """A(t_{k+i}) vecs[i] at the grid nodes k, k+1, ...; shape (len(vecs), m).
@@ -294,7 +293,9 @@ class _Blocks:
     reading thread calls these methods; the workers only run tasks.
     """
 
-    def __init__(self, tasks: list[partial], m: int, read_once: bool) -> None:
+    def __init__(
+        self, tasks: list[partial], m: int, read_once: bool, queued: int
+    ) -> None:
         self.tasks = tasks
         self.m = m
         self.read_once = read_once
@@ -302,7 +303,7 @@ class _Blocks:
         self.futures: list[Future | None] = []
         self.live = 0  # the lowest block not released
         self.ready = 0  # the blocks below are known built
-        self._queue(_AHEAD + 1 if read_once else len(tasks))
+        self._queue(queued if read_once else len(tasks))
 
     @property
     def built(self) -> bool:
@@ -320,8 +321,9 @@ class _Blocks:
         Every block from the lowest live one up to hi is waited for in block
         order, so the first failing block's error is the one raised, as in a
         serial build, and again on every later read.  A read-once chain then
-        releases the blocks wholly below lo and queues as many past them; a
-        read of a released step raises AlignmentError.
+        releases the blocks wholly below lo and queues the blocks up to
+        ``_AHEAD`` past the lowest live one; a read of a released step raises
+        AlignmentError.
         """
         first, end = lo // _BUILD_BLOCK, -(-hi // _BUILD_BLOCK)
         if first < self.live:
@@ -333,10 +335,11 @@ class _Blocks:
             self._wait(i)
             self.ready = i + 1
         blocks = [self.futures[i].result() for i in range(first, end)]
-        if self.read_once and first > self.live:
-            self.futures[self.live : first] = [None] * (first - self.live)
-            self.live = first
-            self._queue(first + _AHEAD + 1)
+        if self.read_once:
+            if first > self.live:
+                self.futures[self.live : first] = [None] * (first - self.live)
+                self.live = first
+            self._queue(self.live + _AHEAD + 1)
         return blocks
 
     def _wait(self, i: int) -> None:
@@ -374,6 +377,7 @@ def build_chain(
     grid: TimeGrid,
     m: int,
     read_once: bool = False,
+    held: int = 0,
 ) -> PropagatorChain:
     """Assemble midpoint-frozen step matrices over the grid.
 
@@ -384,7 +388,11 @@ def build_chain(
     1, and queued on the chain workers otherwise, so its reads wait for them.
     ``read_once`` is for an owner that reads the chain once, in order: its
     blocks are queued ``_AHEAD`` past the reader (and built by the reader at
-    width 1), and each is freed once a read has passed it.
+    width 1), and each is freed once a read has passed it.  ``held`` is the
+    number of blocks the reader still holds of another read-once chain: the
+    new chain queues at once only what they leave of its window, and the
+    rest on its first read, so the two chains hold no more blocks together
+    than one.
     """
     if m < 1:
         raise ConfigurationError("Galerkin dimension must be >= 1")
@@ -412,7 +420,7 @@ def build_chain(
         )
         for lo in range(0, k_steps, _BUILD_BLOCK)
     ]
-    blocks = _Blocks(tasks, m, read_once)
+    blocks = _Blocks(tasks, m, read_once, max(_AHEAD + 1 - held, 0))
     chain = PropagatorChain(grid, steps, field, path, _blocks=blocks)
     if _pool is None and not read_once:
         chain.steps  # width 1: a kept chain is built before the call returns

@@ -44,7 +44,7 @@ class NoiseSpectrum:
 
     def __post_init__(self) -> None:
         if self.mode_count < 1:
-            raise ConfigurationError("mode_count must be a positive integer")
+            raise ConfigurationError("noise.modes must be a positive integer")
         if not self.decay_exponent > 0.5:
             raise ConfigurationError(
                 "decay_exponent must be > 1/2 (trace-class covariance)"

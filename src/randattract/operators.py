@@ -52,8 +52,10 @@ class DiffusionField:
             raise ConfigurationError("field.delta must be positive")
         if self.amp < 0:
             raise ConfigurationError("field.amp must be nonnegative")
-        if not (self.driver_decay > 0 and self.driver_horizon > 0):
-            raise ConfigurationError("driver decay and horizon must be positive")
+        if not self.driver_decay > 0:
+            raise ConfigurationError("field.kappa must be positive")
+        if not self.driver_horizon > 0:
+            raise ConfigurationError("field.driver_horizon must be positive")
         if self.amp * PROFILE_SUP >= self.delta:
             raise ConfigurationError(
                 "uniform ellipticity violated: field.amp*sup|g| must be < field.delta"

@@ -19,7 +19,6 @@ a linear march from 0.  ``ou``'s history integral is that corrector.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -79,9 +78,23 @@ class NonlinearitySpec:
     def pure_cubic(cls) -> "NonlinearitySpec":
         return cls(NonlinearityKind.PURE_CUBIC, rho=3.0, C0=1.0, C1=0.0, CF=3.0)
 
+    # F on point values, picked once from the kind (None for ZERO): an enum
+    # lookup costs about as much as a ufunc call on the de-aliased grid, and
+    # nemytskii runs once per member-step
+    _pointwise: Callable | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
     def __post_init__(self) -> None:
         if self.kind is NonlinearityKind.CUSTOM:
             _check_odd_polynomial(self.fn, self.rho)
+        pointwise = {
+            NonlinearityKind.ZERO: None,
+            NonlinearityKind.CUBIC_FISHER: _cubic_fisher,
+            NonlinearityKind.PURE_CUBIC: _pure_cubic,
+            NonlinearityKind.CUSTOM: self._custom,
+        }[self.kind]
+        object.__setattr__(self, "_pointwise", pointwise)
 
     @classmethod
     def custom(cls, fn: Callable, rho: float = 3.0) -> "NonlinearitySpec":
@@ -94,18 +107,26 @@ class NonlinearitySpec:
         return cls(NonlinearityKind.CUSTOM, rho=rho, C0=0.0, C1=0.0, CF=0.0, fn=fn)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        if self.kind is NonlinearityKind.ZERO:
+        if self._pointwise is None:
             return np.zeros_like(u)
-        if self.kind is NonlinearityKind.CUSTOM:
-            return np.asarray(self.fn(u), dtype=float)
-        # (u*u)*u, not u**3: libm pow costs about 20 times as much, and its
-        # speed depends on the values; the cube is formed and finished in
-        # one buffer
-        cube = u * u
-        cube *= u
-        if self.kind is NonlinearityKind.CUBIC_FISHER:
-            return np.subtract(u, cube, out=cube)
-        return np.negative(cube, out=cube)
+        return self._pointwise(u)
+
+    def _custom(self, u: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn(u), dtype=float)
+
+
+# (u*u)*u, not u**3: libm pow costs about 20 times as much, and its speed
+# depends on the values; the cube is formed and finished in one buffer
+def _cubic_fisher(u: np.ndarray) -> np.ndarray:
+    cube = u * u
+    cube *= u
+    return np.subtract(u, cube, out=cube)
+
+
+def _pure_cubic(u: np.ndarray) -> np.ndarray:
+    cube = u * u
+    cube *= u
+    return np.negative(cube, out=cube)
 
 
 # probe points of _check_odd_polynomial: k/16 is exact, so the points are
@@ -157,9 +178,10 @@ def dealias_node_count(m: int, rho: float) -> int:
 
 
 @lru_cache(maxsize=16)
-def _projection(m: int, rho: float) -> tuple[np.ndarray, int]:
+def _projection(m: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Basis values at the uniform interior nodes of the de-aliased grid, and
-    its subinterval count ``dealias_node_count(m, rho)``.
+    the same values times the trapezoid weight 1/n_sub, with n_sub =
+    ``dealias_node_count(m, rho)``.
 
     Trapezoid on n_sub subintervals of [0,1]; sine expansions vanish at the
     boundary, so only interior nodes carry weight 1/n_sub.  Exact for
@@ -169,7 +191,8 @@ def _projection(m: int, rho: float) -> tuple[np.ndarray, int]:
     n_sub = dealias_node_count(m, rho)
     nodes = np.arange(1, n_sub) / n_sub
     n = np.arange(1, m + 1)
-    return math.sqrt(2.0) * np.sin(np.outer(nodes, n) * np.pi), n_sub
+    basis = math.sqrt(2.0) * np.sin(np.outer(nodes, n) * np.pi)
+    return basis, basis / n_sub
 
 
 @dataclass(frozen=True)
@@ -222,7 +245,7 @@ class Trajectory:
 def _all_finite(x: np.ndarray) -> bool:
     # np.all(np.isfinite(x)) without the Python-level reductions of np.all
     # and ndarray.all: 1.3 us in place of 4.7 us on 64 coefficients (NumPy
-    # 2.4), and every march step makes one of these checks
+    # 2.4), and every block of a linear march makes one of these checks
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
@@ -236,13 +259,12 @@ def nemytskii(nonlinearity: NonlinearitySpec, vec: np.ndarray) -> np.ndarray:
     output, and a non-finite image fails that step's check.
     """
     vec = np.asarray(vec, dtype=float)
-    if nonlinearity.kind is NonlinearityKind.ZERO:
+    pointwise = nonlinearity._pointwise
+    if pointwise is None:
         return np.zeros_like(vec)
-    basis, n_sub = _projection(vec.shape[-1], nonlinearity.rho)
+    basis, weighted = _projection(vec.shape[-1], nonlinearity.rho)
     # dot, not @: the same BLAS gemv with about 1 us less dispatch a call
-    out = nonlinearity(basis.dot(vec)).dot(basis)
-    out /= n_sub
-    return out
+    return pointwise(basis.dot(vec)).dot(weighted)
 
 
 def corrector_integral(
@@ -308,7 +330,10 @@ def corrected_increments(chain: PropagatorChain, path: WienerPath) -> np.ndarray
     o = _base_row(chain, path, n)
     dw = path.base[o + 1 : o + n + 1] - path.base[o : o + n]
     rows = chain.generator_rows(0, dw)
-    out = _embedded(dw, chain.dim) - (chain.grid.dt / 2.0) * rows
+    # dw - (dt/2) rows, formed in place: one (n_steps, m) temporary
+    rows *= chain.grid.dt / 2.0
+    out = _embedded(dw, chain.dim)
+    out -= rows
     if path is chain.path:
         chain._increments = out
     return out
@@ -357,54 +382,95 @@ def _march(
 
     Every pathwise march (u, Z and v = u - sigma Z) is this loop.  ``noise``
     comes scaled by sigma; absent terms are skipped, not added as zeros, so
-    every march keeps its arithmetic bit for bit.  Each state is checked for
-    finiteness (NumericalError).  With ``blowup = (symbols, threshold)`` it
+    every march keeps its arithmetic bit for bit.  The states are checked
+    once per block (``_first_blowup``), after the block is marched, and the
+    result is that of a check after every state: a non-finite state raises
+    NumericalError, and with ``blowup = (symbols, threshold)`` the march
     stops at the first state whose weighted norm ||symbols * x|| exceeds
-    threshold, status "blowup"; that norm is then the finiteness check too,
-    since a NaN or infinite entry makes it fail ``r <= limit``.
+    threshold, status "blowup".  The states marched past it are dropped.
     """
     grid = chain.grid
     dt = grid.dt
-    nonlinear = nonlinearity.kind is not NonlinearityKind.ZERO
+    nonlinear = nonlinearity._pointwise is not None
     f_dt = None if forcing is None else dt * forcing
-    symbols, threshold = blowup if blowup is not None else (None, math.inf)
-    # a finite norm at most the threshold passes without the finiteness check
-    limit = min(threshold, sys.float_info.max)
     states = np.empty((grid.n_steps + 1, chain.dim))
     states[0] = x0
-    steps = itertools.chain.from_iterable(chain.blocks())
-    for k, step in enumerate(steps):
-        x = states[k]
-        if nonlinear:
-            # nemytskii's output is fresh, so the stage is built on it in place
-            stage = nemytskii(nonlinearity, x if shifts is None else x + shifts[k])
-            stage *= dt
-            stage += x
-        else:
-            stage = x.copy()
-        if f_dt is not None:
-            stage += f_dt
-        if noise is not None:
-            stage += noise[k]
-        out = states[k + 1]
-        np.dot(step, stage, out=out)  # matmul's gemv, dispatched faster
-        if symbols is None:
-            if not _all_finite(out):
-                raise NumericalError("non-finite state during integration")
-            continue
-        w = out * symbols
+    k = 0
+    for block in chain.blocks():
+        lo = k
+        for step in block:
+            x = states[k]
+            if nonlinear:
+                # nemytskii's output is fresh, so the stage is built on it in
+                # place
+                stage = nemytskii(
+                    nonlinearity, x if shifts is None else x + shifts[k]
+                )
+                stage *= dt
+                stage += x
+            else:
+                stage = x.copy()
+            if f_dt is not None:
+                stage += f_dt
+            if noise is not None:
+                stage += noise[k]
+            k += 1
+            np.dot(step, stage, out=states[k])  # matmul's gemv, dispatched faster
+        first = _first_blowup(states[lo + 1 : k + 1], blowup)
+        if first is not None:
+            k = lo + 1 + first
+            return Trajectory(
+                grid,
+                states[: k + 1].copy(),
+                status="blowup",
+                blowup_time=grid.t0 + k * dt,
+            )
+    return Trajectory(grid, states)
+
+
+# a weighted norm the block screen computes passes without the exact check
+# only this far (relative) below the squared limit: the screen and the exact
+# norm sum the same squares in another order, which moves the sum by a few
+# ulps times the dimension
+_SCREEN_MARGIN = 1e-9
+
+
+def _first_blowup(
+    block: np.ndarray, blowup: tuple[np.ndarray, float] | None
+) -> int | None:
+    """The index of the first state of ``block`` that blows up, or None;
+    NumericalError if a non-finite state comes first.
+
+    The rule is the one per-state check: a state whose weighted norm
+    r = sqrt(w.dot(w)), w = symbols * x, is not at most the limit
+    min(threshold, largest float) raises if it is not finite and blows up if
+    r > threshold.  One vectorized screen of the block's squared norms clears
+    every state safely below the limit (a NaN or infinite entry makes its
+    sum fail the screen); the exact check runs from the first state it does
+    not clear.  Without a threshold every state must be finite.
+    """
+    if blowup is None:
+        if not _all_finite(block):
+            raise NumericalError("non-finite state during integration")
+        return None
+    symbols, threshold = blowup
+    # the cap keeps the squared bound below overflow
+    cap = min(threshold, 1e154)
+    w = block * symbols
+    cleared = np.einsum("ij,ij->i", w, w) <= cap * cap * (1.0 - _SCREEN_MARGIN)
+    if np.count_nonzero(cleared) == cleared.size:
+        return None
+    limit = min(threshold, sys.float_info.max)
+    for i in range(int(np.argmin(cleared)), block.shape[0]):
+        x = block[i]
+        w = x * symbols
         r = math.sqrt(w.dot(w))
         if not r <= limit:
-            if not _all_finite(out):
+            if not _all_finite(x):
                 raise NumericalError("non-finite state during integration")
             if r > threshold:
-                return Trajectory(
-                    grid,
-                    states[: k + 2].copy(),
-                    status="blowup",
-                    blowup_time=grid.t0 + (k + 1) * dt,
-                )
-    return Trajectory(grid, states)
+                return i
+    return None
 
 
 def observed_order(dts: list[float], errors: list[float]) -> float:

@@ -9,6 +9,7 @@ deterministic and documented next to each criterion.
 import math
 
 import numpy as np
+import pytest
 
 from randattract import (
     DiffusionField,
@@ -114,6 +115,7 @@ def test_criterion_02_exponential_stability_and_smoothing():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_03_linear_weak_consistency():
     # Autonomous diffusivity 0.05 so the pinned grid dt = 2^-8 resolves all
     # eight tested modes (lam_8 dt ~ 0.12); the documented resolution-coupled
@@ -151,6 +153,7 @@ def test_criterion_03_linear_weak_consistency():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_04_strong_self_convergence():
     m = 16
     spec = NoiseSpectrum(m, 1.0)
@@ -192,6 +195,7 @@ def test_criterion_04_strong_self_convergence():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_05_ou_stationarity():
     # Resolved configuration: strong damping (delta = 1) and dt = 2^-11 keep
     # the aligned-grid re-summation mismatch far below the pinned tolerance.
@@ -214,6 +218,7 @@ def test_criterion_05_ou_stationarity():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_06_temperedness():
     m = 32
     spec = NoiseSpectrum(16, 1.0)

@@ -30,7 +30,7 @@ from randattract import (
     transform_consistency,
     wiener_shift,
 )
-from randattract import attractor, ou, pathwise
+from randattract import attractor, evolution, ou, pathwise
 from randattract.errors import ConfigurationError
 from randattract.evolution import set_chain_workers
 
@@ -369,9 +369,9 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     integrate_fn = attractor.integrate_semilinear
     build_fn = attractor.build_chain
 
-    def counted_nemytskii(nonlinearity, vec):
+    def counted_nemytskii(*args, **kwargs):
         counts["nemytskii"] += 1
-        return nemytskii_fn(nonlinearity, vec)
+        return nemytskii_fn(*args, **kwargs)
 
     def counted_integrate(problem, chain, path=None):
         traj = integrate_fn(problem, chain, path)
@@ -395,12 +395,16 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     )
     ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
     horizons = [0.5, 1.0]
-    est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
-    assert not est.flagged
     steps = sum(int(round(t / dt)) for t in horizons)
-    assert counts == {
-        "nemytskii": 5 * steps, "marched": 5 * steps, "built": steps, "blowups": 0,
-    }
+    # at width 2 the next horizon's chain is built while this one is marched
+    for width in (1, 2):
+        set_chain_workers(width)
+        counts.update(dict.fromkeys(counts, 0))
+        est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
+        assert not est.flagged
+        assert counts == {
+            "nemytskii": 5 * steps, "marched": 5 * steps, "built": steps, "blowups": 0,
+        }
 
 
 def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
@@ -418,7 +422,7 @@ def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
     ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
     monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 5 * 8 * m * m)
 
-    def kept(field, path, grid, m, read_once=False):
+    def kept(field, path, grid, m, **kwargs):
         return build_chain(field, path, grid, m)
 
     def run():
@@ -437,6 +441,94 @@ def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
     for other_z0, other_endpoints in runs[1:]:
         assert np.array_equal(other_z0, z0)
         assert all(map(np.array_equal, other_endpoints, endpoints))
+
+
+def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
+    # horizons of one, two and four 128-step blocks (128, 256 and 448 steps)
+    # and a last one of 512: the chain of the next horizon is made at once
+    # while a chain of at most two blocks is marched, and once the march of
+    # a longer one enters its second-to-last block; every horizon's
+    # endpoints are those of the horizon estimated alone, at widths 1 and 2
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 8, 2.0 ** -6
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -11.0, 0.5, dt, seed=35)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.zeros(m),
+    )
+    ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
+    monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 5 * 8 * m * m)
+    horizons = [2.0, 4.0, 7.0, 8.0]
+    # the order of chain builds (their steps) and segment marches (their
+    # first step, once for the ensemble)
+    events = []
+    horizon_chain, integrate = attractor._horizon_chain, attractor.integrate_semilinear
+
+    def logged_chain(problem, path, t_j, m, held=0):
+        events.append(("chain", int(round(t_j / dt))))
+        return horizon_chain(problem, path, t_j, m, held)
+
+    def logged_integrate(member, segment, path):
+        event = ("march", int(round(segment.grid.t0 / dt)))
+        if events[-1] != event:
+            events.append(event)
+        return integrate(member, segment, path)
+
+    for width in (1, 2):
+        set_chain_workers(width)
+        alone = [
+            pullback_estimate(problem, path, [t], ens, 0.35, m).endpoints[0]
+            for t in horizons
+        ]
+        events.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(attractor, "_horizon_chain", logged_chain)
+            patch.setattr(attractor, "integrate_semilinear", logged_integrate)
+            est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
+        assert all(map(np.array_equal, est.endpoints, alone))
+        chains = [i for i, event in enumerate(events) if event[0] == "chain"]
+        # 128 steps: the 256-step chain at once, before its march; 256: the
+        # 448-step chain at once; 448: the 512-step chain just before the
+        # segment [255, 260) reads block 2 of four
+        assert [events[i] for i in chains] == [
+            ("chain", 128), ("chain", 256), ("chain", 448), ("chain", 512),
+        ]
+        assert events[chains[1] + 1] == ("march", 0)
+        assert events[chains[2] - 1 : chains[2] + 2] == [
+            ("march", 125), ("chain", 448), ("march", 0),
+        ]
+        assert events[chains[3] - 1 : chains[3] + 2] == [
+            ("march", 250), ("chain", 512), ("march", 255),
+        ]
+
+
+def test_pullback_memory_with_chains_built_ahead_stays_in_the_read_once_window():
+    # pullback_estimate at width 2 on horizons of 768 and 3072 steps, and on
+    # four of 768 to 3072: while a horizon ends the next one's first blocks
+    # are built, yet the peak stays within one read-once window (the queued
+    # blocks, the march's block and one eigh temporary per thread), besides
+    # the noise increments of the two chains (n_steps x m each) it holds
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 32, 2.0 ** -7
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -27.0, 0.5, dt, seed=9)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.zeros(m),
+    )
+    ens = default_ensemble(m, 0.2, radius=2.0, n_random=0, seed=7)[:3]
+    block_bytes = 128 * m * m * 8
+    set_chain_workers(2)
+    pullback_estimate(problem, path, [1.0, 2.0], ens, 0.35, m)  # warm the caches
+    for horizons in ([6.0, 24.0], [6.0, 12.0, 18.0, 24.0]):
+        tracemalloc.start()
+        try:
+            est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not est.flagged
+        increments = sum(int(round(t / dt)) * m * 8 for t in horizons[-2:])
+        assert peak - increments < (evolution._AHEAD + 5) * block_bytes
 
 
 @pytest.mark.parametrize("horizons", [[], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]])

@@ -88,7 +88,7 @@ def test_config_names_trace_class_constraint(tmp_path):
         ("field", "delta", "0.0", "delta"),
         ("field", "amp", "-0.1", "amp"),
         ("field", "amp", "0.25", "ellipticity"),
-        ("field", "kappa", "0.0", "horizon must be positive"),
+        ("field", "kappa", "0.0", "kappa must be positive"),
         ("field", "driver_horizon", "-8.0", "horizon must be positive"),
         ("field", "alpha", "-0.6", "alpha"),
         ("problem", "blowup_threshold", "0.0", "blowup_threshold"),
@@ -242,6 +242,32 @@ def test_cli_rejects_a_bad_float_naming_its_key(section, key, value, command, tm
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert f"{section}.{key}" in err
+    assert not out.exists()
+
+
+# each line names the config key, not a library field ("driver decay and
+# horizon must be positive", "mode_count must be a positive integer"), and
+# empty or nonpositive gammas no longer load and run
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[field]\n", "[field]\nkappa = 0.0\n", "field.kappa must be positive"),
+        ("driver_horizon = 2.0", "driver_horizon = 0.0", "field.driver_horizon must be positive"),
+        ("modes = 4", "modes = 0", "noise.modes must be a positive integer"),
+        ("[experiment]\n", "[experiment]\ngammas =\n", "experiment.gammas"),
+        ("[experiment]\n", "[experiment]\ngammas = 0.1,-0.1\n", "experiment.gammas"),
+        ("[experiment]\n", "[experiment]\ngammas = 0\n", "experiment.gammas"),
+    ],
+    ids=["kappa", "driver_horizon", "modes", "no-gammas", "negative-gamma", "zero-gamma"],
+)
+def test_cli_config_errors_name_the_config_key(old, new, message, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL.replace(old, new))
+    out = tmp_path / "run"
+    assert main(["ou-diagnose", "--config", str(bad), "--out", str(out), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert message in err
     assert not out.exists()
 
 
@@ -411,6 +437,42 @@ def test_attractor_pullback_counts_survivors_over_a_blow_up(tmp_path, capsys):
     assert summary["flagged_blowup"] is True
     assert summary["survivors"] == [0, 0]
     assert all(math.isnan(d) for d in summary["diameters_alpha"])
+
+
+def _simulate_summary(text, tmp_path, capsys):
+    tmp_path.mkdir()
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (out / "simulate" / "ensemble_summary.csv").read_text().splitlines()
+    assert lines[1].split(",")[-1] == "survivors"
+    return [[float(v) for v in line.split(",")] for line in lines[2:]]
+
+
+def test_simulate_counts_survivors_over_a_blow_up(tmp_path, capsys):
+    # a row is formed from the paths that have not blown up at its time, and
+    # says how many they are; a blown-up state used to enter the norms and
+    # variances, which overflowed with NumPy warnings on stderr
+    rows = _simulate_summary(SMALL, tmp_path / "a", capsys)
+    assert len(rows) == 33 and all(row[-1] == 4 for row in rows)
+    # sigma = 1e200 blows every path up at its first step: only t = 0 is left
+    rows = _simulate_summary(
+        SMALL.replace("[noise]\n", "[noise]\nsigma = 1e200\n"), tmp_path / "b", capsys
+    )
+    assert rows == [[0.0] * 10 + [4]]
+    # sigma = 30: the paths blow up one by one, and the rows run on to the
+    # horizon over the survivors, with no variance below two
+    rows = _simulate_summary(
+        SMALL.replace("[noise]\n", "[noise]\nsigma = 30\n"), tmp_path / "c", capsys
+    )
+    survivors = [row[-1] for row in rows]
+    assert survivors[0] == 4 and survivors[-1] == 1 and len(rows) == 33
+    assert survivors == sorted(survivors, reverse=True)
+    assert all(math.isfinite(row[1]) for row in rows)
+    assert all(math.isnan(v) for row in rows if row[-1] < 2 for v in row[2:-1])
+    assert all(math.isfinite(v) for row in rows if row[-1] >= 2 for v in row[2:-1])
 
 
 def test_simulate_rejects_a_single_path(tmp_path, capsys):

@@ -98,6 +98,7 @@ def test_insufficient_coverage_raises(default_field, spectrum):
         construct_initial(default_field, short, 8.0, 8)
 
 
+@pytest.mark.slow
 def test_stationary_variance_oracle():
     # mode-1 variance of Z(w) ~ q1 / (2 lam1) with lam1 = pi^2 delta, delta=0.5.
     # Monte Carlo with a = 8 (tail ~ e^{-2 lam a} negligible), dt = 2^-6.

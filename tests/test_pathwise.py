@@ -1,6 +1,7 @@
 """Nemytskii projection, corrector quadrature, pathwise mild integration."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +241,112 @@ def test_march_under_a_blowup_threshold_tells_nan_from_blowup():
     assert math.isfinite(traj.states[1][0])
     assert traj.status == "blowup" and traj.states.shape[0] == 2
     assert traj.blowup_time == DT
+
+
+def _march_checking_every_state(chain, x0, nonlinearity, noise, blowup):
+    """The march with its check after every state, written out: (states,
+    status, blowup_time), or NumericalError at the first non-finite state."""
+    symbols, threshold = blowup if blowup is not None else (None, math.inf)
+    limit = min(threshold, sys.float_info.max)
+    states = [np.array(x0, dtype=float)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(chain.grid.n_steps):
+            x = states[-1]
+            stage = x.copy() if nonlinearity is _ZERO else DT * nemytskii(nonlinearity, x) + x
+            out = chain.steps[k] @ (stage + noise[k])
+            states.append(out)
+            if symbols is None:
+                if not np.isfinite(out).all():
+                    raise NumericalError("non-finite state during integration")
+                continue
+            w = out * symbols
+            r = math.sqrt(w.dot(w))
+            if not r <= limit:
+                if not np.isfinite(out).all():
+                    raise NumericalError("non-finite state during integration")
+                if r > threshold:
+                    return np.stack(states), "blowup", (k + 1) * DT
+    return np.stack(states), "completed", None
+
+
+def _four_block_case(default_field, medium_path):
+    """A kept chain of 512 steps (four 128-step blocks; block b makes states
+    128 b + 1 .. 128 b + 128), a read-once chain with the same steps, and
+    the norm weights."""
+    m = 8
+    grid = span_grid(0.0, 2.0, DT)
+    kept = build_chain(default_field, medium_path, grid, m)
+
+    def read_once():
+        return build_chain(default_field, medium_path, grid, m, read_once=True)
+
+    return kept, read_once, fixed_laplacian_symbols(m, 0.2), np.linspace(0.2, 1.0, m)
+
+
+# the first, a middle and the last step of block 1
+@pytest.mark.parametrize("kicked", [128, 191, 255])
+def test_checks_once_a_block_give_the_blowup_of_checks_every_state(
+    kicked, default_field, medium_path
+):
+    # a kick in the noise of one step lands the blow-up on the state it
+    # makes; the cubic march goes on past it to the end of the block, where
+    # its states overflow to inf and NaN, yet the march stops where a check
+    # after every state stopped it, with the same bits
+    kept, read_once, symbols, x0 = _four_block_case(default_field, medium_path)
+    noise = np.zeros((512, 8))
+    noise[kicked, 0] = 1e7
+    blowup = (symbols, 1e6)
+    for nonlinearity in (_ZERO, NonlinearitySpec.cubic_fisher()):
+        states, status, time = _march_checking_every_state(
+            kept, x0, nonlinearity, noise, blowup
+        )
+        assert status == "blowup" and states.shape[0] == kicked + 2
+        for chain in (kept, read_once()):
+            traj = _march(chain, x0, nonlinearity, None, None, noise, blowup)
+            assert np.array_equal(traj.states, states)
+            assert traj.status == status and traj.blowup_time == time
+
+
+def test_checks_once_a_block_hold_at_the_threshold_itself(default_field, medium_path):
+    # a state whose norm is the threshold does not blow up, and the next
+    # float below makes it blow up: the screen's margin sends both to the
+    # exact check
+    kept, read_once, symbols, x0 = _four_block_case(default_field, medium_path)
+    noise = np.zeros((512, 8))
+    noise[191, 0] = 50.0
+    states = _march_checking_every_state(kept, x0, _ZERO, noise, None)[0]
+    weighted = states * symbols
+    norms = [math.sqrt(w.dot(w)) for w in weighted]
+    top = int(np.argmax(norms))
+    assert top == 192
+    for threshold in (norms[top], np.nextafter(norms[top], 0.0)):
+        blowup = (symbols, threshold)
+        expected = _march_checking_every_state(kept, x0, _ZERO, noise, blowup)
+        assert expected[1] == ("completed" if threshold == norms[top] else "blowup")
+        for chain in (kept, read_once()):
+            traj = _march(chain, x0, _ZERO, None, None, noise, blowup)
+            assert np.array_equal(traj.states, expected[0])
+            assert (traj.status, traj.blowup_time) == expected[1:]
+
+
+@pytest.mark.parametrize(
+    "nonlinear, blowup", [(True, "inf"), (False, None)], ids=["inf-threshold", "linear"]
+)
+def test_checks_once_a_block_raise_on_a_nan_mid_block(
+    nonlinear, blowup, default_field, medium_path
+):
+    # a NaN in the middle of block 1 raises as it did with a check after
+    # every state, under an infinite threshold and with none at all
+    kept, read_once, symbols, x0 = _four_block_case(default_field, medium_path)
+    nonlinearity = NonlinearitySpec.cubic_fisher() if nonlinear else _ZERO
+    blowup = (symbols, math.inf) if blowup else None
+    noise = np.zeros((512, 8))
+    noise[190, 3] = np.nan
+    with pytest.raises(NumericalError, match="non-finite state"):
+        _march_checking_every_state(kept, x0, nonlinearity, noise, blowup)
+    for chain in (kept, read_once()):
+        with pytest.raises(NumericalError, match="non-finite state"):
+            _march(chain, x0, nonlinearity, None, None, noise, blowup)
 
 
 def test_single_mode_variance_oracle():

@@ -5,24 +5,22 @@ v solves dv/dt = A(theta_t w) v + F(v + sigma Z(theta_t w)) + f by exponential
 Euler; u = v + sigma Z recovers the original solution.  The pullback estimate
 integrates an ensemble forward against the pre-shifted path (time 0 on the
 theta_{-T} fiber), which realizes phi(T, theta_{-T} w, .) with the forward
-machinery verbatim.  Each horizon has its own read-once chain, handed off
-ahead: the next horizon's chain is made while this horizon's march is in
-its last two blocks, so the chain workers build its first blocks before the
-march reaches them.
+machinery verbatim.  Each horizon has its own read-once chain, built
+``after`` the chain of the horizon before, so one read-once window runs
+across the ladder: the chain workers build a horizon's first blocks while
+the march ends the horizon before.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .evolution import _BUILD_BLOCK, PropagatorChain, build_chain, span_grid
+from .evolution import PropagatorChain, build_chain, span_grid
 from .noise import WienerPath, _as_index, wiener_shift
 from .operators import (
     DiffusionField,
@@ -334,71 +332,34 @@ def _check_horizons(horizons, key: str = "horizons") -> None:
         )
 
 
-def _horizon_chain(
-    problem: SemilinearProblem,
-    path: WienerPath,
-    t_j: float,
-    m: int,
-    held: int = 0,
-) -> PropagatorChain:
-    """The read-once chain of horizon t_j on its pre-shifted fiber (the
-    chain's path), its blocks queued on the chain workers beside the
-    ``held`` blocks the reader still holds of the chain before it.
-
-    The noise increments are kept on the chain, so each segment gets a slice:
-    one driver evaluation per horizon, as for the whole chain.  They read no
-    step, so they are formed while the chain's first blocks are being built.
-    """
-    fiber = wiener_shift(path, -_as_index(t_j, path.dt, "horizon"))
-    chain = build_chain(
-        problem.field, fiber, span_grid(0.0, t_j, path.dt), m,
-        read_once=True, held=held,
-    )
-    if problem.sigma != 0.0:
-        corrected_increments(chain, fiber)
-    return chain
-
-
 def _pullback_cloud(
-    problem: SemilinearProblem,
-    chain: PropagatorChain,
-    ensemble: np.ndarray,
-    ahead: Callable[[int], PropagatorChain] | None = None,
-) -> tuple[np.ndarray, np.ndarray, PropagatorChain | None]:
+    problem: SemilinearProblem, chain: PropagatorChain, ensemble: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints phi(t_j, theta_{-t_j} w, u_i) on the horizon's chain (NaN
-    rows blew up), the survivor mask, and the chain ``ahead`` made.
+    rows blew up) and the survivor mask.
 
     The chain is marched segment by segment: every surviving member crosses
     one segment (``_SEGMENT_BYTES`` of step matrices) before the next is
-    read, so the steps stay in cache across the ensemble.  The segments share
-    the chain's increments, and a member that blows up is frozen there.  A
-    segment waits only for the blocks it covers, so with chain workers the
-    march starts while later blocks are still being built.  The chain is
-    read once: each segment releases the blocks below it, so a horizon holds
-    a few blocks of its chain, not the whole chain, whatever its length.
-
-    ``ahead(held)`` makes the next horizon's chain, where ``held`` is the
-    number of blocks this march still holds.  It is called once the march
-    enters this chain's second-to-last block, at once on a chain of at most
-    two: the workers, idle once this chain's last blocks are built, then
-    build the next chain's first blocks while this march ends, so the next
-    march does not start by waiting for its block 0.
+    read, so the steps stay in cache across the ensemble.  The noise
+    increments are formed once on the chain, as the march starts (they read
+    no step), and each segment gets a slice; a member that blows up is
+    frozen there.  A segment waits only for the blocks it covers, so with
+    chain workers the march starts while later blocks are still being built.
+    The chain is read once: each segment releases the blocks below it, so a
+    horizon holds a few blocks of its chain, not the whole chain, whatever
+    its length.
     """
     n, m = chain.grid.n_steps, chain.dim
     seg_len = max(1, _SEGMENT_BYTES // (8 * m * m))
-    n_blocks = -(-n // _BUILD_BLOCK)
-    handoff = max(n_blocks - 2, 0) * _BUILD_BLOCK
-    following = None
+    if problem.sigma != 0.0:
+        corrected_increments(chain, chain.path)
     cloud = np.array(ensemble, dtype=float)
     alive = np.ones(ensemble.shape[0], dtype=bool)
     # one problem per member for the whole horizon: its u0 is the member's
     # row of the cloud, which each segment's endpoint overwrites
     members = [dataclasses.replace(problem, u0=row) for row in cloud]
     for lo in range(0, n, seg_len):
-        hi = min(lo + seg_len, n)
-        if ahead is not None and following is None and hi > handoff:
-            following = ahead(min(n_blocks, 2))
-        segment = chain.segment(lo, hi)
+        segment = chain.segment(lo, min(lo + seg_len, n))
         for i in np.flatnonzero(alive):
             traj = integrate_semilinear(members[i], segment, chain.path)
             if traj.status == "completed":
@@ -406,7 +367,7 @@ def _pullback_cloud(
             else:
                 alive[i] = False
     cloud[~alive] = np.nan
-    return cloud, alive, following
+    return cloud, alive
 
 
 def pullback_estimate(
@@ -421,8 +382,10 @@ def pullback_estimate(
 
     Implemented by pre-shifting the path by -T_j and integrating the forward
     problem on [0, T_j]; blow-ups are recorded per member and the estimate
-    proceeds with survivors (the run is flagged).  Each horizon's chain is
-    made while the previous horizon is marched (``_pullback_cloud``).
+    proceeds with survivors (the run is flagged).  Every horizon's chain is
+    made first, each ``after`` the one before, so the chain workers build
+    ahead across horizons; the horizons are then marched in order, and each
+    chain is dropped, with its increments, once its march ends.
     """
     _check_horizons(horizons)
     alpha = problem.norm_spec.alpha
@@ -432,12 +395,17 @@ def pullback_estimate(
     eta_norms: list[float] = []
     flagged = False
     eta_spec = FractionalNormSpec(alpha=eta)
-    chain = _horizon_chain(problem, path, horizons[0], m)
-    for t_next in [*horizons[1:], None]:
-        ahead = (
-            None if t_next is None else partial(_horizon_chain, problem, path, t_next, m)
+    # each horizon's read-once chain on its pre-shifted fiber (the chain's path)
+    chains: list[PropagatorChain] = []
+    for t_j in horizons:
+        fiber = wiener_shift(path, -_as_index(t_j, path.dt, "horizon"))
+        grid = span_grid(0.0, t_j, path.dt)
+        after = chains[-1] if chains else None
+        chains.append(
+            build_chain(problem.field, fiber, grid, m, read_once=True, after=after)
         )
-        cloud, alive, chain = _pullback_cloud(problem, chain, ensemble, ahead)
+    while chains:
+        cloud, alive = _pullback_cloud(problem, chains.pop(0), ensemble)
         flagged = flagged or not alive.all()
         endpoints.append(cloud)
         survivors.append(alive)

@@ -95,6 +95,17 @@ def map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 class OutputSink:
     """Collects emitted files for the manifest; removes partial outputs
     (except logs) when a run fails."""
@@ -120,7 +131,12 @@ class OutputSink:
         return self.write_text(name, "\n".join(lines) + "\n")
 
     def write_json(self, name: str, payload) -> Path:
-        return self.write_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        """Write payload as RFC 8259 JSON: a non-finite float is null (a
+        survivor count or a flag beside it says why)."""
+        text = json.dumps(
+            _finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False
+        )
+        return self.write_text(name, text + "\n")
 
     def cleanup_partial(self) -> None:
         for name in self.files:

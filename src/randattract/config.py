@@ -172,9 +172,14 @@ def _floats(text: str) -> tuple[float, ...]:
 
 # the config section of each RunConfig field, to name the key in errors
 _SECTION = {key: section for section, keys in _DEFAULTS.items() for key in keys}
+# the parser of each RunConfig field type (as annotated)
+_PARSE = {"int": int, "float": float, "str": str, "tuple[float, ...]": _floats}
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """The defaults, overlaid by the config file at ``path`` and then by
+    ``overrides`` ({(section, key): value}).  A section or key that has no
+    default is refused by name, as is a value its field cannot parse."""
     parser = configparser.ConfigParser()
     parser.read_dict(_DEFAULTS)
     if path is not None:
@@ -184,40 +189,25 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             parser.read_string(raw)
         except configparser.Error as exc:
             raise ConfigurationError(f"cannot parse config: {exc}") from exc
+    for section in parser.sections():
+        if section not in _DEFAULTS:
+            raise ConfigurationError(f"unknown config section [{section}]")
+        for key in parser[section]:
+            if key not in _DEFAULTS[section]:
+                raise ConfigurationError(f"unknown config key {section}.{key}")
     if overrides:
         for (section, key), value in overrides.items():
             parser.set(section, key, str(value))
-    try:
-        cfg = RunConfig(
-            modes=parser.getint("noise", "modes"),
-            decay_exponent=parser.getfloat("noise", "decay_exponent"),
-            sigma=parser.getfloat("noise", "sigma"),
-            dt=parser.getfloat("noise", "dt"),
-            seed=parser.getint("noise", "seed"),
-            n_paths=parser.getint("noise", "n_paths"),
-            delta=parser.getfloat("field", "delta"),
-            amp=parser.getfloat("field", "amp"),
-            kappa=parser.getfloat("field", "kappa"),
-            driver_horizon=parser.getfloat("field", "driver_horizon"),
-            galerkin_dim=parser.getint("field", "galerkin_dim"),
-            alpha=parser.getfloat("field", "alpha"),
-            eta=parser.getfloat("field", "eta"),
-            beta=parser.getfloat("field", "beta"),
-            nonlinearity=parser.get("problem", "nonlinearity"),
-            forcing=parser.get("problem", "forcing"),
-            u0=parser.get("problem", "u0"),
-            blowup_threshold=parser.getfloat("problem", "blowup_threshold"),
-            horizons=_floats(parser.get("experiment", "horizons")),
-            gammas=_floats(parser.get("experiment", "gammas")),
-            levels=parser.getint("experiment", "levels"),
-            truncation_horizon=parser.getfloat("experiment", "truncation_horizon"),
-            horizon=parser.getfloat("experiment", "horizon"),
-            ensemble_size=parser.getint("experiment", "ensemble_size"),
-            ball_radius=parser.getfloat("experiment", "ball_radius"),
-            temperedness_horizon=parser.getfloat("experiment", "temperedness_horizon"),
-        )
-    except ValueError as exc:
-        raise ConfigurationError(f"malformed config value: {exc}") from exc
+    values = {}
+    for spec in fields(RunConfig):
+        section = _SECTION[spec.name]
+        try:
+            values[spec.name] = _PARSE[spec.type](parser.get(section, spec.name))
+        except (ValueError, configparser.Error) as exc:
+            raise ConfigurationError(
+                f"malformed config value {section}.{spec.name}: {exc}"
+            ) from exc
+    cfg = RunConfig(**values)
     validate_config(cfg)
     return cfg
 

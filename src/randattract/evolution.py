@@ -25,11 +25,12 @@ owner that reads its chain once and in order, gives each block an array of
 its own and frees it once the reader has passed it: a read of steps
 [lo, hi), on the chain or through ``segment`` or the march, releases every
 block wholly below lo, and only ``_AHEAD`` blocks past the lowest live one
-are queued.  So its memory does not grow with its length.  A chain made
-while its reader still holds blocks of another (``build_chain``'s
-``held``, the pullback's next horizon) queues at first only what those
-leave of the window.  Reading a released step raises AlignmentError; a
-segment taken earlier keeps its own steps.
+are queued.  So its memory does not grow with its length.  A read-once
+chain built ``after`` another appends its blocks to that chain's, and the
+one window runs on across both: the workers build its first blocks while
+the reader is still in the last blocks of the chain before, and reading it
+releases those.  Reading a released step raises AlignmentError; a segment
+taken earlier keeps its own steps.
 
 The midpoint coefficient uses the average of the endpoint driver values
 (the driver is defined on grid points only); this keeps second-order accuracy
@@ -152,8 +153,11 @@ class PropagatorChain:
     # noise increments on ``path``, kept by pathwise.corrected_increments
     _increments: np.ndarray | None = field(default=None, repr=False)
     # build_chain's blocks: on a kept chain until every step is built, on a
-    # read-once chain until ``steps`` joins them
+    # read-once chain until ``steps`` joins them; the chain's steps are
+    # blocks _first, _first + 1, ... of them (read-once chains built ``after``
+    # one another share their blocks)
     _blocks: _Blocks | None = field(default=None, repr=False)
+    _first: int = field(default=0, repr=False)
 
     @property
     def dim(self) -> int:
@@ -167,9 +171,7 @@ class PropagatorChain:
         block is then queued and built) and serves every later read from it.
         """
         if self._blocks is not None:
-            steps = self._read(0, self.grid.n_steps)
-            if self._steps is None:
-                self._steps, self._blocks = steps, None
+            self._steps, self._blocks = self._read(0, self.grid.n_steps), None
         return self._steps
 
     def __post_init__(self) -> None:
@@ -181,18 +183,21 @@ class PropagatorChain:
             raise ConfigurationError("step count does not match the grid")
 
     def _read(self, lo: int, hi: int) -> np.ndarray:
-        """Steps lo..hi-1 from build_chain's blocks, once built (see
-        ``_Blocks.read``): a view, except that a read-once chain's steps are
-        copied into one array where they span more than one block.
+        """Steps lo..hi-1, once built (see ``_Blocks.read``): a view, except
+        that a read-once chain's steps are copied into one array where they
+        span more than one block.  A chain without blocks serves ``_steps``.
         """
-        blocks = self._blocks.read(lo, hi)
+        if self._blocks is None:
+            return self._steps[lo:hi]
+        first, end = lo // _BUILD_BLOCK, -(-hi // _BUILD_BLOCK)
+        blocks = self._blocks.read(self._first + first, self._first + end)
         if not self._blocks.read_once:
             if self._blocks.built:
                 self._blocks = None
             return self._steps[lo:hi]
         parts = [
             block[max(lo - i * _BUILD_BLOCK, 0) : hi - i * _BUILD_BLOCK]
-            for i, block in enumerate(blocks, lo // _BUILD_BLOCK)
+            for i, block in enumerate(blocks, first)
         ]
         if len(parts) == 1:
             return parts[0]
@@ -207,9 +212,9 @@ class PropagatorChain:
         """
         if not 0 <= lo <= hi <= self.grid.n_steps:
             raise AlignmentError(f"segment [{lo}, {hi}) outside the chain grid")
-        steps = self._steps[lo:hi] if self._blocks is None else self._read(lo, hi)
         grid = TimeGrid(self.grid.t0 + lo * self.grid.dt, hi - lo, self.grid.dt)
         increments = None if self._increments is None else self._increments[lo:hi]
+        steps = self._read(lo, hi)
         return PropagatorChain(grid, steps, self.field, self.path, increments)
 
     def blocks(self) -> Iterator[np.ndarray]:
@@ -219,8 +224,7 @@ class PropagatorChain:
         """
         n = self.grid.n_steps
         for lo in range(0, n, _BUILD_BLOCK):
-            hi = min(lo + _BUILD_BLOCK, n)
-            yield self._steps[lo:hi] if self._blocks is None else self._read(lo, hi)
+            yield self._read(lo, min(lo + _BUILD_BLOCK, n))
 
     def generator_rows(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """A(t_{k+i}) vecs[i] at the grid nodes k, k+1, ...; shape (len(vecs), m).
@@ -286,24 +290,30 @@ def set_chain_workers(n: int) -> None:
 
 
 class _Blocks:
-    """build_chain's 128-step blocks of one chain, queued on the chain
-    workers and built by the reader where no worker has started them.
+    """build_chain's 128-step blocks of one chain, or of read-once chains
+    built ``after`` one another, queued on the chain workers and built by the
+    reader where no worker has started them.
 
-    ``tasks[i]()`` builds block i and returns its steps.  Only the chain's
+    ``tasks[i]()`` builds block i and returns its steps.  Only the chains'
     reading thread calls these methods; the workers only run tasks.
     """
 
-    def __init__(
-        self, tasks: list[partial], m: int, read_once: bool, queued: int
-    ) -> None:
-        self.tasks = tasks
+    def __init__(self, m: int, read_once: bool) -> None:
+        self.tasks: list[partial] = []
         self.m = m
         self.read_once = read_once
         # block i's future once queued; None once released
         self.futures: list[Future | None] = []
         self.live = 0  # the lowest block not released
         self.ready = 0  # the blocks below are known built
-        self._queue(queued if read_once else len(tasks))
+
+    def add(self, tasks: list[partial]) -> int:
+        """Append a chain's blocks, queue them (read once: those in the
+        window), and return the index of the first."""
+        first = len(self.tasks)
+        self.tasks += tasks
+        self._queue(self.live + _AHEAD + 1 if self.read_once else len(self.tasks))
+        return first
 
     @property
     def built(self) -> bool:
@@ -315,20 +325,19 @@ class _Blocks:
             # a future no worker runs is built by the reader
             self.futures.append(Future() if _pool is None else _pool.submit(task))
 
-    def read(self, lo: int, hi: int) -> list[np.ndarray]:
-        """The blocks holding steps lo..hi-1, once built.
+    def read(self, first: int, end: int) -> list[np.ndarray]:
+        """Blocks first..end-1, once built.
 
-        Every block from the lowest live one up to hi is waited for in block
+        Every block from the lowest live one up to end is waited for in block
         order, so the first failing block's error is the one raised, as in a
-        serial build, and again on every later read.  A read-once chain then
-        releases the blocks wholly below lo and queues the blocks up to
-        ``_AHEAD`` past the lowest live one; a read of a released step raises
+        serial build, and again on every later read.  Read once, the blocks
+        below first are then released and the blocks up to ``_AHEAD`` past
+        the lowest live one queued; a read of a released block raises
         AlignmentError.
         """
-        first, end = lo // _BUILD_BLOCK, -(-hi // _BUILD_BLOCK)
         if first < self.live:
             raise AlignmentError(
-                f"step {lo} was released: a read-once chain is read once, in order"
+                "a released block was read: a read-once chain is read once, in order"
             )
         self._queue(end)
         for i in range(self.ready, end):
@@ -377,7 +386,7 @@ def build_chain(
     grid: TimeGrid,
     m: int,
     read_once: bool = False,
-    held: int = 0,
+    after: PropagatorChain | None = None,
 ) -> PropagatorChain:
     """Assemble midpoint-frozen step matrices over the grid.
 
@@ -388,14 +397,20 @@ def build_chain(
     1, and queued on the chain workers otherwise, so its reads wait for them.
     ``read_once`` is for an owner that reads the chain once, in order: its
     blocks are queued ``_AHEAD`` past the reader (and built by the reader at
-    width 1), and each is freed once a read has passed it.  ``held`` is the
-    number of blocks the reader still holds of another read-once chain: the
-    new chain queues at once only what they leave of its window, and the
-    rest on its first read, so the two chains hold no more blocks together
-    than one.
+    width 1), and each is freed once a read has passed it.  A read-once
+    chain built ``after`` another, which its reader reads first, appends its
+    blocks to that chain's: the one window then spans both, so the workers
+    build this chain's first blocks while the reader ends the other, and the
+    two hold no more blocks together than one.  An ``after`` chain that holds
+    no blocks (joined by ``steps``, with amp = 0, or empty) leaves the new
+    chain a window of its own.
     """
     if m < 1:
         raise ConfigurationError("Galerkin dimension must be >= 1")
+    if after is not None and (not read_once or after.dim != m):
+        raise ConfigurationError(
+            "a chain built after another is read once, at the same Galerkin dimension"
+        )
     k_steps = grid.n_steps
     if field.amp == 0.0:
         single = fill_generators(field, np.zeros(1), np.empty((1, m, m)), parity=True)
@@ -420,8 +435,12 @@ def build_chain(
         )
         for lo in range(0, k_steps, _BUILD_BLOCK)
     ]
-    blocks = _Blocks(tasks, m, read_once, max(_AHEAD + 1 - held, 0))
-    chain = PropagatorChain(grid, steps, field, path, _blocks=blocks)
+    blocks = None if after is None else after._blocks
+    if blocks is None or not blocks.read_once:
+        blocks = _Blocks(m, read_once)
+    chain = PropagatorChain(
+        grid, steps, field, path, _blocks=blocks, _first=blocks.add(tasks)
+    )
     if _pool is None and not read_once:
         chain.steps  # width 1: a kept chain is built before the call returns
     return chain

@@ -363,9 +363,12 @@ def test_pullback_member_blowing_up_inside_a_segment_is_frozen(monkeypatch):
 def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     # the counts the benchmark checks, kept here too: one nemytskii call per
     # member-step, every chain step built once, marched states summed over
-    # the integrate calls
-    counts = {"nemytskii": 0, "marched": 0, "built": 0, "blowups": 0}
+    # the integrate calls, and the driver read at each chain's n + 1 nodes
+    # (its steps) and n nodes (its increments), over a window of
+    # driver_horizon / dt + 1 path points each
+    counts = {"nemytskii": 0, "marched": 0, "built": 0, "blowups": 0, "driver": 0}
     nemytskii_fn = pathwise.nemytskii
+    driver_fn = evolution.driver_values
     integrate_fn = attractor.integrate_semilinear
     build_fn = attractor.build_chain
 
@@ -379,6 +382,11 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
         counts["blowups"] += traj.status == "blowup"
         return traj
 
+    def counted_driver(field, path, k_lo, k_hi):
+        zetas = driver_fn(field, path, k_lo, k_hi)
+        counts["driver"] += len(zetas) * (int(round(field.driver_horizon / path.dt)) + 1)
+        return zetas
+
     def counted_build(field, path, grid, m, **kwargs):
         chain = build_fn(field, path, grid, m, **kwargs)
         counts["built"] += chain.steps.shape[0]
@@ -387,6 +395,7 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     monkeypatch.setattr(pathwise, "nemytskii", counted_nemytskii)
     monkeypatch.setattr(attractor, "integrate_semilinear", counted_integrate)
     monkeypatch.setattr(attractor, "build_chain", counted_build)
+    monkeypatch.setattr(evolution, "driver_values", counted_driver)
     monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 5 * 8 * 8 * 8)
     field, m, dt, path = _segment_case()
     problem = SemilinearProblem(
@@ -395,15 +404,18 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     )
     ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
     horizons = [0.5, 1.0]
-    steps = sum(int(round(t / dt)) for t in horizons)
-    # at width 2 the next horizon's chain is built while this one is marched
+    chain_steps = [int(round(t / dt)) for t in horizons]
+    steps = sum(chain_steps)
+    window = int(round(field.driver_horizon / dt)) + 1
+    points = sum(((n + 1) + n) * window for n in chain_steps)
     for width in (1, 2):
         set_chain_workers(width)
         counts.update(dict.fromkeys(counts, 0))
         est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
         assert not est.flagged
         assert counts == {
-            "nemytskii": 5 * steps, "marched": 5 * steps, "built": steps, "blowups": 0,
+            "nemytskii": 5 * steps, "marched": 5 * steps, "built": steps,
+            "blowups": 0, "driver": points,
         }
 
 
@@ -445,10 +457,11 @@ def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
 
 def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
     # horizons of one, two and four 128-step blocks (128, 256 and 448 steps)
-    # and a last one of 512: the chain of the next horizon is made at once
-    # while a chain of at most two blocks is marched, and once the march of
-    # a longer one enters its second-to-last block; every horizon's
-    # endpoints are those of the horizon estimated alone, at widths 1 and 2
+    # and a last one of 512, their chains built after one another: when the
+    # march reads a horizon's last segment, the next horizon's block 0 is
+    # already queued, and no more than one window is ever queued; every
+    # horizon's endpoints are those of the horizon estimated alone, at
+    # widths 1 and 2
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 8, 2.0 ** -6
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -11.0, 0.5, dt, seed=35)
@@ -459,19 +472,23 @@ def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
     ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
     monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 5 * 8 * m * m)
     horizons = [2.0, 4.0, 7.0, 8.0]
-    # the order of chain builds (their steps) and segment marches (their
-    # first step, once for the ensemble)
-    events = []
-    horizon_chain, integrate = attractor._horizon_chain, attractor.integrate_semilinear
+    built, last_segments = [], []
+    build, integrate = attractor.build_chain, attractor.integrate_semilinear
 
-    def logged_chain(problem, path, t_j, m, held=0):
-        events.append(("chain", int(round(t_j / dt))))
-        return horizon_chain(problem, path, t_j, m, held)
+    def recorded_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
 
-    def logged_integrate(member, segment, path):
-        event = ("march", int(round(segment.grid.t0 / dt)))
-        if events[-1] != event:
-            events.append(event)
+    def checked_integrate(member, segment, path):
+        j = next(j for j, chain in enumerate(built) if chain.path is path)
+        window = built[j]._blocks
+        assert len(window.futures) - window.live <= evolution._AHEAD + 1
+        end = int(round(segment.grid.t0 / dt)) + segment.grid.n_steps
+        if end == built[j].grid.n_steps and j + 1 < len(built):
+            following = built[j + 1]
+            assert following._blocks is window
+            assert len(window.futures) > following._first
+            last_segments.append(j)
         return integrate(member, segment, path)
 
     for width in (1, 2):
@@ -480,26 +497,15 @@ def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
             pullback_estimate(problem, path, [t], ens, 0.35, m).endpoints[0]
             for t in horizons
         ]
-        events.clear()
+        built.clear()
+        last_segments.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(attractor, "_horizon_chain", logged_chain)
-            patch.setattr(attractor, "integrate_semilinear", logged_integrate)
+            patch.setattr(attractor, "build_chain", recorded_build)
+            patch.setattr(attractor, "integrate_semilinear", checked_integrate)
             est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
         assert all(map(np.array_equal, est.endpoints, alone))
-        chains = [i for i, event in enumerate(events) if event[0] == "chain"]
-        # 128 steps: the 256-step chain at once, before its march; 256: the
-        # 448-step chain at once; 448: the 512-step chain just before the
-        # segment [255, 260) reads block 2 of four
-        assert [events[i] for i in chains] == [
-            ("chain", 128), ("chain", 256), ("chain", 448), ("chain", 512),
-        ]
-        assert events[chains[1] + 1] == ("march", 0)
-        assert events[chains[2] - 1 : chains[2] + 2] == [
-            ("march", 125), ("chain", 448), ("march", 0),
-        ]
-        assert events[chains[3] - 1 : chains[3] + 2] == [
-            ("march", 250), ("chain", 512), ("march", 255),
-        ]
+        # the last segment of each horizon but the last, once per member
+        assert last_segments == [j for j in range(3) for _ in range(len(ens))]
 
 
 def test_pullback_memory_with_chains_built_ahead_stays_in_the_read_once_window():
@@ -507,7 +513,8 @@ def test_pullback_memory_with_chains_built_ahead_stays_in_the_read_once_window()
     # four of 768 to 3072: while a horizon ends the next one's first blocks
     # are built, yet the peak stays within one read-once window (the queued
     # blocks, the march's block and one eigh temporary per thread), besides
-    # the noise increments of the two chains (n_steps x m each) it holds
+    # an allowance for the noise increments (n_steps x m) of the two longest
+    # chains (the estimate holds one horizon's at a time)
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 32, 2.0 ** -7
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -27.0, 0.5, dt, seed=9)

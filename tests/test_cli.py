@@ -271,6 +271,28 @@ def test_cli_config_errors_name_the_config_key(old, new, message, tmp_path, caps
     assert not out.exists()
 
 
+# a misspelled section or key used to be ignored (galerkin_dimm = 8 ran at
+# m = 64), and a malformed value did not say which key it was
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("galerkin_dim = 8", "galerkin_dimm = 8", "unknown config key field.galerkin_dimm"),
+        ("[field]\n", "[feild]\n", "unknown config section [feild]"),
+        ("modes = 4", "modes = four", "malformed config value noise.modes"),
+    ],
+    ids=["key", "section", "int"],
+)
+def test_cli_refuses_a_config_typo_naming_it(old, new, message, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL.replace(old, new))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(bad), "--out", str(out), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_linalg_error_exits_2_with_cleanup(tmp_path, small_config, monkeypatch, capsys):
     # once the first output is written, eigh fails to converge
     out = tmp_path / "ou"
@@ -423,20 +445,28 @@ def test_convergence_refuses_to_fit_over_a_blow_up(tmp_path, capsys):
         assert not (out / "convergence").exists()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def test_attractor_pullback_counts_survivors_over_a_blow_up(tmp_path, capsys):
-    # sigma = 1e200 blows every member up at once: the diameters are NaN, not
-    # 0.0, the survivors per horizon are 0, and NumPy's overflow warning no
-    # longer reaches stderr
+    # sigma = 1e200 blows every member up at once: the diameters are null
+    # (no number, and not 0.0), the survivors per horizon are 0, and NumPy's
+    # overflow warning no longer reaches stderr; the summary parses as strict
+    # JSON, with no bare NaN token
     cfg = tmp_path / "sigma.cfg"
     cfg.write_text(SMALL.replace("[noise]\n", "[noise]\nsigma = 1e200\n"))
     out = tmp_path / "att"
     argv = ["attractor-pullback", "--config", str(cfg), "--out", str(out), "--threads", "1"]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    summary = json.loads((out / "attractor-pullback" / "pullback_summary.json").read_text())
+    summary = json.loads(
+        (out / "attractor-pullback" / "pullback_summary.json").read_text(),
+        parse_constant=_refuse_constant,
+    )
     assert summary["flagged_blowup"] is True
     assert summary["survivors"] == [0, 0]
-    assert all(math.isnan(d) for d in summary["diameters_alpha"])
+    assert summary["diameters_alpha"] == [None, None]
 
 
 def _simulate_summary(text, tmp_path, capsys):

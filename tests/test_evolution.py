@@ -10,6 +10,7 @@ import pytest
 
 from randattract import (
     AlignmentError,
+    ConfigurationError,
     DefinitenessError,
     DiffusionField,
     NoiseSpectrum,
@@ -355,10 +356,15 @@ def test_build_chain_holds_one_block_per_worker(two_chain_workers):
 def test_read_once_chain_releases_the_blocks_a_read_has_passed(medium_path):
     # 600 steps, five blocks: a read from step 300 releases blocks 0 and 1,
     # so any read below step 256 raises; segments taken before the release
-    # (one inside block 0, one straddling blocks 0 and 1) keep their steps
+    # (one inside block 0, one straddling blocks 0 and 1) keep their steps.
+    # A 300-step chain built after a 600-step one appends its blocks to the
+    # other's: reading it releases the first chain's blocks, and both chains
+    # have the steps of kept chains
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
+    later = span_grid(600 * DT, 900 * DT, DT)
     kept = build_chain(field, medium_path, grid, 12)
+    kept_later = build_chain(field, medium_path, later, 12)
     for width in (1, 2):
         set_chain_workers(width)
         chain = build_chain(field, medium_path, grid, 12, read_once=True)
@@ -376,6 +382,34 @@ def test_read_once_chain_releases_the_blocks_a_read_has_passed(medium_path):
         blocks = chain.blocks()
         with pytest.raises(AlignmentError, match="released"):
             next(blocks)
+        first = build_chain(field, medium_path, grid, 12, read_once=True)
+        second = build_chain(field, medium_path, later, 12, read_once=True, after=first)
+        assert second._blocks is first._blocks and second._first == 5
+        assert np.array_equal(first.segment(0, 550).steps, kept.steps[:550])
+        assert np.array_equal(second.segment(0, 100).steps, kept_later.steps[:100])
+        with pytest.raises(AlignmentError, match="released"):
+            first.segment(550, 600)
+        assert np.array_equal(np.concatenate(list(second.blocks())), kept_later.steps)
+
+
+def test_chain_after_one_without_blocks_has_a_window_of_its_own(medium_path):
+    # a chain joined by steps, an amp = 0 chain and an empty chain hold no
+    # blocks, so a chain built after one starts its own; an after chain of
+    # another Galerkin dimension is refused
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, 300 * DT, DT)
+    kept = build_chain(field, medium_path, grid, 12)
+    joined = build_chain(field, medium_path, grid, 12, read_once=True)
+    joined.steps
+    flat = build_chain(DiffusionField(amp=0.0), None, grid, 12)
+    empty = build_chain(field, medium_path, span_grid(0.0, 0.0, DT), 12)
+    for before in (joined, flat, empty):
+        chain = build_chain(field, medium_path, grid, 12, read_once=True, after=before)
+        assert chain._first == 0
+        assert np.array_equal(chain.steps, kept.steps)
+    chain = build_chain(field, medium_path, grid, 12, read_once=True)
+    with pytest.raises(ConfigurationError, match="Galerkin dimension"):
+        build_chain(field, medium_path, grid, 8, read_once=True, after=chain)
 
 
 def test_read_once_steps_are_joined_once(monkeypatch, medium_path):

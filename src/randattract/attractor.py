@@ -5,10 +5,10 @@ v solves dv/dt = A(theta_t w) v + F(v + sigma Z(theta_t w)) + f by exponential
 Euler; u = v + sigma Z recovers the original solution.  The pullback estimate
 integrates an ensemble forward against the pre-shifted path (time 0 on the
 theta_{-T} fiber), which realizes phi(T, theta_{-T} w, .) with the forward
-machinery verbatim.  Each horizon has its own read-once chain, built
-``after`` the chain of the horizon before, so one read-once window runs
-across the ladder: the chain workers build a horizon's first blocks while
-the march ends the horizon before.
+machinery verbatim.  Each horizon has its own chain, built ``after`` the
+chain of the horizon before, so one streaming window runs across the
+ladder: the chain workers build a horizon's first blocks while the march
+ends the horizon before.
 """
 
 from __future__ import annotations
@@ -49,7 +49,11 @@ def integrate_v(
     chain: PropagatorChain,
     z_states: np.ndarray | None,
 ) -> Trajectory:
-    """March v over the chain grid; z_states[k] is Z(theta_{t_k} w)."""
+    """March v over the chain grid; z_states[k] is Z(theta_{t_k} w).
+
+    The chain is marched, so a caller that reads it again joins it first
+    (``PropagatorChain.steps``).
+    """
     shifts = None if (z_states is None or sigma == 0.0) else sigma * z_states
     v0 = np.asarray(v0, dtype=float)
     return _march(chain, v0, nonlinearity, forcing, shifts, None)
@@ -73,6 +77,7 @@ def transform_consistency(
     """
     grid = span_grid(0.0, horizon, path.dt)
     chain = build_chain(problem.field, path, grid, m)
+    chain.steps  # marched three times (Z, u and v): joined once
     state0 = construct_initial(problem.field, path, a, m)
     z_traj = propagate(state0, problem.field, path, horizon, m, chain=chain)
     u_traj = integrate_semilinear(problem, chain, path)
@@ -395,15 +400,13 @@ def pullback_estimate(
     eta_norms: list[float] = []
     flagged = False
     eta_spec = FractionalNormSpec(alpha=eta)
-    # each horizon's read-once chain on its pre-shifted fiber (the chain's path)
+    # each horizon's chain on its pre-shifted fiber (the chain's path)
     chains: list[PropagatorChain] = []
     for t_j in horizons:
         fiber = wiener_shift(path, -_as_index(t_j, path.dt, "horizon"))
         grid = span_grid(0.0, t_j, path.dt)
         after = chains[-1] if chains else None
-        chains.append(
-            build_chain(problem.field, fiber, grid, m, read_once=True, after=after)
-        )
+        chains.append(build_chain(problem.field, fiber, grid, m, after=after))
     while chains:
         cloud, alive = _pullback_cloud(problem, chains.pop(0), ensemble)
         flagged = flagged or not alive.all()

@@ -180,7 +180,7 @@ def cmd_simulate(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
     def run_one(seed: int):
         path = _path_window_for(cfg, t_lo, horizon, seed)
         grid = span_grid(0.0, horizon, cfg.dt)
-        chain = build_chain(problem.field, path, grid, m, read_once=True)
+        chain = build_chain(problem.field, path, grid, m)
         return integrate_semilinear(problem, chain, path)
 
     trajectories = map_ordered(run_one, seeds, threads)
@@ -330,7 +330,7 @@ def cmd_convergence(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
     def final_state(path: WienerPath, dt: float, seed: int) -> np.ndarray:
         # an order fitted over a blown-up run is no order at all
         grid = span_grid(0.0, cfg.horizon, dt)
-        chain = build_chain(problem.field, path, grid, m, read_once=True)
+        chain = build_chain(problem.field, path, grid, m)
         traj = integrate_semilinear(problem, chain, path)
         if traj.status == "blowup":
             raise NumericalError(

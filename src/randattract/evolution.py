@@ -19,18 +19,19 @@ a block builds in its own thread the lowest queued block that no worker has
 started, so it never idles while there is a block to build; each step has
 the same bits at any width.  A chain has one reading thread.
 
-A chain is kept (the default) or read once.  A kept chain holds its steps in
-one array.  A read-once chain (``build_chain(..., read_once=True)``), for an
-owner that reads its chain once and in order, gives each block an array of
-its own and frees it once the reader has passed it: a read of steps
-[lo, hi), on the chain or through ``segment`` or the march, releases every
-block wholly below lo, and only ``_AHEAD`` blocks past the lowest live one
-are queued.  So its memory does not grow with its length.  A read-once
-chain built ``after`` another appends its blocks to that chain's, and the
-one window runs on across both: the workers build its first blocks while
-the reader is still in the last blocks of the chain before, and reading it
-releases those.  Reading a released step raises AlignmentError; a segment
-taken earlier keeps its own steps.
+Every chain streams its blocks.  Each block is an array of its own and is
+freed once a read has passed it: a read of steps [lo, hi), through
+``segment`` or the march, releases every block wholly below lo, and only
+``_AHEAD`` blocks past the lowest live one are queued.  So a chain read
+once, in order, holds a few blocks whatever its length.  A chain read more
+than once is joined first: reading ``steps`` copies each block into one
+array as the window passes it, so the join holds that array and the window,
+and from then on ``segment``, ``blocks``, ``apply`` and the march read the
+array, any number of times.  Reading a released step raises AlignmentError;
+a segment taken earlier keeps its own steps.  A chain built ``after``
+another appends its blocks to that chain's, and the one window runs on
+across both: the workers build its first blocks while the reader is still
+in the last blocks of the chain before, and reading it releases those.
 
 The midpoint coefficient uses the average of the endpoint driver values
 (the driver is defined on grid points only); this keeps second-order accuracy
@@ -139,23 +140,22 @@ def _exp_steps(gens: np.ndarray, dt: float, ceiling: float = math.inf) -> None:
 class PropagatorChain:
     """U(t, s, w) as an indexed product of per-step propagator matrices.
 
-    A chain from ``build_chain`` may still be building its steps: reading
-    ``steps`` waits until every step is built, ``segment(lo, hi)`` only for
-    the blocks below hi, and ``blocks`` for one block at a time.  A
-    read-once chain frees each block once a read has passed it (see the
-    module notes).  A chain has one reading thread.
+    A chain from ``build_chain`` streams its steps: ``segment(lo, hi)``
+    waits only for the blocks below hi and ``blocks`` for one block at a
+    time, and each block is freed once a read has passed it.  Reading
+    ``steps`` joins the chain, which may then be read any number of times
+    (see the module notes).  A chain has one reading thread.
     """
 
     grid: TimeGrid
-    _steps: np.ndarray | None  # (n_steps, m, m); None on a read-once chain until joined
+    _steps: np.ndarray | None  # (n_steps, m, m); None until ``steps`` joins the blocks
     field: DiffusionField
     path: WienerPath | None
     # noise increments on ``path``, kept by pathwise.corrected_increments
     _increments: np.ndarray | None = field(default=None, repr=False)
-    # build_chain's blocks: on a kept chain until every step is built, on a
-    # read-once chain until ``steps`` joins them; the chain's steps are
-    # blocks _first, _first + 1, ... of them (read-once chains built ``after``
-    # one another share their blocks)
+    # build_chain's blocks until ``steps`` joins them; the chain's steps are
+    # blocks _first, _first + 1, ... of them (chains built ``after`` one
+    # another share their blocks)
     _blocks: _Blocks | None = field(default=None, repr=False)
     _first: int = field(default=0, repr=False)
 
@@ -167,15 +167,20 @@ class PropagatorChain:
     def steps(self) -> np.ndarray:
         """The (n_steps, m, m) step matrices, once all of them are built.
 
-        A read-once chain joins its blocks into one array on this read (every
-        block is then queued and built) and serves every later read from it.
+        The first read joins the chain: each block is copied into one array
+        as the window passes it, and every later read is served from that
+        array.  So a chain read more than once reads this first.
         """
         if self._blocks is not None:
-            self._steps, self._blocks = self._read(0, self.grid.n_steps), None
+            n = self.grid.n_steps
+            joined = np.empty((n, self.dim, self.dim))
+            for lo, block in zip(range(0, n, _BUILD_BLOCK), self.blocks()):
+                joined[lo : lo + len(block)] = block
+            self._steps, self._blocks = joined, None
         return self._steps
 
     def __post_init__(self) -> None:
-        if self._steps is None:  # a read-once chain: its blocks hold the steps
+        if self._steps is None:  # a streaming chain: its blocks hold the steps
             return
         if self._steps.ndim != 3 or self._steps.shape[1] != self._steps.shape[2]:
             raise ConfigurationError("steps must be (n_steps, m, m)")
@@ -184,17 +189,13 @@ class PropagatorChain:
 
     def _read(self, lo: int, hi: int) -> np.ndarray:
         """Steps lo..hi-1, once built (see ``_Blocks.read``): a view, except
-        that a read-once chain's steps are copied into one array where they
-        span more than one block.  A chain without blocks serves ``_steps``.
+        that steps spanning more than one block are copied into one array.  A
+        chain without blocks (joined, amp = 0 or empty) serves ``_steps``.
         """
         if self._blocks is None:
             return self._steps[lo:hi]
         first, end = lo // _BUILD_BLOCK, -(-hi // _BUILD_BLOCK)
         blocks = self._blocks.read(self._first + first, self._first + end)
-        if not self._blocks.read_once:
-            if self._blocks.built:
-                self._blocks = None
-            return self._steps[lo:hi]
         parts = [
             block[max(lo - i * _BUILD_BLOCK, 0) : hi - i * _BUILD_BLOCK]
             for i, block in enumerate(blocks, first)
@@ -206,9 +207,9 @@ class PropagatorChain:
     def segment(self, lo: int, hi: int) -> "PropagatorChain":
         """Steps lo..hi-1 as a chain over t0 + lo*dt, with the same field and
         path, once they are built.  The steps (and the increments, when kept)
-        are views, not copies, except where a read-once chain's steps span
-        more than one block; either way the segment keeps its steps after the
-        chain has released their blocks.
+        are views, not copies, except where the steps of a chain not joined
+        span more than one block; either way the segment keeps its steps after
+        the chain has released their blocks.
         """
         if not 0 <= lo <= hi <= self.grid.n_steps:
             raise AlignmentError(f"segment [{lo}, {hi}) outside the chain grid")
@@ -219,8 +220,8 @@ class PropagatorChain:
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The steps in order as consecutive blocks of at most 128 (k, m, m),
-        each once it is built.  On a read-once chain taking a block is a read,
-        which releases the blocks below it.
+        each once it is built.  On a chain not joined, taking a block is a
+        read, which releases the blocks below it.
         """
         n = self.grid.n_steps
         for lo in range(0, n, _BUILD_BLOCK):
@@ -256,11 +257,12 @@ class PropagatorChain:
 # step matrices assembled and eigendecomposed together in build_chain
 _BUILD_BLOCK = 128
 
-# blocks a read-once chain queues past its lowest live block.  A history
+# blocks a chain queues past its lowest live block.  A history
 # march reads faster than two threads build, so its reader builds too, and
 # with fewer queued the worker runs dry while the reader builds (a 2048-step
 # construct_initial at m = 64 took 16% longer at 2, and at 3 about as long as
-# on a kept chain); the chain's memory grows with this, not with its length
+# with every block queued at once); the chain's memory grows with this, not
+# with its length
 _AHEAD = 3
 
 # build_chain's pool: with width n > 1, n - 1 threads build each chain's
@@ -290,34 +292,29 @@ def set_chain_workers(n: int) -> None:
 
 
 class _Blocks:
-    """build_chain's 128-step blocks of one chain, or of read-once chains
-    built ``after`` one another, queued on the chain workers and built by the
+    """build_chain's 128-step blocks of one chain, or of chains built
+    ``after`` one another, queued on the chain workers and built by the
     reader where no worker has started them.
 
     ``tasks[i]()`` builds block i and returns its steps.  Only the chains'
     reading thread calls these methods; the workers only run tasks.
     """
 
-    def __init__(self, m: int, read_once: bool) -> None:
+    def __init__(self, m: int) -> None:
         self.tasks: list[partial] = []
         self.m = m
-        self.read_once = read_once
         # block i's future once queued; None once released
         self.futures: list[Future | None] = []
         self.live = 0  # the lowest block not released
         self.ready = 0  # the blocks below are known built
 
     def add(self, tasks: list[partial]) -> int:
-        """Append a chain's blocks, queue them (read once: those in the
-        window), and return the index of the first."""
+        """Append a chain's blocks, queue those in the window, and return the
+        index of the first."""
         first = len(self.tasks)
         self.tasks += tasks
-        self._queue(self.live + _AHEAD + 1 if self.read_once else len(self.tasks))
+        self._queue(self.live + _AHEAD + 1)
         return first
-
-    @property
-    def built(self) -> bool:
-        return self.ready == len(self.tasks)
 
     def _queue(self, end: int) -> None:
         """Queue every block below ``end`` not queued yet."""
@@ -330,25 +327,25 @@ class _Blocks:
 
         Every block from the lowest live one up to end is waited for in block
         order, so the first failing block's error is the one raised, as in a
-        serial build, and again on every later read.  Read once, the blocks
-        below first are then released and the blocks up to ``_AHEAD`` past
-        the lowest live one queued; a read of a released block raises
-        AlignmentError.
+        serial build, and again on every later read that reaches it.  The
+        blocks below first are then released and the blocks up to ``_AHEAD``
+        past the lowest live one queued; a read of a released block raises
+        AlignmentError, even after a failed read.
         """
         if first < self.live:
             raise AlignmentError(
-                "a released block was read: a read-once chain is read once, in order"
+                "a released block was read: a chain is read once, in order; "
+                "one read more than once is joined first by reading its steps"
             )
         self._queue(end)
         for i in range(self.ready, end):
             self._wait(i)
             self.ready = i + 1
         blocks = [self.futures[i].result() for i in range(first, end)]
-        if self.read_once:
-            if first > self.live:
-                self.futures[self.live : first] = [None] * (first - self.live)
-                self.live = first
-            self._queue(self.live + _AHEAD + 1)
+        if first > self.live:
+            self.futures[self.live : first] = [None] * (first - self.live)
+            self.live = first
+        self._queue(self.live + _AHEAD + 1)
         return blocks
 
     def _wait(self, i: int) -> None:
@@ -385,7 +382,6 @@ def build_chain(
     path: WienerPath | None,
     grid: TimeGrid,
     m: int,
-    read_once: bool = False,
     after: PropagatorChain | None = None,
 ) -> PropagatorChain:
     """Assemble midpoint-frozen step matrices over the grid.
@@ -393,23 +389,23 @@ def build_chain(
     With amp > 0 the chain grid must run at the path resolution (the driver
     is read at path grid points).  The driver and the modulation are
     computed here, at once; the steps are built in 128-step blocks (see the
-    module notes).  A kept chain is built before the call returns at width
-    1, and queued on the chain workers otherwise, so its reads wait for them.
-    ``read_once`` is for an owner that reads the chain once, in order: its
-    blocks are queued ``_AHEAD`` past the reader (and built by the reader at
-    width 1), and each is freed once a read has passed it.  A read-once
-    chain built ``after`` another, which its reader reads first, appends its
-    blocks to that chain's: the one window then spans both, so the workers
-    build this chain's first blocks while the reader ends the other, and the
-    two hold no more blocks together than one.  An ``after`` chain that holds
-    no blocks (joined by ``steps``, with amp = 0, or empty) leaves the new
+    module notes), queued ``_AHEAD`` past the reader on the chain workers and
+    built by the reader at width 1.  So the chain streams: each block is
+    freed once a read has passed it, and a chain read more than once reads
+    ``steps`` first.  A block is built at the latest when a read needs it,
+    so a DefinitenessError is raised at that read.  A chain built ``after``
+    another, which its reader reads first, appends its blocks to that
+    chain's: the one window then spans both, so the workers build this
+    chain's first blocks while the reader ends the other, and the two hold
+    no more blocks together than one.  An ``after`` chain that holds no
+    blocks (joined by ``steps``, with amp = 0, or empty) leaves the new
     chain a window of its own.
     """
     if m < 1:
         raise ConfigurationError("Galerkin dimension must be >= 1")
-    if after is not None and (not read_once or after.dim != m):
+    if after is not None and after.dim != m:
         raise ConfigurationError(
-            "a chain built after another is read once, at the same Galerkin dimension"
+            "a chain built after another has the same Galerkin dimension"
         )
     k_steps = grid.n_steps
     if field.amp == 0.0:
@@ -427,23 +423,19 @@ def build_chain(
     zetas = driver_values(field, path, k0, k0 + k_steps)
     modulation = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
 
-    steps = None if read_once else np.empty((k_steps, m, m))
     tasks = [
         partial(
             _build_block, lo, min(lo + _BUILD_BLOCK, k_steps),
-            field, grid.dt, modulation, m, steps,
+            field, grid.dt, modulation, m,
         )
         for lo in range(0, k_steps, _BUILD_BLOCK)
     ]
     blocks = None if after is None else after._blocks
-    if blocks is None or not blocks.read_once:
-        blocks = _Blocks(m, read_once)
-    chain = PropagatorChain(
-        grid, steps, field, path, _blocks=blocks, _first=blocks.add(tasks)
+    if blocks is None:
+        blocks = _Blocks(m)
+    return PropagatorChain(
+        grid, None, field, path, _blocks=blocks, _first=blocks.add(tasks)
     )
-    if _pool is None and not read_once:
-        chain.steps  # width 1: a kept chain is built before the call returns
-    return chain
 
 
 def _build_block(
@@ -453,15 +445,13 @@ def _build_block(
     dt: float,
     modulation: np.ndarray,
     m: int,
-    steps: np.ndarray | None,
 ) -> np.ndarray:
-    """Steps lo..hi-1 of a chain, one block, returned.
+    """Steps lo..hi-1 of a chain, one block, in an array of its own.
 
-    The block is assembled in parity order in its own slots of ``steps``, or
-    in an array of its own on a read-once chain (steps None); eigh's
+    The block is assembled in parity order in that array; eigh's
     eigenvector array is the one block-sized temporary.
     """
-    out = np.empty((hi - lo, m, m)) if steps is None else steps[lo:hi]
+    out = np.empty((hi - lo, m, m))
     fill_generators(field, modulation[lo:hi], out, parity=True)
     _exp_steps(out, dt, field.spectral_ceiling)
     return out

@@ -54,7 +54,7 @@ def construct_initial(
     The path must cover [-a, 0] (ShiftRangeError)."""
     if not a > 0:
         raise ConfigurationError("truncation horizon a must be positive")
-    chain = build_chain(field, path, span_grid(-a, 0.0, path.dt), m, read_once=True)
+    chain = build_chain(field, path, span_grid(-a, 0.0, path.dt), m)
     z0 = -corrector_integral(chain, path, -a, 0.0)
     tail_norm = _max_norm_on(path, -a, -a / 2.0)
     bound = tail_norm * math.exp(-field.poincare_rate * a)
@@ -79,12 +79,13 @@ def propagate(
 ) -> Trajectory:
     """Z(theta_t w) on [0, horizon] via the local linear step with sigma = 1.
 
-    A supplied chain must span exactly [0, horizon] at the path resolution;
-    without one, the chain built here is read once.
+    A supplied chain must span exactly [0, horizon] at the path resolution.
+    It is marched, so a caller that reads it again joins it first
+    (``PropagatorChain.steps``); without one, the chain is built here.
     """
     grid = span_grid(0.0, horizon, path.dt)
     if chain is None:
-        chain = build_chain(field, path, grid, m, read_once=True)
+        chain = build_chain(field, path, grid, m)
     elif chain.grid.t0 != 0.0 or chain.grid.n_steps != grid.n_steps:
         raise ConfigurationError("supplied chain does not span [0, horizon]")
     noise = corrected_increments(chain, path)

@@ -284,8 +284,8 @@ def corrector_integral(
     weights = np.full(kb - ka + 1, chain.grid.dt)
     weights[[0, -1]] /= 2.0
     rows *= weights[:, None]
-    # the whole chain is marched as itself, not as a segment, so a read-once
-    # chain frees each block behind the march
+    # the whole chain is marched as itself, not as a segment, so a chain not
+    # joined frees each block behind the march
     span = chain if (ka, kb) == (0, chain.grid.n_steps) else chain.segment(ka, kb)
     traj = _march(span, np.zeros(chain.dim), _ZERO, None, None, rows[:-1])
     return traj.states[-1] + rows[-1]
@@ -378,7 +378,7 @@ def _march(
 ) -> Trajectory:
     """x_{k+1} = S_k (x_k + dt (F(x_k + shifts[k]) + f) + noise[k]) over the
     chain grid, every state recorded, walking the chain block by block
-    (``PropagatorChain.blocks``), so a read-once chain is freed behind it.
+    (``PropagatorChain.blocks``), so a chain not joined is freed behind it.
 
     Every pathwise march (u, Z and v = u - sigma Z) is this loop.  ``noise``
     comes scaled by sigma; absent terms are skipped, not added as zeros, so

@@ -9,7 +9,8 @@ from randattract import (
     WienerPath,
     sample_two_sided_path,
 )
-from randattract.evolution import set_chain_workers
+from randattract.evolution import PropagatorChain, _exp_steps, set_chain_workers
+from randattract.operators import driver_values, fill_generators
 
 DT = 2.0 ** -8
 
@@ -54,3 +55,15 @@ def synthetic_path(values: np.ndarray, dt: float, origin: int) -> WienerPath:
     base.setflags(write=False)
     spec = NoiseSpectrum(base.shape[1], 1.0)
     return WienerPath(base, origin, dt, spec, 0)
+
+
+def reference_chain(field, path, grid, m) -> PropagatorChain:
+    """The steps of ``build_chain`` (amp > 0) from one ``fill_generators`` and
+    one ``_exp_steps`` call over the whole grid, in one array without blocks:
+    a reference independent of the block machinery, bit for bit."""
+    k0 = path.index_of(grid.t0)
+    zetas = driver_values(field, path, k0, k0 + grid.n_steps)
+    mus = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
+    steps = fill_generators(field, mus, np.empty((grid.n_steps, m, m)), parity=True)
+    _exp_steps(steps, grid.dt, field.spectral_ceiling)
+    return PropagatorChain(grid, steps, field, path)

@@ -299,6 +299,7 @@ def test_criterion_08_energy_and_absorbing_structure():
     path = sample_two_sided_path(spec, -17.0, horizon, DT8, seed=108)
     grid = span_grid(0.0, horizon, DT8)
     chain = build_chain(field, path, grid, m)
+    chain.steps  # marched twice (cubic and fisher): joined once
 
     cubic = integrate_v(NonlinearitySpec.pure_cubic(), None, 0.0, u0, chain, None)
     norms = cubic.l2_norms()
@@ -317,6 +318,7 @@ def test_criterion_08_energy_and_absorbing_structure():
     for i in range(8):
         p = sample_two_sided_path(spec, -17.0, horizon, DT8, seed=108_100 + i)
         ch = build_chain(field, p, grid, m)
+        ch.steps  # marched twice (Z and v): joined once
         z0 = construct_initial(field, p, 8.0, m)
         ztraj = propagate(z0, field, p, horizon, m, chain=ch)
         weighted = ztraj.states * fixed_laplacian_symbols(m, 0.2)

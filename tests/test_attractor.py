@@ -34,12 +34,14 @@ from randattract import attractor, evolution, ou, pathwise
 from randattract.errors import ConfigurationError
 from randattract.evolution import set_chain_workers
 
-from conftest import DT, synthetic_path
+from conftest import DT, reference_chain, synthetic_path
 
 
 @pytest.fixture(scope="module")
 def chain16(default_field, medium_path):
-    return build_chain(default_field, medium_path, span_grid(0.0, 1.0, DT), 16)
+    chain = build_chain(default_field, medium_path, span_grid(0.0, 1.0, DT), 16)
+    chain.steps  # read by many tests: joined once
+    return chain
 
 
 def test_v_step_pure_propagation(chain16):
@@ -421,9 +423,10 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
 
 def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
     # construct_initial's z0 and the pullback endpoints are the same on
-    # read-once chains as on kept ones, at widths 1 and 2; the 256-step
-    # history and the 192-step horizon span two blocks, and 5-step pullback
-    # segments straddle their boundary
+    # streaming chains, at widths 1 and 2, as on whole-grid reference chains
+    # (one array each, no blocks); the 256-step history and the 192-step
+    # horizon span two blocks, and 5-step pullback segments straddle their
+    # boundary
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 8, 2.0 ** -6
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -7.0, 0.5, dt, seed=33)
@@ -435,7 +438,7 @@ def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
     monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 5 * 8 * m * m)
 
     def kept(field, path, grid, m, **kwargs):
-        return build_chain(field, path, grid, m)
+        return reference_chain(field, path, grid, m)
 
     def run():
         z0 = construct_initial(field, path, 4.0, m).z0
@@ -511,7 +514,7 @@ def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
 def test_pullback_memory_with_chains_built_ahead_stays_in_the_read_once_window():
     # pullback_estimate at width 2 on horizons of 768 and 3072 steps, and on
     # four of 768 to 3072: while a horizon ends the next one's first blocks
-    # are built, yet the peak stays within one read-once window (the queued
+    # are built, yet the peak stays within one streaming window (the queued
     # blocks, the march's block and one eigh temporary per thread), besides
     # an allowance for the noise increments (n_steps x m) of the two longest
     # chains (the estimate holds one horizon's at a time)
@@ -646,6 +649,7 @@ def test_pullback_invariance_probe(default_field, spectrum):
 
     # forward evolution of the cloud by s = 1 on the w-fiber
     chain = build_chain(default_field, path, span_grid(0.0, 1.0, DT), m)
+    chain.steps  # marched once a member: joined once
     evolved = []
     for u0 in cloud:
         member = SemilinearProblem(

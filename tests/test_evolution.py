@@ -1,6 +1,5 @@
 """Evolution-family identities, decay envelopes, smoothing, scheme order."""
 
-import itertools
 import math
 import sys
 import tracemalloc
@@ -42,7 +41,7 @@ from randattract.evolution import (
 )
 from randattract.operators import _stiffness_parts, driver_values
 
-from conftest import DT
+from conftest import DT, reference_chain
 
 
 def _generator(field, m, mu):
@@ -53,7 +52,9 @@ def _generator(field, m, mu):
 
 @pytest.fixture(scope="module")
 def chain(default_field, medium_path):
-    return build_chain(default_field, medium_path, span_grid(0.0, 1.0, DT), 24)
+    chain = build_chain(default_field, medium_path, span_grid(0.0, 1.0, DT), 24)
+    chain.steps  # read by many tests: joined once
+    return chain
 
 
 def test_identity_exact(chain):
@@ -259,12 +260,12 @@ def test_build_chain_on_two_workers_equals_serial(n_steps, medium_path):
     set_chain_workers(2)
     try:
         split = build_chain(field, medium_path, grid, 16)
-        # streamed: read in 32-step segments while later blocks are built
+        # streamed: read in 32-step segments, which cover every step, while
+        # later blocks are built
         streamed = build_chain(field, medium_path, grid, 16)
         for lo in range(0, n_steps, 32):
             hi = min(lo + 32, n_steps)
             assert np.array_equal(streamed.segment(lo, hi).steps, serial.steps[lo:hi])
-        assert np.array_equal(streamed.steps, serial.steps)
     finally:
         set_chain_workers(1)
         sys.setswitchinterval(interval)
@@ -275,8 +276,8 @@ def test_build_chain_on_two_workers_equals_serial(n_steps, medium_path):
 def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
     # blocks 1 and 3 of five fail, on whichever thread builds them: a read
     # below block 1 succeeds, and every read that covers block 1 raises its
-    # error, never block 3's, however the blocks were shared out; a
-    # read-once chain, queueing one block ahead, too
+    # error, never block 3's, however the blocks were shared out, with the
+    # window queueing one block ahead
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
     firsts = []
@@ -287,7 +288,7 @@ def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
         exp_steps(gens, dt, ceiling)
 
     monkeypatch.setattr(evolution, "_exp_steps", recording)
-    build_chain(field, medium_path, grid, 12)  # width 1: blocks in order
+    build_chain(field, medium_path, grid, 12).steps  # width 1: blocks in order
     failing = {firsts[1]: "block 1", firsts[3]: "block 3"}
 
     def failing_blocks(gens, dt, ceiling=math.inf):
@@ -301,9 +302,9 @@ def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
     sys.setswitchinterval(1e-6)
     set_chain_workers(2)
     try:
-        for read, read_once in itertools.product(("steps", "segment"), (False, True)):
+        for read in ("steps", "segment"):
             for _ in range(3):
-                chain = build_chain(field, medium_path, grid, 12, read_once=read_once)
+                chain = build_chain(field, medium_path, grid, 12)
                 assert chain.segment(0, 128).steps.shape == (128, 12, 12)
                 for _ in range(2):
                     with pytest.raises(DefinitenessError, match="block 1"):
@@ -318,8 +319,8 @@ def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
 
 def test_build_chain_on_more_workers_than_cores(medium_path):
     # 3 chains of 5 blocks on 3 pool threads and the reader with a short
-    # switch interval: the blocks write disjoint slices of their chain, so
-    # any cross-block write would show
+    # switch interval: each block is an array of its own, copied into its
+    # chain's join, so any cross-block write would show
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
     serial = build_chain(field, medium_path, grid, 12)
@@ -334,62 +335,71 @@ def test_build_chain_on_more_workers_than_cores(medium_path):
         sys.setswitchinterval(interval)
 
 
-def test_build_chain_holds_one_block_per_worker(two_chain_workers):
-    # 8 blocks on 2 workers: besides the chain itself, each worker holds one
-    # 128-step block at a time (eigh's eigenvectors, turned into H in place)
+def test_joined_chain_holds_one_chain_and_the_window(two_chain_workers):
+    # steps on a 16-block chain at width 2 copies each block into the joined
+    # array as the window passes it: besides that array the join holds the
+    # queued window, the block being copied and one eigh temporary per
+    # thread, not a second copy of the chain
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 32, 2.0 ** -7
-    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -2.0, 8.0, dt, seed=9)
-    build_chain(field, path, span_grid(0.0, 1.0, dt), m)  # warm the caches
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -2.0, 16.0, dt, seed=9)
+    grid = span_grid(0.0, 16.0, dt)
+    reference = reference_chain(field, path, grid, m)
+    build_chain(field, path, span_grid(0.0, 1.0, dt), m).steps  # warm the caches
     tracemalloc.start()
     try:
-        chain = build_chain(field, path, span_grid(0.0, 8.0, dt), m)
-        chain.steps  # the blocks are built in the background until read
+        chain = build_chain(field, path, grid, m)
+        chain.steps
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     block_bytes = 128 * m * m * 8
-    assert chain.steps.shape[0] == 1024
-    assert peak - chain.steps.nbytes < 2 * (block_bytes + block_bytes // 4)
+    assert chain.steps.shape[0] == 16 * 128
+    assert np.array_equal(chain.steps, reference.steps)
+    assert peak - chain.steps.nbytes < (evolution._AHEAD + 5) * block_bytes
 
 
 def test_read_once_chain_releases_the_blocks_a_read_has_passed(medium_path):
     # 600 steps, five blocks: a read from step 300 releases blocks 0 and 1,
-    # so any read below step 256 raises; segments taken before the release
-    # (one inside block 0, one straddling blocks 0 and 1) keep their steps.
-    # A 300-step chain built after a 600-step one appends its blocks to the
-    # other's: reading it releases the first chain's blocks, and both chains
-    # have the steps of kept chains
+    # so any read below step 256 raises, and says to join a chain read more
+    # than once; segments taken before the release (one inside block 0, one
+    # straddling blocks 0 and 1) keep their steps.  A 300-step chain built
+    # after a 600-step one appends its blocks to the other's: reading it
+    # releases the first chain's blocks, and both chains have the steps of
+    # the whole-grid reference
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
     later = span_grid(600 * DT, 900 * DT, DT)
-    kept = build_chain(field, medium_path, grid, 12)
-    kept_later = build_chain(field, medium_path, later, 12)
+    reference = reference_chain(field, medium_path, grid, 12)
+    reference_later = reference_chain(field, medium_path, later, 12)
     for width in (1, 2):
         set_chain_workers(width)
-        chain = build_chain(field, medium_path, grid, 12, read_once=True)
+        chain = build_chain(field, medium_path, grid, 12)
         inside, straddling = chain.segment(0, 32), chain.segment(100, 200)
-        assert np.array_equal(chain.segment(300, 400).steps, kept.steps[300:400])
+        assert np.array_equal(chain.segment(300, 400).steps, reference.steps[300:400])
         for lo, hi in ((0, 32), (255, 300)):
             with pytest.raises(AlignmentError, match="released"):
                 chain.segment(lo, hi)
-        with pytest.raises(AlignmentError, match="released"):
+        with pytest.raises(
+            AlignmentError, match="released.*joined first by reading its steps"
+        ):
             chain.steps
-        assert np.array_equal(inside.steps, kept.steps[:32])
-        assert np.array_equal(straddling.steps, kept.steps[100:200])
+        assert np.array_equal(inside.steps, reference.steps[:32])
+        assert np.array_equal(straddling.steps, reference.steps[100:200])
         # steps 256.. are still live: the march's blocks, read in order
-        assert np.array_equal(chain.segment(256, 600).steps, kept.steps[256:])
+        assert np.array_equal(chain.segment(256, 600).steps, reference.steps[256:])
         blocks = chain.blocks()
         with pytest.raises(AlignmentError, match="released"):
             next(blocks)
-        first = build_chain(field, medium_path, grid, 12, read_once=True)
-        second = build_chain(field, medium_path, later, 12, read_once=True, after=first)
+        first = build_chain(field, medium_path, grid, 12)
+        second = build_chain(field, medium_path, later, 12, after=first)
         assert second._blocks is first._blocks and second._first == 5
-        assert np.array_equal(first.segment(0, 550).steps, kept.steps[:550])
-        assert np.array_equal(second.segment(0, 100).steps, kept_later.steps[:100])
+        assert np.array_equal(first.segment(0, 550).steps, reference.steps[:550])
+        assert np.array_equal(second.segment(0, 100).steps, reference_later.steps[:100])
         with pytest.raises(AlignmentError, match="released"):
             first.segment(550, 600)
-        assert np.array_equal(np.concatenate(list(second.blocks())), kept_later.steps)
+        joined = np.concatenate(list(second.blocks()))
+        assert np.array_equal(joined, reference_later.steps)
 
 
 def test_chain_after_one_without_blocks_has_a_window_of_its_own(medium_path):
@@ -398,23 +408,23 @@ def test_chain_after_one_without_blocks_has_a_window_of_its_own(medium_path):
     # another Galerkin dimension is refused
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 300 * DT, DT)
-    kept = build_chain(field, medium_path, grid, 12)
-    joined = build_chain(field, medium_path, grid, 12, read_once=True)
+    reference = reference_chain(field, medium_path, grid, 12)
+    joined = build_chain(field, medium_path, grid, 12)
     joined.steps
     flat = build_chain(DiffusionField(amp=0.0), None, grid, 12)
     empty = build_chain(field, medium_path, span_grid(0.0, 0.0, DT), 12)
     for before in (joined, flat, empty):
-        chain = build_chain(field, medium_path, grid, 12, read_once=True, after=before)
+        chain = build_chain(field, medium_path, grid, 12, after=before)
         assert chain._first == 0
-        assert np.array_equal(chain.steps, kept.steps)
-    chain = build_chain(field, medium_path, grid, 12, read_once=True)
-    with pytest.raises(ConfigurationError, match="Galerkin dimension"):
-        build_chain(field, medium_path, grid, 8, read_once=True, after=chain)
+        assert np.array_equal(chain.steps, reference.steps)
+    chain = build_chain(field, medium_path, grid, 12)
+    with pytest.raises(ConfigurationError, match="has the same Galerkin dimension"):
+        build_chain(field, medium_path, grid, 8, after=chain)
 
 
 def test_read_once_steps_are_joined_once(monkeypatch, medium_path):
-    # steps on a read-once chain builds every block once, queued or not, and
-    # later reads (segments, the march) come from the join
+    # steps builds every block once, queued or not, and later reads
+    # (segments, the march) come from the join, any number of times
     built = []
     exp_steps = evolution._exp_steps
 
@@ -425,18 +435,19 @@ def test_read_once_steps_are_joined_once(monkeypatch, medium_path):
     monkeypatch.setattr(evolution, "_exp_steps", counting)
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 1000 * DT, DT)
-    kept = build_chain(field, medium_path, grid, 12)
+    reference = reference_chain(field, medium_path, grid, 12)  # no block counted
     set_chain_workers(2)
-    chain = build_chain(field, medium_path, grid, 12, read_once=True)
-    assert np.array_equal(chain.steps, kept.steps)
-    assert np.array_equal(chain.segment(900, 1000).steps, kept.steps[900:])
-    assert np.array_equal(np.concatenate(list(chain.blocks())), kept.steps)
-    assert sum(built) == 2 * 1000
+    chain = build_chain(field, medium_path, grid, 12)
+    assert np.array_equal(chain.steps, reference.steps)
+    assert np.array_equal(chain.segment(900, 1000).steps, reference.steps[900:])
+    for _ in range(2):
+        assert np.array_equal(np.concatenate(list(chain.blocks())), reference.steps)
+    assert sum(built) == 1000
 
 
 def test_read_once_march_memory_is_bounded_in_the_horizon():
-    # integrate_semilinear on read-once chains of 768 and 3072 steps: the
-    # peaks differ by less than one 128-step block at width 1 (the march
+    # integrate_semilinear on chains of 768 and 3072 steps: the peaks
+    # differ by less than one 128-step block at width 1 (the march
     # states, 3 * 768 * m floats apart, fit in that); at width 2 the longer
     # march holds at most the queued window, the march's block and one eigh
     # temporary per thread besides its states
@@ -448,15 +459,15 @@ def test_read_once_march_memory_is_bounded_in_the_horizon():
         sigma=0.0, u0=np.full(m, 0.1),
     )
     block_bytes = 128 * m * m * 8
-    kept = build_chain(field, path, span_grid(0.0, 24.0, dt), m)
-    expected = integrate_semilinear(problem, kept).states
-    del kept
+    reference = reference_chain(field, path, span_grid(0.0, 24.0, dt), m)
+    expected = integrate_semilinear(problem, reference).states
+    del reference
 
     def peak(horizon):
-        build_chain(field, path, span_grid(0.0, 1.0, dt), m)  # warm the caches
+        build_chain(field, path, span_grid(0.0, 1.0, dt), m).steps  # warm the caches
         tracemalloc.start()
         try:
-            chain = build_chain(field, path, span_grid(0.0, horizon, dt), m, read_once=True)
+            chain = build_chain(field, path, span_grid(0.0, horizon, dt), m)
             traj = integrate_semilinear(problem, chain)
             return tracemalloc.get_traced_memory()[1], traj.states
         finally:
@@ -469,6 +480,28 @@ def test_read_once_march_memory_is_bounded_in_the_horizon():
     long, states = peak(24.0)
     assert np.array_equal(states, expected)
     assert long - states.nbytes < (evolution._AHEAD + 5) * block_bytes
+
+
+def test_a_chain_marched_twice_is_joined_first(medium_path):
+    # a 3-block chain marched a second time without a join reads released
+    # blocks, and the error says to join it; joined by steps, a chain is
+    # marched three times to the bits of a march on a fresh chain
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, 300 * DT, DT)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.linspace(0.5, -0.5, 16),
+    )
+    for width in (1, 2):
+        set_chain_workers(width)
+        chain = build_chain(field, medium_path, grid, 16)
+        once = integrate_semilinear(problem, chain).states
+        with pytest.raises(AlignmentError, match="joined first by reading its steps"):
+            integrate_semilinear(problem, chain)
+        chain = build_chain(field, medium_path, grid, 16)
+        chain.steps
+        for _ in range(3):
+            assert np.array_equal(integrate_semilinear(problem, chain).states, once)
 
 
 def test_one_step_formula_for_every_chain(medium_path):

@@ -193,6 +193,7 @@ def test_propagate_global_form_consistency_refines(default_field):
         path = sample_two_sided_path(spec, -18.0, 1.0, dt, seed=9)
         st = construct_initial(default_field, path, 8.0, 8)
         chain = build_chain(default_field, path, span_grid(0.0, 1.0, dt), 8)
+        chain.steps  # read by propagate and the global form: joined once
         traj = propagate(st, default_field, path, 1.0, 8, chain=chain)
         ref = global_form_reference(st, chain, path, 1.0)
         diffs.append(float(np.abs(traj.state_at(1.0) - ref).max()))

@@ -26,7 +26,7 @@ from randattract.errors import AlignmentError, ConfigurationError, NumericalErro
 from randattract.operators import fixed_laplacian_symbols
 from randattract.pathwise import _ZERO, _march, corrected_increments, dealias_node_count
 
-from conftest import DT, synthetic_path
+from conftest import DT, reference_chain, synthetic_path
 
 
 def test_dissipativity_constants():
@@ -153,6 +153,7 @@ def _corrector_loop(chain, path, t_a, t_b):
 @pytest.mark.parametrize("amp", [0.2, 0.0])
 def test_corrector_is_the_trapezoid_loop_bitwise(amp, medium_path):
     chain = build_chain(DiffusionField(amp=amp), medium_path, span_grid(-0.5, 1.0, DT), 16)
+    chain.steps  # read by both correctors over two spans: joined once
     for t_a, t_b in ((-0.5, 1.0), (0.25, 0.75)):
         got = corrector_integral(chain, medium_path, t_a, t_b)
         assert np.array_equal(got, _corrector_loop(chain, medium_path, t_a, t_b))
@@ -270,17 +271,17 @@ def _march_checking_every_state(chain, x0, nonlinearity, noise, blowup):
 
 
 def _four_block_case(default_field, medium_path):
-    """A kept chain of 512 steps (four 128-step blocks; block b makes states
-    128 b + 1 .. 128 b + 128), a read-once chain with the same steps, and
-    the norm weights."""
+    """A reference chain of 512 steps (four 128-step blocks; block b makes
+    states 128 b + 1 .. 128 b + 128) built without blocks, a maker of chains
+    with the same steps from ``build_chain``, and the norm weights."""
     m = 8
     grid = span_grid(0.0, 2.0, DT)
-    kept = build_chain(default_field, medium_path, grid, m)
+    reference = reference_chain(default_field, medium_path, grid, m)
 
-    def read_once():
-        return build_chain(default_field, medium_path, grid, m, read_once=True)
+    def built():
+        return build_chain(default_field, medium_path, grid, m)
 
-    return kept, read_once, fixed_laplacian_symbols(m, 0.2), np.linspace(0.2, 1.0, m)
+    return reference, built, fixed_laplacian_symbols(m, 0.2), np.linspace(0.2, 1.0, m)
 
 
 # the first, a middle and the last step of block 1
@@ -292,16 +293,16 @@ def test_checks_once_a_block_give_the_blowup_of_checks_every_state(
     # makes; the cubic march goes on past it to the end of the block, where
     # its states overflow to inf and NaN, yet the march stops where a check
     # after every state stopped it, with the same bits
-    kept, read_once, symbols, x0 = _four_block_case(default_field, medium_path)
+    reference, built, symbols, x0 = _four_block_case(default_field, medium_path)
     noise = np.zeros((512, 8))
     noise[kicked, 0] = 1e7
     blowup = (symbols, 1e6)
     for nonlinearity in (_ZERO, NonlinearitySpec.cubic_fisher()):
         states, status, time = _march_checking_every_state(
-            kept, x0, nonlinearity, noise, blowup
+            reference, x0, nonlinearity, noise, blowup
         )
         assert status == "blowup" and states.shape[0] == kicked + 2
-        for chain in (kept, read_once()):
+        for chain in (reference, built()):
             traj = _march(chain, x0, nonlinearity, None, None, noise, blowup)
             assert np.array_equal(traj.states, states)
             assert traj.status == status and traj.blowup_time == time
@@ -311,19 +312,19 @@ def test_checks_once_a_block_hold_at_the_threshold_itself(default_field, medium_
     # a state whose norm is the threshold does not blow up, and the next
     # float below makes it blow up: the screen's margin sends both to the
     # exact check
-    kept, read_once, symbols, x0 = _four_block_case(default_field, medium_path)
+    reference, built, symbols, x0 = _four_block_case(default_field, medium_path)
     noise = np.zeros((512, 8))
     noise[191, 0] = 50.0
-    states = _march_checking_every_state(kept, x0, _ZERO, noise, None)[0]
+    states = _march_checking_every_state(reference, x0, _ZERO, noise, None)[0]
     weighted = states * symbols
     norms = [math.sqrt(w.dot(w)) for w in weighted]
     top = int(np.argmax(norms))
     assert top == 192
     for threshold in (norms[top], np.nextafter(norms[top], 0.0)):
         blowup = (symbols, threshold)
-        expected = _march_checking_every_state(kept, x0, _ZERO, noise, blowup)
+        expected = _march_checking_every_state(reference, x0, _ZERO, noise, blowup)
         assert expected[1] == ("completed" if threshold == norms[top] else "blowup")
-        for chain in (kept, read_once()):
+        for chain in (reference, built()):
             traj = _march(chain, x0, _ZERO, None, None, noise, blowup)
             assert np.array_equal(traj.states, expected[0])
             assert (traj.status, traj.blowup_time) == expected[1:]
@@ -337,14 +338,14 @@ def test_checks_once_a_block_raise_on_a_nan_mid_block(
 ):
     # a NaN in the middle of block 1 raises as it did with a check after
     # every state, under an infinite threshold and with none at all
-    kept, read_once, symbols, x0 = _four_block_case(default_field, medium_path)
+    reference, built, symbols, x0 = _four_block_case(default_field, medium_path)
     nonlinearity = NonlinearitySpec.cubic_fisher() if nonlinear else _ZERO
     blowup = (symbols, math.inf) if blowup else None
     noise = np.zeros((512, 8))
     noise[190, 3] = np.nan
     with pytest.raises(NumericalError, match="non-finite state"):
-        _march_checking_every_state(kept, x0, nonlinearity, noise, blowup)
-    for chain in (kept, read_once()):
+        _march_checking_every_state(reference, x0, nonlinearity, noise, blowup)
+    for chain in (reference, built()):
         with pytest.raises(NumericalError, match="non-finite state"):
             _march(chain, x0, nonlinearity, None, None, noise, blowup)
 

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +36,9 @@ from .evolution import (
     contractivity_margin,
     decay_fit,
     operator_norm,
-    set_chain_workers,
+    ordered_map,
     span_grid,
+    workers,
 )
 from .noise import (
     NoiseSpectrum,
@@ -77,22 +77,13 @@ from .attractor import (
 )
 
 
-# the widest --threads accepted: a width of n lets a chain build start n - 1
-# threads, one for each queued block
+# the widest --threads accepted: a run of width n starts n - 1 worker threads,
+# shared by its path ensembles and chain blocks
 MAX_THREADS = 64
 
 
 def fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def map_ordered(fn, items, threads: int):
-    """Apply fn over items with a thread pool, results in input order
-    (deterministic aggregation survives parallelism)."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _finite_or_null(value):
@@ -165,7 +156,7 @@ def _path_window_for(cfg: RunConfig, t_lo: float, t_hi: float, seed: int):
     return sample_two_sided_path(spectrum, t_lo, t_hi, cfg.dt, seed)
 
 
-def cmd_simulate(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
+def cmd_simulate(cfg: RunConfig, sink: OutputSink) -> None:
     """Ensemble of semilinear trajectories; per-trajectory and summary CSVs."""
     if cfg.n_paths < 2:
         raise ConfigurationError(
@@ -183,7 +174,7 @@ def cmd_simulate(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
         chain = build_chain(problem.field, path, grid, m)
         return integrate_semilinear(problem, chain, path)
 
-    trajectories = map_ordered(run_one, seeds, threads)
+    trajectories = ordered_map(run_one, seeds)
     # a path counts at t_k while it has not blown up: its blow-up state, the
     # last one it records, is past the threshold (its norm may overflow), so
     # it enters no row
@@ -234,7 +225,7 @@ def cmd_simulate(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
     )
 
 
-def cmd_ou_diagnose(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
+def cmd_ou_diagnose(cfg: RunConfig, sink: OutputSink) -> None:
     """Stationarity residual report (JSON) + temperedness table (CSV)."""
     field = cfg.field()
     m = cfg.galerkin_dim
@@ -279,7 +270,7 @@ def cmd_ou_diagnose(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
     )
 
 
-def cmd_attractor_pullback(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
+def cmd_attractor_pullback(cfg: RunConfig, sink: OutputSink) -> None:
     """Pullback estimate: endpoint clouds, diameters, Hausdorff steps."""
     problem = cfg.problem()
     m = cfg.galerkin_dim
@@ -317,7 +308,7 @@ def cmd_attractor_pullback(cfg: RunConfig, sink: OutputSink, threads: int) -> No
     )
 
 
-def cmd_convergence(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
+def cmd_convergence(cfg: RunConfig, sink: OutputSink) -> None:
     """Dyadic strong self-convergence study with fitted orders."""
     m = cfg.galerkin_dim
     problem = cfg.problem()
@@ -350,7 +341,7 @@ def cmd_convergence(cfg: RunConfig, sink: OutputSink, threads: int) -> None:
             errs.append(float(np.linalg.norm(coarse - ref)))
         return errs
 
-    all_errs = np.array(map_ordered(run_one, seeds, threads))
+    all_errs = np.array(ordered_map(run_one, seeds))
     rms = np.sqrt((all_errs ** 2).mean(axis=0))
     dts = [base / 2 ** lev for lev in range(levels)]
     order = observed_order(dts, list(rms))
@@ -584,7 +575,7 @@ def _decay_envelope_rows(cfg: RunConfig) -> list[list]:
     return rows
 
 
-def cmd_verify(cfg: RunConfig, sink: OutputSink, threads: int) -> int:
+def cmd_verify(cfg: RunConfig, sink: OutputSink) -> int:
     checks = _verify_checks(cfg)
     failed = [c for c in checks if not c["passed"]]
     sink.write_csv(
@@ -647,6 +638,7 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "ou-diagnose": cmd_ou_diagnose,
     "attractor-pullback": cmd_attractor_pullback,
+    "verify": cmd_verify,
     "convergence": cmd_convergence,
 }
 
@@ -686,13 +678,9 @@ def main(argv: list[str] | None = None) -> int:
     sink = OutputSink(out_dir, cfg.config_hash())
     timings: dict[str, float] = {}
     started = time.perf_counter()
-    set_chain_workers(args.threads)
     try:
-        if args.command == "verify":
-            code = cmd_verify(cfg, sink, args.threads)
-        else:
-            _COMMANDS[args.command](cfg, sink, args.threads)
-            code = 0
+        with workers(args.threads):
+            code = _COMMANDS[args.command](cfg, sink) or 0
         failure = None
     except ConfigurationError as exc:
         failure = 1, f"configuration error: {exc}"
@@ -704,9 +692,6 @@ def main(argv: list[str] | None = None) -> int:
         failure = 1, f"validation error: {exc}"
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         failure = 2, f"numerical error: {exc}"
-    finally:
-        # drops the blocks still queued for chains nobody will read
-        set_chain_workers(1)
     if failure is not None:
         code, message = failure
         sink.cleanup_partial()

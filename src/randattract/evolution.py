@@ -8,16 +8,17 @@ LAPACK splits the two blocks, and the step is put back in natural order.
 Applying the chain is a left-to-right sequence of matrix-vector products, so
 the composition law U(t,s)U(s,r) = U(t,r) holds bitwise by construction.
 
-Steps are built in blocks of 128.  With more than one chain worker
-(``set_chain_workers``) ``build_chain`` queues the blocks on a thread pool and
-returns at once, so the caller can go on (say, to the noise increments or the
-first segments of a march) while later steps are still being built.  A read
+Steps are built in blocks of 128.  Inside a ``workers`` scope of more than one
+thread ``build_chain`` queues the blocks on the scope's workers and returns at
+once, so the caller can go on (say, to the noise increments or the first
+segments of a march) while later steps are still being built.  A read
 waits for what it covers: ``PropagatorChain.steps`` for the whole chain,
 ``PropagatorChain.segment`` for the blocks below its end, and the march
 (``PropagatorChain.blocks``) for one block at a time.  A reader that waits for
 a block builds in its own thread the lowest queued block that no worker has
 started, so it never idles while there is a block to build; each step has
-the same bits at any width.  A chain has one reading thread.
+the same bits at any width.  A chain has one reading thread.  The same
+workers run ``ordered_map``'s items, by the same rule.
 
 Every chain streams its blocks.  Each block is an array of its own and is
 freed once a read has passed it: a read of steps [lo, hi), through
@@ -47,6 +48,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -265,48 +268,56 @@ _BUILD_BLOCK = 128
 # with its length
 _AHEAD = 3
 
-# build_chain's pool: with width n > 1, n - 1 threads build each chain's
-# blocks in the background (NumPy's eigh, matmul and ufuncs release the GIL)
-# while the reading thread goes on, and builds any block they have not
-# started once it needs it.  Width 1 builds every block in the reading
-# thread; the CLI sets the width from --threads
-_pool: ThreadPoolExecutor | None = None
+# the workers of the enclosing ``workers`` scope; None outside one
+_executor: ContextVar[ThreadPoolExecutor | None] = ContextVar("executor", default=None)
 
 
-def set_chain_workers(n: int) -> None:
-    """Build the steps of each chain on n threads, the reader's included.
-
-    The old pool is shut down and its unstarted blocks are dropped; a chain
-    that still needs them builds them in its reading thread.
+@contextmanager
+def workers(n: int) -> Iterator[None]:
+    """Run chain blocks and ``ordered_map`` items on n threads, the caller's
+    included, until the scope exits (NumPy's eigh, matmul and ufuncs release
+    the GIL); the n - 1 workers then finish what they started and drop the
+    rest, which a chain read later builds in its reader.
     """
-    global _pool
     if n < 1:
-        raise ConfigurationError("chain workers must be >= 1")
-    if _pool is not None:
-        _pool.shutdown(cancel_futures=True)
-    _pool = (
-        ThreadPoolExecutor(max_workers=n - 1, thread_name_prefix="chain-build")
-        if n > 1
-        else None
-    )
+        raise ConfigurationError("workers must be >= 1")
+    pool = ThreadPoolExecutor(n - 1, thread_name_prefix="run-worker") if n > 1 else None
+    token = _executor.set(pool)
+    try:
+        yield
+    finally:
+        _executor.reset(token)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def ordered_map(fn, items) -> list:
+    """[fn(item) for item in items] on the scope's workers, waited for in
+    order like a chain's blocks, so the first failing item's error is raised.
+    The caller runs the first item; each runs in a copy of the caller's
+    context, so its chains queue their blocks on the same workers."""
+    tasks = _Blocks()
+    tasks.futures.append(Future())  # a future no worker runs: the caller's
+    tasks.add([partial(copy_context().run, fn, item) for item in items])
+    return tasks.read(0, len(items))
 
 
 class _Blocks:
     """build_chain's 128-step blocks of one chain, or of chains built
-    ``after`` one another, queued on the chain workers and built by the
-    reader where no worker has started them.
+    ``after`` one another, or ``ordered_map``'s items, queued on the workers
+    and built by the reader where no worker has started them.
 
-    ``tasks[i]()`` builds block i and returns its steps.  Only the chains'
-    reading thread calls these methods; the workers only run tasks.
+    ``tasks[i]()`` builds block i and returns its steps.  Only the reading
+    thread calls these methods; the workers only run tasks.
     """
 
-    def __init__(self, m: int) -> None:
+    def __init__(self, m: int = 0) -> None:
         self.tasks: list[partial] = []
-        self.m = m
+        self.m = m  # the Galerkin dimension of a chain's blocks
         # block i's future once queued; None once released
         self.futures: list[Future | None] = []
         self.live = 0  # the lowest block not released
-        self.ready = 0  # the blocks below are known built
+        self.failure: Exception | None = None  # the first failed block's error
 
     def add(self, tasks: list[partial]) -> int:
         """Append a chain's blocks, queue those in the window, and return the
@@ -318,29 +329,31 @@ class _Blocks:
 
     def _queue(self, end: int) -> None:
         """Queue every block below ``end`` not queued yet."""
+        pool = _executor.get()
         for task in self.tasks[len(self.futures) : end]:
             # a future no worker runs is built by the reader
-            self.futures.append(Future() if _pool is None else _pool.submit(task))
+            self.futures.append(Future() if pool is None else pool.submit(task))
 
     def read(self, first: int, end: int) -> list[np.ndarray]:
         """Blocks first..end-1, once built.
 
         Every block from the lowest live one up to end is waited for in block
         order, so the first failing block's error is the one raised, as in a
-        serial build, and again on every later read that reaches it.  The
-        blocks below first are then released and the blocks up to ``_AHEAD``
-        past the lowest live one queued; a read of a released block raises
-        AlignmentError, even after a failed read.
+        serial build, and again on every later read.  Otherwise the blocks
+        below first are then released and the blocks up to ``_AHEAD`` past
+        the lowest live one queued; a read of a released block raises
+        AlignmentError.
         """
+        if self.failure is not None:
+            raise self.failure
         if first < self.live:
             raise AlignmentError(
                 "a released block was read: a chain is read once, in order; "
                 "one read more than once is joined first by reading its steps"
             )
         self._queue(end)
-        for i in range(self.ready, end):
+        for i in range(self.live, end):
             self._wait(i)
-            self.ready = i + 1
         blocks = [self.futures[i].result() for i in range(first, end)]
         if first > self.live:
             self.futures[self.live : first] = [None] * (first - self.live)
@@ -357,15 +370,17 @@ class _Blocks:
         future = self.futures[i]
         while not future.done() or future.cancelled():
             for j in range(i, len(self.futures)):
-                # cancel() succeeds on a block not started, or dropped by a
-                # pool shutdown
+                # cancel() succeeds on a block not started, or dropped when
+                # its workers scope exited
                 if self.futures[j].cancel():
                     self._build(j)
                     break
             else:
                 wait([future])  # every queued block has started
             future = self.futures[i]
-        future.result()
+        if future.exception() is not None:
+            self.failure = future.exception()
+            raise self.failure
 
     def _build(self, j: int) -> None:
         """Build block j in the reading thread, keeping its error."""
@@ -389,8 +404,8 @@ def build_chain(
     With amp > 0 the chain grid must run at the path resolution (the driver
     is read at path grid points).  The driver and the modulation are
     computed here, at once; the steps are built in 128-step blocks (see the
-    module notes), queued ``_AHEAD`` past the reader on the chain workers and
-    built by the reader at width 1.  So the chain streams: each block is
+    module notes), queued ``_AHEAD`` past the reader on the ``workers`` and
+    built by the reader outside a scope.  So the chain streams: each block is
     freed once a read has passed it, and a chain read more than once reads
     ``steps`` first.  A block is built at the latest when a read needs it,
     so a DefinitenessError is raised at that read.  A chain built ``after``

@@ -9,20 +9,20 @@ from randattract import (
     WienerPath,
     sample_two_sided_path,
 )
-from randattract.evolution import PropagatorChain, _exp_steps, set_chain_workers
+from randattract.evolution import PropagatorChain, _exp_steps
 from randattract.operators import driver_values, fill_generators
 
 DT = 2.0 ** -8
 
 
 @pytest.fixture(autouse=True)
-def serial_chain_builds():
-    """Chains build at width 1 after every test, and no chain-build thread
-    outlives it, even when a test fails with blocks still queued."""
+def no_worker_outlives_the_test():
+    """No worker thread (chain blocks or ordered_map items) outlives a test,
+    even when it fails with blocks still queued: every workers scope has
+    shut its workers down by the time the test returns."""
     yield
-    set_chain_workers(1)
-    left = [t.name for t in threading.enumerate() if t.name.startswith("chain-build")]
-    assert not left, f"chain-build threads outlived the test: {left}"
+    left = [t.name for t in threading.enumerate() if t.name.startswith("run-worker")]
+    assert not left, f"worker threads outlived the test: {left}"
 
 
 @pytest.fixture(scope="session")

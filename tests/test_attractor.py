@@ -32,7 +32,7 @@ from randattract import (
 )
 from randattract import attractor, evolution, ou, pathwise
 from randattract.errors import ConfigurationError
-from randattract.evolution import set_chain_workers
+from randattract.evolution import workers
 
 from conftest import DT, reference_chain, synthetic_path
 
@@ -411,9 +411,9 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     window = int(round(field.driver_horizon / dt)) + 1
     points = sum(((n + 1) + n) * window for n in chain_steps)
     for width in (1, 2):
-        set_chain_workers(width)
         counts.update(dict.fromkeys(counts, 0))
-        est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
+        with workers(width):
+            est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
         assert not est.flagged
         assert counts == {
             "nemytskii": 5 * steps, "marched": 5 * steps, "built": steps,
@@ -446,12 +446,12 @@ def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
 
     runs = []
     for width in (1, 2):
-        set_chain_workers(width)
-        runs.append(run())
-        with monkeypatch.context() as patch:
-            patch.setattr(ou, "build_chain", kept)
-            patch.setattr(attractor, "build_chain", kept)
+        with workers(width):
             runs.append(run())
+            with monkeypatch.context() as patch:
+                patch.setattr(ou, "build_chain", kept)
+                patch.setattr(attractor, "build_chain", kept)
+                runs.append(run())
     z0, endpoints = runs[0]
     for other_z0, other_endpoints in runs[1:]:
         assert np.array_equal(other_z0, z0)
@@ -495,17 +495,17 @@ def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
         return integrate(member, segment, path)
 
     for width in (1, 2):
-        set_chain_workers(width)
-        alone = [
-            pullback_estimate(problem, path, [t], ens, 0.35, m).endpoints[0]
-            for t in horizons
-        ]
-        built.clear()
-        last_segments.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(attractor, "build_chain", recorded_build)
-            patch.setattr(attractor, "integrate_semilinear", checked_integrate)
-            est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
+        with workers(width):
+            alone = [
+                pullback_estimate(problem, path, [t], ens, 0.35, m).endpoints[0]
+                for t in horizons
+            ]
+            built.clear()
+            last_segments.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(attractor, "build_chain", recorded_build)
+                patch.setattr(attractor, "integrate_semilinear", checked_integrate)
+                est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
         assert all(map(np.array_equal, est.endpoints, alone))
         # the last segment of each horizon but the last, once per member
         assert last_segments == [j for j in range(3) for _ in range(len(ens))]
@@ -527,18 +527,18 @@ def test_pullback_memory_with_chains_built_ahead_stays_in_the_read_once_window()
     )
     ens = default_ensemble(m, 0.2, radius=2.0, n_random=0, seed=7)[:3]
     block_bytes = 128 * m * m * 8
-    set_chain_workers(2)
-    pullback_estimate(problem, path, [1.0, 2.0], ens, 0.35, m)  # warm the caches
-    for horizons in ([6.0, 24.0], [6.0, 12.0, 18.0, 24.0]):
-        tracemalloc.start()
-        try:
-            est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not est.flagged
-        increments = sum(int(round(t / dt)) * m * 8 for t in horizons[-2:])
-        assert peak - increments < (evolution._AHEAD + 5) * block_bytes
+    with workers(2):
+        pullback_estimate(problem, path, [1.0, 2.0], ens, 0.35, m)  # warm the caches
+        for horizons in ([6.0, 24.0], [6.0, 12.0, 18.0, 24.0]):
+            tracemalloc.start()
+            try:
+                est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not est.flagged
+            increments = sum(int(round(t / dt)) * m * 8 for t in horizons[-2:])
+            assert peak - increments < (evolution._AHEAD + 5) * block_bytes
 
 
 @pytest.mark.parametrize("horizons", [[], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]])

@@ -324,7 +324,7 @@ def test_cli_rejects_horizon_off_the_time_grid(tmp_path, capsys):
 def test_cli_validation_errors_exit_1_with_cleanup(
     error, tmp_path, small_config, monkeypatch, capsys
 ):
-    def failing(cfg, sink, threads):
+    def failing(cfg, sink):
         sink.write_text("partial.csv", "1\n")
         sink.write_text("run.log", "started\n")
         raise error("window leaves the sampled path")
@@ -429,20 +429,24 @@ def test_cli_rejects_threads_above_the_bound(tmp_path, small_config, capsys):
 
 def test_convergence_refuses_to_fit_over_a_blow_up(tmp_path, capsys):
     # both runs used to exit 0: a huge forcing fitted an order of 3.76 over
-    # blown-up errors, and sigma = 1e200 wrote rms inf and order NaN
+    # blown-up errors, and sigma = 1e200 wrote rms inf and order NaN; at
+    # width 2 the paths run on the workers too, and the first path's own
+    # error is the one reported (no worker outlives the run: the autouse
+    # fixture checks)
     for name, text in (
         ("forcing", SMALL + "\n[problem]\nforcing = mode:1:1e6\n"),
         ("sigma", SMALL.replace("[noise]\n", "[noise]\nsigma = 1e200\n")),
     ):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
-        out = tmp_path / name
-        argv = ["convergence", "--config", str(cfg), "--out", str(out), "--threads", "1"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("numerical error:") and err.count("\n") == 1
-        assert "seed 777" in err and "dt=" in err
-        assert not (out / "convergence").exists()
+        for threads in ("1", "2"):
+            out = tmp_path / name / threads
+            argv = ["convergence", "--config", str(cfg), "--out", str(out), "--threads", threads]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("numerical error:") and err.count("\n") == 1
+            assert "seed 777" in err and "dt=" in err
+            assert not (out / "convergence").exists()
 
 
 def _refuse_constant(name):
@@ -521,10 +525,13 @@ SPLIT = SMALL.replace("dt = 0.015625", "dt = 0.0078125")
 
 def test_ou_diagnose_same_bytes_on_one_and_two_threads(tmp_path):
     # attractor-pullback too, on horizons of one and two blocks, whose
-    # march reads each chain while its blocks are still being built
+    # march reads each chain while its blocks are still being built, and
+    # simulate and convergence, whose paths share the workers with the
+    # blocks of their chains
     cfg = tmp_path / "split.cfg"
     cfg.write_text(SPLIT.replace("horizons = 0.5,1.0", "horizons = 1.0,2.0"))
-    for command, n_outputs in (("ou-diagnose", 3), ("attractor-pullback", 2)):
+    commands = (("ou-diagnose", 3), ("attractor-pullback", 2), ("simulate", 3), ("convergence", 2))
+    for command, n_outputs in commands:
         runs = []
         for threads in ("1", "2"):
             out = tmp_path / threads

@@ -37,7 +37,8 @@ from randattract.evolution import (
     _parity_order,
     contractivity_margin,
     operator_norm,
-    set_chain_workers,
+    ordered_map,
+    workers,
 )
 from randattract.operators import _stiffness_parts, driver_values
 
@@ -245,9 +246,8 @@ def test_build_chain_steps_do_not_depend_on_the_grid_span(default_field, spectru
 
 @pytest.fixture()
 def two_chain_workers():
-    set_chain_workers(2)
-    yield
-    set_chain_workers(1)
+    with workers(2):
+        yield
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 127, 129, 300])
@@ -257,17 +257,16 @@ def test_build_chain_on_two_workers_equals_serial(n_steps, medium_path):
     serial = build_chain(field, medium_path, grid, 16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    set_chain_workers(2)
     try:
-        split = build_chain(field, medium_path, grid, 16)
-        # streamed: read in 32-step segments, which cover every step, while
-        # later blocks are built
-        streamed = build_chain(field, medium_path, grid, 16)
-        for lo in range(0, n_steps, 32):
-            hi = min(lo + 32, n_steps)
-            assert np.array_equal(streamed.segment(lo, hi).steps, serial.steps[lo:hi])
+        with workers(2):
+            split = build_chain(field, medium_path, grid, 16)
+            # streamed: read in 32-step segments, which cover every step,
+            # while later blocks are built
+            streamed = build_chain(field, medium_path, grid, 16)
+            for lo in range(0, n_steps, 32):
+                hi = min(lo + 32, n_steps)
+                assert np.array_equal(streamed.segment(lo, hi).steps, serial.steps[lo:hi])
     finally:
-        set_chain_workers(1)
         sys.setswitchinterval(interval)
     assert split.steps.shape == (n_steps, 16, 16)
     assert np.array_equal(split.steps, serial.steps)
@@ -300,20 +299,29 @@ def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
     monkeypatch.setattr(evolution, "_AHEAD", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    set_chain_workers(2)
     try:
-        for read in ("steps", "segment"):
-            for _ in range(3):
+        with workers(2):
+            for read in ("steps", "segment"):
+                for _ in range(3):
+                    chain = build_chain(field, medium_path, grid, 12)
+                    assert chain.segment(0, 128).steps.shape == (128, 12, 12)
+                    for _ in range(2):
+                        with pytest.raises(DefinitenessError, match="block 1"):
+                            if read == "steps":
+                                chain.steps
+                            else:
+                                chain.segment(500, 600)
+        # block 3 alone fails: the first steps read joins blocks 0-2 and
+        # releases blocks 0 and 1 before it fails, and the second read
+        # raises block 3's error again, not a read of a released block
+        del failing[firsts[1]]
+        for width in (1, 2):
+            with workers(width):
                 chain = build_chain(field, medium_path, grid, 12)
-                assert chain.segment(0, 128).steps.shape == (128, 12, 12)
                 for _ in range(2):
-                    with pytest.raises(DefinitenessError, match="block 1"):
-                        if read == "steps":
-                            chain.steps
-                        else:
-                            chain.segment(500, 600)
+                    with pytest.raises(DefinitenessError, match="block 3"):
+                        chain.steps
     finally:
-        set_chain_workers(1)
         sys.setswitchinterval(interval)
 
 
@@ -326,13 +334,43 @@ def test_build_chain_on_more_workers_than_cores(medium_path):
     serial = build_chain(field, medium_path, grid, 12)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    set_chain_workers(4)
     try:
-        split = [build_chain(field, medium_path, grid, 12) for _ in range(3)]
-        assert all(np.array_equal(ch.steps, serial.steps) for ch in split)
+        with workers(4):
+            split = [build_chain(field, medium_path, grid, 12) for _ in range(3)]
+            assert all(np.array_equal(ch.steps, serial.steps) for ch in split)
     finally:
-        set_chain_workers(1)
         sys.setswitchinterval(interval)
+
+
+def test_ordered_map_shares_its_workers_with_the_chains_of_its_items(medium_path):
+    # 5 items, each building and joining a 5-block chain, on 3 workers and
+    # the caller with a short switch interval: every item sees the workers,
+    # so its blocks queue beside the items, and the results come back in
+    # order with the bits of a serial build; of items 1 and 3, which fail,
+    # item 1's error is the one raised
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, 600 * DT, DT)
+    serial = build_chain(field, medium_path, grid, 12).steps
+    failing = set()
+
+    def item(i):
+        if i in failing:
+            raise DefinitenessError(f"item {i}")
+        steps = build_chain(field, medium_path, grid, 12).steps
+        return i, evolution._executor.get() is not None, steps
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with workers(4):
+            results = ordered_map(item, range(5))
+            failing.update((1, 3))
+            with pytest.raises(DefinitenessError, match="item 1"):
+                ordered_map(item, range(5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(i, shared) for i, shared, _ in results] == [(i, True) for i in range(5)]
+    assert all(np.array_equal(steps, serial) for _, _, steps in results)
 
 
 def test_joined_chain_holds_one_chain_and_the_window(two_chain_workers):
@@ -373,33 +411,33 @@ def test_read_once_chain_releases_the_blocks_a_read_has_passed(medium_path):
     reference = reference_chain(field, medium_path, grid, 12)
     reference_later = reference_chain(field, medium_path, later, 12)
     for width in (1, 2):
-        set_chain_workers(width)
-        chain = build_chain(field, medium_path, grid, 12)
-        inside, straddling = chain.segment(0, 32), chain.segment(100, 200)
-        assert np.array_equal(chain.segment(300, 400).steps, reference.steps[300:400])
-        for lo, hi in ((0, 32), (255, 300)):
+        with workers(width):
+            chain = build_chain(field, medium_path, grid, 12)
+            inside, straddling = chain.segment(0, 32), chain.segment(100, 200)
+            assert np.array_equal(chain.segment(300, 400).steps, reference.steps[300:400])
+            for lo, hi in ((0, 32), (255, 300)):
+                with pytest.raises(AlignmentError, match="released"):
+                    chain.segment(lo, hi)
+            with pytest.raises(
+                AlignmentError, match="released.*joined first by reading its steps"
+            ):
+                chain.steps
+            assert np.array_equal(inside.steps, reference.steps[:32])
+            assert np.array_equal(straddling.steps, reference.steps[100:200])
+            # steps 256.. are still live: the march's blocks, read in order
+            assert np.array_equal(chain.segment(256, 600).steps, reference.steps[256:])
+            blocks = chain.blocks()
             with pytest.raises(AlignmentError, match="released"):
-                chain.segment(lo, hi)
-        with pytest.raises(
-            AlignmentError, match="released.*joined first by reading its steps"
-        ):
-            chain.steps
-        assert np.array_equal(inside.steps, reference.steps[:32])
-        assert np.array_equal(straddling.steps, reference.steps[100:200])
-        # steps 256.. are still live: the march's blocks, read in order
-        assert np.array_equal(chain.segment(256, 600).steps, reference.steps[256:])
-        blocks = chain.blocks()
-        with pytest.raises(AlignmentError, match="released"):
-            next(blocks)
-        first = build_chain(field, medium_path, grid, 12)
-        second = build_chain(field, medium_path, later, 12, after=first)
-        assert second._blocks is first._blocks and second._first == 5
-        assert np.array_equal(first.segment(0, 550).steps, reference.steps[:550])
-        assert np.array_equal(second.segment(0, 100).steps, reference_later.steps[:100])
-        with pytest.raises(AlignmentError, match="released"):
-            first.segment(550, 600)
-        joined = np.concatenate(list(second.blocks()))
-        assert np.array_equal(joined, reference_later.steps)
+                next(blocks)
+            first = build_chain(field, medium_path, grid, 12)
+            second = build_chain(field, medium_path, later, 12, after=first)
+            assert second._blocks is first._blocks and second._first == 5
+            assert np.array_equal(first.segment(0, 550).steps, reference.steps[:550])
+            assert np.array_equal(second.segment(0, 100).steps, reference_later.steps[:100])
+            with pytest.raises(AlignmentError, match="released"):
+                first.segment(550, 600)
+            joined = np.concatenate(list(second.blocks()))
+            assert np.array_equal(joined, reference_later.steps)
 
 
 def test_chain_after_one_without_blocks_has_a_window_of_its_own(medium_path):
@@ -436,13 +474,13 @@ def test_read_once_steps_are_joined_once(monkeypatch, medium_path):
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 1000 * DT, DT)
     reference = reference_chain(field, medium_path, grid, 12)  # no block counted
-    set_chain_workers(2)
-    chain = build_chain(field, medium_path, grid, 12)
-    assert np.array_equal(chain.steps, reference.steps)
-    assert np.array_equal(chain.segment(900, 1000).steps, reference.steps[900:])
-    for _ in range(2):
-        assert np.array_equal(np.concatenate(list(chain.blocks())), reference.steps)
-    assert sum(built) == 1000
+    with workers(2):
+        chain = build_chain(field, medium_path, grid, 12)
+        assert np.array_equal(chain.steps, reference.steps)
+        assert np.array_equal(chain.segment(900, 1000).steps, reference.steps[900:])
+        for _ in range(2):
+            assert np.array_equal(np.concatenate(list(chain.blocks())), reference.steps)
+        assert sum(built) == 1000
 
 
 def test_read_once_march_memory_is_bounded_in_the_horizon():
@@ -476,10 +514,10 @@ def test_read_once_march_memory_is_bounded_in_the_horizon():
     (short, _), (long, states) = peak(6.0), peak(24.0)
     assert np.array_equal(states, expected)
     assert abs(long - short) < block_bytes
-    set_chain_workers(2)
-    long, states = peak(24.0)
-    assert np.array_equal(states, expected)
-    assert long - states.nbytes < (evolution._AHEAD + 5) * block_bytes
+    with workers(2):
+        long, states = peak(24.0)
+        assert np.array_equal(states, expected)
+        assert long - states.nbytes < (evolution._AHEAD + 5) * block_bytes
 
 
 def test_a_chain_marched_twice_is_joined_first(medium_path):
@@ -493,15 +531,15 @@ def test_a_chain_marched_twice_is_joined_first(medium_path):
         sigma=0.1, u0=np.linspace(0.5, -0.5, 16),
     )
     for width in (1, 2):
-        set_chain_workers(width)
-        chain = build_chain(field, medium_path, grid, 16)
-        once = integrate_semilinear(problem, chain).states
-        with pytest.raises(AlignmentError, match="joined first by reading its steps"):
-            integrate_semilinear(problem, chain)
-        chain = build_chain(field, medium_path, grid, 16)
-        chain.steps
-        for _ in range(3):
-            assert np.array_equal(integrate_semilinear(problem, chain).states, once)
+        with workers(width):
+            chain = build_chain(field, medium_path, grid, 16)
+            once = integrate_semilinear(problem, chain).states
+            with pytest.raises(AlignmentError, match="joined first by reading its steps"):
+                integrate_semilinear(problem, chain)
+            chain = build_chain(field, medium_path, grid, 16)
+            chain.steps
+            for _ in range(3):
+                assert np.array_equal(integrate_semilinear(problem, chain).states, once)
 
 
 def test_one_step_formula_for_every_chain(medium_path):

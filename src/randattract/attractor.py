@@ -8,7 +8,9 @@ theta_{-T} fiber), which realizes phi(T, theta_{-T} w, .) with the forward
 machinery verbatim.  Each horizon has its own chain, built ``after`` the
 chain of the horizon before, so one streaming window runs across the
 ladder: the chain workers build a horizon's first blocks while the march
-ends the horizon before.
+ends the horizon before.  The ensemble crosses each chain block by block,
+and each block forms its own noise increments, so neither the steps nor
+the noise a horizon holds grow with its length.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .pathwise import (
     Trajectory,
     _march,
     _projection,
-    corrected_increments,
     dealias_node_count,
     integrate_semilinear,
 )
@@ -321,11 +322,6 @@ def default_ensemble(
     return np.stack(members)
 
 
-# step matrices per pullback segment: about 1 MiB, which stays in cache while
-# every member of the ensemble marches across it (32 steps at m = 64)
-_SEGMENT_BYTES = 2**20
-
-
 def _check_horizons(horizons, key: str = "horizons") -> None:
     """Pullback horizons must be nonempty, positive and strictly increasing."""
     ladder = list(horizons)
@@ -343,30 +339,24 @@ def _pullback_cloud(
     """Endpoints phi(t_j, theta_{-t_j} w, u_i) on the horizon's chain (NaN
     rows blew up) and the survivor mask.
 
-    The chain is marched segment by segment: every surviving member crosses
-    one segment (``_SEGMENT_BYTES`` of step matrices) before the next is
-    read, so the steps stay in cache across the ensemble.  The noise
-    increments are formed once on the chain, as the march starts (they read
-    no step), and each segment gets a slice; a member that blows up is
-    frozen there.  A segment waits only for the blocks it covers, so with
-    chain workers the march starts while later blocks are still being built.
-    The chain is read once: each segment releases the blocks below it, so a
-    horizon holds a few blocks of its chain, not the whole chain, whatever
-    its length.
+    The chain is marched block by block (``PropagatorChain.blocks``): every
+    surviving member crosses one block before the next is read, and the
+    first member forms the block's noise increments, which the others read
+    from the block (``corrected_increments``); a member that blows up is
+    frozen there.  A block is waited for only when the march reaches it, so
+    with chain workers the march starts while later blocks are still being
+    built.  The chain is read once: each block releases the blocks below
+    it, so a horizon holds a few blocks of its chain, and of their
+    increments, whatever its length.
     """
-    n, m = chain.grid.n_steps, chain.dim
-    seg_len = max(1, _SEGMENT_BYTES // (8 * m * m))
-    if problem.sigma != 0.0:
-        corrected_increments(chain, chain.path)
     cloud = np.array(ensemble, dtype=float)
     alive = np.ones(ensemble.shape[0], dtype=bool)
     # one problem per member for the whole horizon: its u0 is the member's
-    # row of the cloud, which each segment's endpoint overwrites
+    # row of the cloud, which each block's endpoint overwrites
     members = [dataclasses.replace(problem, u0=row) for row in cloud]
-    for lo in range(0, n, seg_len):
-        segment = chain.segment(lo, min(lo + seg_len, n))
+    for block in chain.blocks():
         for i in np.flatnonzero(alive):
-            traj = integrate_semilinear(members[i], segment, chain.path)
+            traj = integrate_semilinear(members[i], block, chain.path)
             if traj.status == "completed":
                 cloud[i] = traj.states[-1]
             else:
@@ -390,7 +380,7 @@ def pullback_estimate(
     proceeds with survivors (the run is flagged).  Every horizon's chain is
     made first, each ``after`` the one before, so the chain workers build
     ahead across horizons; the horizons are then marched in order, and each
-    chain is dropped, with its increments, once its march ends.
+    chain is dropped once its march ends.
     """
     _check_horizons(horizons)
     alpha = problem.norm_spec.alpha

@@ -8,17 +8,20 @@ LAPACK splits the two blocks, and the step is put back in natural order.
 Applying the chain is a left-to-right sequence of matrix-vector products, so
 the composition law U(t,s)U(s,r) = U(t,r) holds bitwise by construction.
 
-Steps are built in blocks of 128.  Inside a ``workers`` scope of more than one
-thread ``build_chain`` queues the blocks on the scope's workers and returns at
-once, so the caller can go on (say, to the noise increments or the first
-segments of a march) while later steps are still being built.  A read
-waits for what it covers: ``PropagatorChain.steps`` for the whole chain,
-``PropagatorChain.segment`` for the blocks below its end, and the march
-(``PropagatorChain.blocks``) for one block at a time.  A reader that waits for
-a block builds in its own thread the lowest queued block that no worker has
-started, so it never idles while there is a block to build; each step has
-the same bits at any width.  A chain has one reading thread.  The same
-workers run ``ordered_map``'s items, by the same rule.
+Steps are built in blocks of 128, and the block is also the unit a chain is
+read in: ``PropagatorChain.blocks`` gives the chain as one segment per
+block, which every march and the join cross in turn, so the block size
+stays in this module.  Inside a ``workers`` scope of more than one thread
+``build_chain`` queues the blocks on the scope's workers and returns at
+once, so the caller can go on (say, to the first blocks of a march) while
+later steps are still being built.  A read waits for what it covers:
+``PropagatorChain.steps`` for the whole chain, ``PropagatorChain.segment``
+for the blocks below its end, and ``PropagatorChain.blocks`` for one block
+at a time.  A reader that waits for a block builds in its own thread the
+lowest queued block that no worker has started, so it never idles while
+there is a block to build; each step has the same bits at any width.  A
+chain has one reading thread.  The same workers run ``ordered_map``'s
+items, by the same rule.
 
 Every chain streams its blocks.  Each block is an array of its own and is
 freed once a read has passed it: a read of steps [lo, hi), through
@@ -178,7 +181,7 @@ class PropagatorChain:
             n = self.grid.n_steps
             joined = np.empty((n, self.dim, self.dim))
             for lo, block in zip(range(0, n, _BUILD_BLOCK), self.blocks()):
-                joined[lo : lo + len(block)] = block
+                joined[lo : lo + block.grid.n_steps] = block.steps
             self._steps, self._blocks = joined, None
         return self._steps
 
@@ -209,26 +212,26 @@ class PropagatorChain:
 
     def segment(self, lo: int, hi: int) -> "PropagatorChain":
         """Steps lo..hi-1 as a chain over t0 + lo*dt, with the same field and
-        path, once they are built.  The steps (and the increments, when kept)
-        are views, not copies, except where the steps of a chain not joined
-        span more than one block; either way the segment keeps its steps after
-        the chain has released their blocks.
+        path, once they are built.  The steps are a view, not a copy, except
+        where the steps of a chain not joined span more than one block;
+        either way the segment keeps its steps after the chain has released
+        their blocks.  The segment keeps its own noise increments (see
+        ``pathwise.corrected_increments``).
         """
         if not 0 <= lo <= hi <= self.grid.n_steps:
             raise AlignmentError(f"segment [{lo}, {hi}) outside the chain grid")
         grid = TimeGrid(self.grid.t0 + lo * self.grid.dt, hi - lo, self.grid.dt)
-        increments = None if self._increments is None else self._increments[lo:hi]
-        steps = self._read(lo, hi)
-        return PropagatorChain(grid, steps, self.field, self.path, increments)
+        return PropagatorChain(grid, self._read(lo, hi), self.field, self.path)
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The steps in order as consecutive blocks of at most 128 (k, m, m),
-        each once it is built.  On a chain not joined, taking a block is a
-        read, which releases the blocks below it.
+    def blocks(self) -> Iterator["PropagatorChain"]:
+        """The chain in order as consecutive segments of at most 128 steps,
+        one per block, each once it is built.  On a chain not joined, taking
+        a block is a read, which releases the blocks below it.  Every march
+        and the join cross a chain this way, so the block size stays here.
         """
         n = self.grid.n_steps
         for lo in range(0, n, _BUILD_BLOCK):
-            yield self._read(lo, min(lo + _BUILD_BLOCK, n))
+            yield self.segment(lo, min(lo + _BUILD_BLOCK, n))
 
     def generator_rows(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """A(t_{k+i}) vecs[i] at the grid nodes k, k+1, ...; shape (len(vecs), m).

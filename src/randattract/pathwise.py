@@ -322,7 +322,10 @@ def corrected_increments(chain: PropagatorChain, path: WienerPath) -> np.ndarray
     The noise term of the linear pathwise step before the sigma factor.  It
     depends on the chain and the path only, so all members integrated on one
     chain share it: it is kept on the chain when ``path`` is the chain's own
-    path.  The generator rows come from one ``generator_rows`` block.
+    path.  A segment forms and keeps its own rows, bitwise those of the
+    chain's at the same steps (each row is its own products), so members
+    marched block by block share each block's rows.  The generator rows
+    come from one ``generator_rows`` block.
     """
     if path is chain.path and chain._increments is not None:
         return chain._increments
@@ -398,7 +401,7 @@ def _march(
     k = 0
     for block in chain.blocks():
         lo = k
-        for step in block:
+        for step in block.steps:
             x = states[k]
             if nonlinear:
                 # nemytskii's output is fresh, so the stage is built on it in

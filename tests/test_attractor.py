@@ -320,17 +320,19 @@ def _full_chain_endpoint(problem, path, t_j, dt, m, u0):
 
 
 def test_pullback_segments_match_members_on_the_full_chain(monkeypatch):
-    # 3-step segments: the 32- and 64-step horizons cross 10 and 21 whole
-    # segments and end in a partial one of 2 and 1 steps
+    # 3-step blocks: the 32- and 64-step horizons cross 10 and 21 whole
+    # blocks and end in a partial one of 2 and 1 steps; each member on the
+    # full chain (128-step blocks) is the reference
     field, m, dt, path = _segment_case()
-    monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 3 * 8 * m * m)
     problem = SemilinearProblem(
         field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
         sigma=0.1, u0=np.zeros(m),
     )
     ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
     horizons = [0.5, 1.0]
-    est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
+    with monkeypatch.context() as patch:
+        patch.setattr(evolution, "_BUILD_BLOCK", 3)
+        est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
     assert not est.flagged
     for j, t_j in enumerate(horizons):
         for i, u0 in enumerate(ens):
@@ -340,8 +342,7 @@ def test_pullback_segments_match_members_on_the_full_chain(monkeypatch):
 
 def test_pullback_member_blowing_up_inside_a_segment_is_frozen(monkeypatch):
     field, m, dt, path = _segment_case()
-    seg_len = 3
-    monkeypatch.setattr(attractor, "_SEGMENT_BYTES", seg_len * 8 * m * m)
+    block = 3
     probe = NonlinearitySpec.custom(lambda u: u ** 3, rho=3.0)
     problem = SemilinearProblem(
         field=field, nonlinearity=probe, forcing=None, sigma=0.1,
@@ -352,8 +353,10 @@ def test_pullback_member_blowing_up_inside_a_segment_is_frozen(monkeypatch):
     ens[2, 1] = 0.3
     full = [_full_chain_endpoint(problem, path, 1.0, dt, m, u0) for u0 in ens]
     blown = full[1].states.shape[0] - 1
-    assert full[1].status == "blowup" and blown > seg_len and blown % seg_len != 0
-    est = pullback_estimate(problem, path, [1.0], ens, 0.35, m)
+    assert full[1].status == "blowup" and blown > block and blown % block != 0
+    with monkeypatch.context() as patch:
+        patch.setattr(evolution, "_BUILD_BLOCK", block)
+        est = pullback_estimate(problem, path, [1.0], ens, 0.35, m)
     assert est.flagged
     assert est.survivors[0].tolist() == [True, False, True]
     assert np.isnan(est.endpoints[0][1]).all()
@@ -366,9 +369,13 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     # the counts the benchmark checks, kept here too: one nemytskii call per
     # member-step, every chain step built once, marched states summed over
     # the integrate calls, and the driver read at each chain's n + 1 nodes
-    # (its steps) and n nodes (its increments), over a window of
-    # driver_horizon / dt + 1 path points each
-    counts = {"nemytskii": 0, "marched": 0, "built": 0, "blowups": 0, "driver": 0}
+    # (its steps) and n nodes (its blocks' increments), over a window of
+    # driver_horizon / dt + 1 path points each; and one integrate call per
+    # member and block
+    counts = {
+        "nemytskii": 0, "marched": 0, "calls": 0, "built": 0, "blowups": 0,
+        "driver": 0,
+    }
     nemytskii_fn = pathwise.nemytskii
     driver_fn = evolution.driver_values
     integrate_fn = attractor.integrate_semilinear
@@ -380,6 +387,7 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
 
     def counted_integrate(problem, chain, path=None):
         traj = integrate_fn(problem, chain, path)
+        counts["calls"] += 1
         counts["marched"] += traj.states.shape[0] - 1
         counts["blowups"] += traj.status == "blowup"
         return traj
@@ -398,7 +406,7 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     monkeypatch.setattr(attractor, "integrate_semilinear", counted_integrate)
     monkeypatch.setattr(attractor, "build_chain", counted_build)
     monkeypatch.setattr(evolution, "driver_values", counted_driver)
-    monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 5 * 8 * 8 * 8)
+    monkeypatch.setattr(evolution, "_BUILD_BLOCK", 5)
     field, m, dt, path = _segment_case()
     problem = SemilinearProblem(
         field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
@@ -408,6 +416,7 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     horizons = [0.5, 1.0]
     chain_steps = [int(round(t / dt)) for t in horizons]
     steps = sum(chain_steps)
+    blocks = sum(-(-n // 5) for n in chain_steps)
     window = int(round(field.driver_horizon / dt)) + 1
     points = sum(((n + 1) + n) * window for n in chain_steps)
     for width in (1, 2):
@@ -416,17 +425,17 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
             est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
         assert not est.flagged
         assert counts == {
-            "nemytskii": 5 * steps, "marched": 5 * steps, "built": steps,
-            "blowups": 0, "driver": points,
+            "nemytskii": 5 * steps, "marched": 5 * steps, "calls": 5 * blocks,
+            "built": steps, "blowups": 0, "driver": points,
         }
 
 
 def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
     # construct_initial's z0 and the pullback endpoints are the same on
     # streaming chains, at widths 1 and 2, as on whole-grid reference chains
-    # (one array each, no blocks); the 256-step history and the 192-step
-    # horizon span two blocks, and 5-step pullback segments straddle their
-    # boundary
+    # (one array each, no blocks); on 5-step blocks the 256-step history and
+    # the 64- and 192-step horizons cross 51, 12 and 38 whole blocks and end
+    # in a partial one
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 8, 2.0 ** -6
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -7.0, 0.5, dt, seed=33)
@@ -435,7 +444,7 @@ def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
         sigma=0.1, u0=np.zeros(m),
     )
     ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
-    monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 5 * 8 * m * m)
+    monkeypatch.setattr(evolution, "_BUILD_BLOCK", 5)
 
     def kept(field, path, grid, m, **kwargs):
         return reference_chain(field, path, grid, m)
@@ -459,12 +468,11 @@ def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
 
 
 def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
-    # horizons of one, two and four 128-step blocks (128, 256 and 448 steps)
-    # and a last one of 512, their chains built after one another: when the
-    # march reads a horizon's last segment, the next horizon's block 0 is
-    # already queued, and no more than one window is ever queued; every
-    # horizon's endpoints are those of the horizon estimated alone, at
-    # widths 1 and 2
+    # horizons of 128, 256 and 448 steps and a last one of 512, on 5-step
+    # blocks, their chains built after one another: when the march reads a
+    # horizon's last block, the next horizon's first block is already
+    # queued, and no more than one window is ever queued; every horizon's
+    # endpoints are those of the horizon estimated alone, at widths 1 and 2
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 8, 2.0 ** -6
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -11.0, 0.5, dt, seed=35)
@@ -473,7 +481,7 @@ def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
         sigma=0.1, u0=np.zeros(m),
     )
     ens = default_ensemble(m, 0.2, radius=2.0, n_random=2, seed=7)[:5]
-    monkeypatch.setattr(attractor, "_SEGMENT_BYTES", 5 * 8 * m * m)
+    monkeypatch.setattr(evolution, "_BUILD_BLOCK", 5)
     horizons = [2.0, 4.0, 7.0, 8.0]
     built, last_segments = [], []
     build, integrate = attractor.build_chain, attractor.integrate_semilinear
@@ -507,7 +515,7 @@ def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
                 patch.setattr(attractor, "integrate_semilinear", checked_integrate)
                 est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
         assert all(map(np.array_equal, est.endpoints, alone))
-        # the last segment of each horizon but the last, once per member
+        # the last block of each horizon but the last, once per member
         assert last_segments == [j for j in range(3) for _ in range(len(ens))]
 
 
@@ -515,9 +523,8 @@ def test_pullback_memory_with_chains_built_ahead_stays_in_the_read_once_window()
     # pullback_estimate at width 2 on horizons of 768 and 3072 steps, and on
     # four of 768 to 3072: while a horizon ends the next one's first blocks
     # are built, yet the peak stays within one streaming window (the queued
-    # blocks, the march's block and one eigh temporary per thread), besides
-    # an allowance for the noise increments (n_steps x m) of the two longest
-    # chains (the estimate holds one horizon's at a time)
+    # blocks, the march's block and one eigh temporary per thread); the
+    # noise increments come with the march's block
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 32, 2.0 ** -7
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -27.0, 0.5, dt, seed=9)
@@ -537,8 +544,42 @@ def test_pullback_memory_with_chains_built_ahead_stays_in_the_read_once_window()
             finally:
                 tracemalloc.stop()
             assert not est.flagged
-            increments = sum(int(round(t / dt)) * m * 8 for t in horizons[-2:])
-            assert peak - increments < (evolution._AHEAD + 5) * block_bytes
+            assert peak < (evolution._AHEAD + 5) * block_bytes
+
+
+def test_pullback_memory_does_not_grow_with_the_horizon():
+    # at m = 8 a horizon's noise increments (n_steps x m) are 1/8 of its
+    # steps, yet the tracemalloc peak on a horizon of 4096 steps exceeds
+    # that on one of 512 by less than one block at width 1: the march holds
+    # a few blocks of steps and their increments, whatever the horizon (the
+    # rest is the chain's modulation, 8 bytes a step).  At width 2 the peak
+    # of one run moves by about a block with the timing of the two threads'
+    # builds, so the least of three runs is compared, within two blocks
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 8, 2.0 ** -7
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -35.0, 0.0, dt, seed=9)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.zeros(m),
+    )
+    ens = default_ensemble(m, 0.2, radius=2.0, n_random=0, seed=7)[:3]
+    block_bytes = 128 * m * m * 8
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            est = pullback_estimate(problem, path, [horizon], ens, 0.35, m)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not est.flagged
+        return top
+
+    for width, runs, bound in ((1, 1, 1), (2, 3, 2)):
+        with workers(width):
+            pullback_estimate(problem, path, [1.0], ens, 0.35, m)  # warm the caches
+            short, long = (min(peak(t) for _ in range(runs)) for t in (4.0, 32.0))
+        assert long - short < bound * block_bytes
 
 
 @pytest.mark.parametrize("horizons", [[], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]])

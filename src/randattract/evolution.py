@@ -8,10 +8,11 @@ LAPACK splits the two blocks, and the step is put back in natural order.
 Applying the chain is a left-to-right sequence of matrix-vector products, so
 the composition law U(t,s)U(s,r) = U(t,r) holds bitwise by construction.
 
-Steps are built in blocks of 128, and the block is also the unit a chain is
-read in: ``PropagatorChain.blocks`` gives the chain as one segment per
-block, which every march and the join cross in turn, so the block size
-stays in this module.  Inside a ``workers`` scope of more than one thread
+Steps are built in blocks of ``_BUILD_BLOCK`` = 32 steps, 1 MiB at m = 64,
+and the block is also the unit a chain is read in:
+``PropagatorChain.blocks`` gives the chain as one segment per block, which
+every march and the join cross in turn, so the block size stays in this
+module.  Inside a ``workers`` scope of more than one thread
 ``build_chain`` queues the blocks on the scope's workers and returns at
 once, so the caller can go on (say, to the first blocks of a march) while
 later steps are still being built.  A read waits for what it covers:
@@ -121,11 +122,12 @@ def _exp_steps(gens: np.ndarray, dt: float, ceiling: float = math.inf) -> None:
 
     exp(dt A) = H H^T with H = Q e^{dt lam / 2}, formed in place of eigh's Q,
     whose rows then go back to natural order in place, 16 matrices at a time:
-    a block-sized gather would double the block's memory, and a loop over
-    single matrices holds the GIL often enough to slow a march running
-    beside a background build by about a tenth.  The reordering
-    is a permutation similarity, so the step is exact for any symmetric
-    generator; matmul runs H H^T as syrk, so each step is exactly symmetric.
+    one gather of a whole 32-step block at m = 64 (a 1 MiB temporary) made
+    the block about 8% slower to build, and a loop over single matrices
+    holds the GIL often enough to slow a march running beside a background
+    build by about a tenth.  The reordering is a permutation similarity, so
+    the step is exact for any symmetric generator; matmul runs H H^T as
+    syrk, so each step is exactly symmetric.
     Each step is computed on its own, so it does not depend on the other
     matrices of gens.
     """
@@ -224,10 +226,11 @@ class PropagatorChain:
         return PropagatorChain(grid, self._read(lo, hi), self.field, self.path)
 
     def blocks(self) -> Iterator["PropagatorChain"]:
-        """The chain in order as consecutive segments of at most 128 steps,
-        one per block, each once it is built.  On a chain not joined, taking
-        a block is a read, which releases the blocks below it.  Every march
-        and the join cross a chain this way, so the block size stays here.
+        """The chain in order as consecutive segments of at most
+        ``_BUILD_BLOCK`` steps, one per block, each once it is built.  On a
+        chain not joined, taking a block is a read, which releases the
+        blocks below it.  Every march and the join cross a chain this way,
+        so the block size stays here.
         """
         n = self.grid.n_steps
         for lo in range(0, n, _BUILD_BLOCK):
@@ -260,8 +263,12 @@ class PropagatorChain:
         return out
 
 
-# step matrices assembled and eigendecomposed together in build_chain
-_BUILD_BLOCK = 128
+# step matrices assembled and eigendecomposed together in build_chain: 1 MiB
+# of steps at m = 64.  With 128 steps (4 MiB, twice a 2 MiB per-core L2) the
+# window of blocks and the eigh temporaries made default runs peak at 75.5
+# (ou-diagnose) and 60.7 MB RSS (attractor-pullback), against 55.6 and
+# 46.2 MB with 32, at the same speed (perfbench pairs, 2-core VM)
+_BUILD_BLOCK = 32
 
 # blocks a chain queues past its lowest live block.  A history
 # march reads faster than two threads build, so its reader builds too, and
@@ -306,9 +313,9 @@ def ordered_map(fn, items) -> list:
 
 
 class _Blocks:
-    """build_chain's 128-step blocks of one chain, or of chains built
-    ``after`` one another, or ``ordered_map``'s items, queued on the workers
-    and built by the reader where no worker has started them.
+    """build_chain's blocks of ``_BUILD_BLOCK`` steps of one chain, or of
+    chains built ``after`` one another, or ``ordered_map``'s items, queued on
+    the workers and built by the reader where no worker has started them.
 
     ``tasks[i]()`` builds block i and returns its steps.  Only the reading
     thread calls these methods; the workers only run tasks.
@@ -406,18 +413,18 @@ def build_chain(
 
     With amp > 0 the chain grid must run at the path resolution (the driver
     is read at path grid points).  The driver and the modulation are
-    computed here, at once; the steps are built in 128-step blocks (see the
-    module notes), queued ``_AHEAD`` past the reader on the ``workers`` and
-    built by the reader outside a scope.  So the chain streams: each block is
-    freed once a read has passed it, and a chain read more than once reads
-    ``steps`` first.  A block is built at the latest when a read needs it,
-    so a DefinitenessError is raised at that read.  A chain built ``after``
-    another, which its reader reads first, appends its blocks to that
-    chain's: the one window then spans both, so the workers build this
-    chain's first blocks while the reader ends the other, and the two hold
-    no more blocks together than one.  An ``after`` chain that holds no
-    blocks (joined by ``steps``, with amp = 0, or empty) leaves the new
-    chain a window of its own.
+    computed here, at once; the steps are built in blocks of
+    ``_BUILD_BLOCK`` steps (see the module notes), queued ``_AHEAD`` past
+    the reader on the ``workers`` and built by the reader outside a scope.
+    So the chain streams: each block is freed once a read has passed it, and
+    a chain read more than once reads ``steps`` first.  A block is built at
+    the latest when a read needs it, so a DefinitenessError is raised at
+    that read.  A chain built ``after`` another, which its reader reads
+    first, appends its blocks to that chain's: the one window then spans
+    both, so the workers build this chain's first blocks while the reader
+    ends the other, and the two hold no more blocks together than one.  An
+    ``after`` chain that holds no blocks (joined by ``steps``, with amp = 0,
+    or empty) leaves the new chain a window of its own.
     """
     if m < 1:
         raise ConfigurationError("Galerkin dimension must be >= 1")

@@ -173,10 +173,14 @@ def assemble_operator(
     return fill_generators(field, np.array([modulation]), np.empty((1, m, m)))[0]
 
 
+@lru_cache(maxsize=8)
 def fixed_laplacian_symbols(m: int, alpha: float) -> np.ndarray:
-    """((n pi)^2)^alpha for n = 1..m (Dirichlet Laplacian reference)."""
+    """((n pi)^2)^alpha for n = 1..m (Dirichlet Laplacian reference), one
+    read-only array per (m, alpha): every semilinear march reads it."""
     n = np.arange(1, m + 1, dtype=float)
-    return (n * np.pi) ** (2.0 * alpha)
+    symbols = (n * np.pi) ** (2.0 * alpha)
+    symbols.flags.writeable = False
+    return symbols
 
 
 def fractional_apply(m: int, alpha: float, vec: np.ndarray) -> np.ndarray:

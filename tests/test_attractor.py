@@ -322,7 +322,7 @@ def _full_chain_endpoint(problem, path, t_j, dt, m, u0):
 def test_pullback_segments_match_members_on_the_full_chain(monkeypatch):
     # 3-step blocks: the 32- and 64-step horizons cross 10 and 21 whole
     # blocks and end in a partial one of 2 and 1 steps; each member on the
-    # full chain (128-step blocks) is the reference
+    # full chain (32-step blocks) is the reference
     field, m, dt, path = _segment_case()
     problem = SemilinearProblem(
         field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
@@ -533,7 +533,7 @@ def test_pullback_memory_with_chains_built_ahead_stays_in_the_read_once_window()
         sigma=0.1, u0=np.zeros(m),
     )
     ens = default_ensemble(m, 0.2, radius=2.0, n_random=0, seed=7)[:3]
-    block_bytes = 128 * m * m * 8
+    block_bytes = 128 * m * m * 8  # 128 steps of matrices, four blocks
     with workers(2):
         pullback_estimate(problem, path, [1.0, 2.0], ens, 0.35, m)  # warm the caches
         for horizons in ([6.0, 24.0], [6.0, 12.0, 18.0, 24.0]):
@@ -550,11 +550,11 @@ def test_pullback_memory_with_chains_built_ahead_stays_in_the_read_once_window()
 def test_pullback_memory_does_not_grow_with_the_horizon():
     # at m = 8 a horizon's noise increments (n_steps x m) are 1/8 of its
     # steps, yet the tracemalloc peak on a horizon of 4096 steps exceeds
-    # that on one of 512 by less than one block at width 1: the march holds
-    # a few blocks of steps and their increments, whatever the horizon (the
-    # rest is the chain's modulation, 8 bytes a step).  At width 2 the peak
-    # of one run moves by about a block with the timing of the two threads'
-    # builds, so the least of three runs is compared, within two blocks
+    # that on one of 512 by less than 128 steps of matrices at width 1: the
+    # march holds a few blocks of steps and their increments, whatever the
+    # horizon (the rest is the chain's modulation, 8 bytes a step).  At
+    # width 2 the peak of one run moves with the timing of the two threads'
+    # builds, so the least of three runs is compared, within 256 steps
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 8, 2.0 ** -7
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -35.0, 0.0, dt, seed=9)
@@ -563,7 +563,7 @@ def test_pullback_memory_does_not_grow_with_the_horizon():
         sigma=0.1, u0=np.zeros(m),
     )
     ens = default_ensemble(m, 0.2, radius=2.0, n_random=0, seed=7)[:3]
-    block_bytes = 128 * m * m * 8
+    block_bytes = 128 * m * m * 8  # 128 steps of matrices, four blocks
 
     def peak(horizon):
         tracemalloc.start()
@@ -596,7 +596,7 @@ def test_pullback_rejects_horizons_that_are_not_positive_and_increasing(horizons
 def test_pullback_keeps_one_chain_resident():
     # horizons (T/2, T): while the T chain is built and used, the T/2 chain
     # (and its increments) must be gone; build_chain's block temporaries
-    # (128 steps each) are small beside the T/2 chain's 2048 steps
+    # (32 steps each) are small beside the T/2 chain's 2048 steps
     field = DiffusionField(driver_horizon=2.0)
     m, dt, horizon = 32, 2.0 ** -6, 64.0
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -horizon - 2.0, 0.0, dt, seed=41)

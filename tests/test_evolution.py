@@ -276,7 +276,9 @@ def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
     # blocks 1 and 3 of five fail, on whichever thread builds them: a read
     # below block 1 succeeds, and every read that covers block 1 raises its
     # error, never block 3's, however the blocks were shared out, with the
-    # window queueing one block ahead
+    # window queueing one block ahead; the reads are laid out on 128-step
+    # blocks
+    monkeypatch.setattr(evolution, "_BUILD_BLOCK", 128)
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
     firsts = []
@@ -391,20 +393,23 @@ def test_joined_chain_holds_one_chain_and_the_window(two_chain_workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block_bytes = 128 * m * m * 8
+    block_bytes = 128 * m * m * 8  # 128 steps of matrices, four blocks
     assert chain.steps.shape[0] == 16 * 128
     assert np.array_equal(chain.steps, reference.steps)
     assert peak - chain.steps.nbytes < (evolution._AHEAD + 5) * block_bytes
 
 
-def test_read_once_chain_releases_the_blocks_a_read_has_passed(medium_path):
-    # 600 steps, five blocks: a read from step 300 releases blocks 0 and 1,
-    # so any read below step 256 raises, and says to join a chain read more
-    # than once; segments taken before the release (one inside block 0, one
-    # straddling blocks 0 and 1) keep their steps.  A 300-step chain built
-    # after a 600-step one appends its blocks to the other's: reading it
-    # releases the first chain's blocks, and both chains have the steps of
-    # the whole-grid reference
+def test_read_once_chain_releases_the_blocks_a_read_has_passed(
+    monkeypatch, medium_path
+):
+    # 600 steps, five 128-step blocks: a read from step 300 releases blocks
+    # 0 and 1, so any read below step 256 raises, and says to join a chain
+    # read more than once; segments taken before the release (one inside
+    # block 0, one straddling blocks 0 and 1) keep their steps.  A 300-step
+    # chain built after a 600-step one appends its blocks to the other's:
+    # reading it releases the first chain's blocks, and both chains have the
+    # steps of the whole-grid reference
+    monkeypatch.setattr(evolution, "_BUILD_BLOCK", 128)
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
     later = span_grid(600 * DT, 900 * DT, DT)
@@ -486,7 +491,7 @@ def test_read_once_steps_are_joined_once(monkeypatch, medium_path):
 
 def test_read_once_march_memory_is_bounded_in_the_horizon():
     # integrate_semilinear on chains of 768 and 3072 steps: the peaks
-    # differ by less than one 128-step block at width 1 (the march
+    # differ by less than 128 steps of matrices at width 1 (the march
     # states, 3 * 768 * m floats apart, fit in that); at width 2 the longer
     # march holds at most the queued window, the march's block and one eigh
     # temporary per thread besides its states
@@ -497,7 +502,7 @@ def test_read_once_march_memory_is_bounded_in_the_horizon():
         field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
         sigma=0.0, u0=np.full(m, 0.1),
     )
-    block_bytes = 128 * m * m * 8
+    block_bytes = 128 * m * m * 8  # 128 steps of matrices, four blocks
     reference = reference_chain(field, path, span_grid(0.0, 24.0, dt), m)
     expected = integrate_semilinear(problem, reference).states
     del reference
@@ -519,6 +524,32 @@ def test_read_once_march_memory_is_bounded_in_the_horizon():
         long, states = peak(24.0)
         assert np.array_equal(states, expected)
         assert long - states.nbytes < (evolution._AHEAD + 5) * block_bytes
+
+
+def test_read_once_march_at_m64_holds_a_few_one_mib_blocks():
+    # at the default m = 64 a block of 32 steps is 1 MiB: besides its states,
+    # a 1024-step march at width 2 holds the queued window, the block it has
+    # just left and the eigh temporaries of each building thread, under
+    # _AHEAD + 5 such blocks (7.1 MiB here; 24.7 MiB with 128-step blocks)
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 64, 2.0 ** -7
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -2.0, 8.0, dt, seed=9)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.0, u0=np.full(m, 0.1),
+    )
+    block_bytes = 32 * m * m * 8
+    with workers(2):
+        build_chain(field, path, span_grid(0.0, 1.0, dt), m).steps  # warm the caches
+        tracemalloc.start()
+        try:
+            chain = build_chain(field, path, span_grid(0.0, 8.0, dt), m)
+            states = integrate_semilinear(problem, chain).states
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert states.shape == (1025, m)
+    assert peak - states.nbytes < (evolution._AHEAD + 5) * block_bytes
 
 
 def test_a_chain_marched_twice_is_joined_first(medium_path):

@@ -70,6 +70,7 @@ def test_propagate_initial_identity(default_field, medium_path):
 
 def test_propagate_matches_step_loop(default_field, medium_path):
     chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), 16)
+    chain.steps  # read more than once: joined first
     st = construct_initial(default_field, medium_path, 4.0, 16)
     traj = propagate(st, default_field, medium_path, 0.5, 16, chain=chain)
     # reference: the linear pathwise step with sigma = 1 written out

@@ -22,6 +22,7 @@ from randattract import (
     span_grid,
     wiener_shift,
 )
+from randattract import evolution
 from randattract.errors import AlignmentError, ConfigurationError, NumericalError
 from randattract.operators import fixed_laplacian_symbols
 from randattract.pathwise import _ZERO, _march, corrected_increments, dealias_node_count
@@ -131,6 +132,7 @@ def test_dealias_node_count_is_the_least_exact_count():
 
 def test_corrector_zero_cases(default_field, medium_path):
     chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), 16)
+    chain.steps  # read more than once: joined first
     zero_path = synthetic_path(np.zeros((medium_path.base.shape[0], 16)), DT,
                                medium_path.base_origin)
     assert np.all(corrector_integral(chain, zero_path, 0.0, 0.5) == 0.0)
@@ -187,6 +189,7 @@ def test_corrector_ramp_closed_form():
 
 def test_linear_step_sigma_zero_is_propagation(default_field, medium_path):
     chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), 8)
+    chain.steps  # read more than once: joined first
     h = np.linspace(0.0, 1.0, 8)
     problem = SemilinearProblem(
         field=default_field, nonlinearity=NonlinearitySpec.zero(), forcing=None,
@@ -271,11 +274,12 @@ def _march_checking_every_state(chain, x0, nonlinearity, noise, blowup):
 
 
 def _four_block_case(default_field, medium_path):
-    """A reference chain of 512 steps (four 128-step blocks; block b makes
-    states 128 b + 1 .. 128 b + 128) built without blocks, a maker of chains
-    with the same steps from ``build_chain``, and the norm weights."""
+    """A reference chain of four blocks, 4 B steps with B =
+    ``evolution._BUILD_BLOCK`` (block b makes states B b + 1 .. B b + B),
+    built without blocks, a maker of chains with the same steps from
+    ``build_chain``, and the norm weights."""
     m = 8
-    grid = span_grid(0.0, 2.0, DT)
+    grid = span_grid(0.0, 4 * evolution._BUILD_BLOCK * DT, DT)
     reference = reference_chain(default_field, medium_path, grid, m)
 
     def built():
@@ -284,7 +288,8 @@ def _four_block_case(default_field, medium_path):
     return reference, built, fixed_laplacian_symbols(m, 0.2), np.linspace(0.2, 1.0, m)
 
 
-# the first, a middle and the last step of block 1
+# the first, a middle and the last step of block 1, named by their place in
+# 128-step blocks and scaled to the block size
 @pytest.mark.parametrize("kicked", [128, 191, 255])
 def test_checks_once_a_block_give_the_blowup_of_checks_every_state(
     kicked, default_field, medium_path
@@ -293,8 +298,9 @@ def test_checks_once_a_block_give_the_blowup_of_checks_every_state(
     # makes; the cubic march goes on past it to the end of the block, where
     # its states overflow to inf and NaN, yet the march stops where a check
     # after every state stopped it, with the same bits
+    kicked = kicked * evolution._BUILD_BLOCK // 128
     reference, built, symbols, x0 = _four_block_case(default_field, medium_path)
-    noise = np.zeros((512, 8))
+    noise = np.zeros((reference.grid.n_steps, 8))
     noise[kicked, 0] = 1e7
     blowup = (symbols, 1e6)
     for nonlinearity in (_ZERO, NonlinearitySpec.cubic_fisher()):
@@ -311,15 +317,16 @@ def test_checks_once_a_block_give_the_blowup_of_checks_every_state(
 def test_checks_once_a_block_hold_at_the_threshold_itself(default_field, medium_path):
     # a state whose norm is the threshold does not blow up, and the next
     # float below makes it blow up: the screen's margin sends both to the
-    # exact check
+    # exact check; the state is in the middle of block 1
     reference, built, symbols, x0 = _four_block_case(default_field, medium_path)
-    noise = np.zeros((512, 8))
-    noise[191, 0] = 50.0
+    kicked = evolution._BUILD_BLOCK * 3 // 2 - 1
+    noise = np.zeros((reference.grid.n_steps, 8))
+    noise[kicked, 0] = 50.0
     states = _march_checking_every_state(reference, x0, _ZERO, noise, None)[0]
     weighted = states * symbols
     norms = [math.sqrt(w.dot(w)) for w in weighted]
     top = int(np.argmax(norms))
-    assert top == 192
+    assert top == kicked + 1
     for threshold in (norms[top], np.nextafter(norms[top], 0.0)):
         blowup = (symbols, threshold)
         expected = _march_checking_every_state(reference, x0, _ZERO, noise, blowup)
@@ -341,8 +348,8 @@ def test_checks_once_a_block_raise_on_a_nan_mid_block(
     reference, built, symbols, x0 = _four_block_case(default_field, medium_path)
     nonlinearity = NonlinearitySpec.cubic_fisher() if nonlinear else _ZERO
     blowup = (symbols, math.inf) if blowup else None
-    noise = np.zeros((512, 8))
-    noise[190, 3] = np.nan
+    noise = np.zeros((reference.grid.n_steps, 8))
+    noise[evolution._BUILD_BLOCK * 3 // 2 - 2, 3] = np.nan
     with pytest.raises(NumericalError, match="non-finite state"):
         _march_checking_every_state(reference, x0, nonlinearity, noise, blowup)
     for chain in (reference, built()):
@@ -417,6 +424,7 @@ def test_corrector_resolution_bias_is_quantified():
 def test_sigma_zero_reduction_bitwise(default_field, medium_path):
     m = 8
     chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), m)
+    chain.steps  # read more than once: joined first
     u0 = np.linspace(0.2, 1.0, m)
     problem = SemilinearProblem(
         field=default_field, nonlinearity=NonlinearitySpec.cubic_fisher(),
@@ -432,6 +440,7 @@ def test_sigma_zero_reduction_bitwise(default_field, medium_path):
 def test_noise_linearity(default_field, medium_path):
     m = 16
     chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), m)
+    chain.steps  # read more than once: joined first
 
     def solve(sigma):
         problem = SemilinearProblem(
@@ -528,6 +537,7 @@ def test_cube_by_multiplication_within_ulps():
 def test_integrate_matches_step_loop_on_any_path_object(default_field, medium_path):
     m = 16
     chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), m)
+    chain.steps  # read more than once: joined first
     problem = SemilinearProblem(
         field=default_field, nonlinearity=NonlinearitySpec.cubic_fisher(),
         forcing=np.full(m, 0.05), sigma=0.3, u0=np.linspace(0.5, -0.5, m),

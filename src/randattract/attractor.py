@@ -5,12 +5,10 @@ v solves dv/dt = A(theta_t w) v + F(v + sigma Z(theta_t w)) + f by exponential
 Euler; u = v + sigma Z recovers the original solution.  The pullback estimate
 integrates an ensemble forward against the pre-shifted path (time 0 on the
 theta_{-T} fiber), which realizes phi(T, theta_{-T} w, .) with the forward
-machinery verbatim.  Each horizon has its own chain, built ``after`` the
-chain of the horizon before, so one streaming window runs across the
-ladder: the chain workers build a horizon's first blocks while the march
-ends the horizon before.  The ensemble crosses each chain block by block,
-and each block forms its own noise increments, so neither the steps nor
-the noise a horizon holds grow with its length.
+machinery verbatim.  Each horizon has its own chain, built just before
+its march and dropped once the march ends.  The ensemble crosses each chain
+block by block, and each block forms its own noise increments, so neither
+the steps nor the noise a horizon holds grow with its length.
 """
 
 from __future__ import annotations
@@ -178,7 +176,7 @@ def energy_monitor(
         z_pow,
         z_pow2,
         flagged,
-        float(worst_margin if worst_margin != math.inf else math.inf),
+        float(worst_margin),
         monitor_constant,
     )
 
@@ -377,10 +375,9 @@ def pullback_estimate(
 
     Implemented by pre-shifting the path by -T_j and integrating the forward
     problem on [0, T_j]; blow-ups are recorded per member and the estimate
-    proceeds with survivors (the run is flagged).  Every horizon's chain is
-    made first, each ``after`` the one before, so the chain workers build
-    ahead across horizons; the horizons are then marched in order, and each
-    chain is dropped once its march ends.
+    proceeds with survivors (the run is flagged).  The horizons are taken
+    in order: each one's chain is built on its pre-shifted fiber, marched
+    once and dropped.
     """
     _check_horizons(horizons)
     alpha = problem.norm_spec.alpha
@@ -390,15 +387,13 @@ def pullback_estimate(
     eta_norms: list[float] = []
     flagged = False
     eta_spec = FractionalNormSpec(alpha=eta)
-    # each horizon's chain on its pre-shifted fiber (the chain's path)
-    chains: list[PropagatorChain] = []
     for t_j in horizons:
         fiber = wiener_shift(path, -_as_index(t_j, path.dt, "horizon"))
         grid = span_grid(0.0, t_j, path.dt)
-        after = chains[-1] if chains else None
-        chains.append(build_chain(problem.field, fiber, grid, m, after=after))
-    while chains:
-        cloud, alive = _pullback_cloud(problem, chains.pop(0), ensemble)
+        # the chain is held by _pullback_cloud alone, and dropped with it
+        cloud, alive = _pullback_cloud(
+            problem, build_chain(problem.field, fiber, grid, m), ensemble
+        )
         flagged = flagged or not alive.all()
         endpoints.append(cloud)
         survivors.append(alive)

@@ -362,15 +362,18 @@ def cmd_convergence(cfg: RunConfig, sink: OutputSink) -> None:
 def _verify_checks(cfg: RunConfig) -> list[dict]:
     checks: list[dict] = []
 
-    def record(name: str, value: float, tolerance: float, passed=None) -> None:
-        ok = bool(value <= tolerance) if passed is None else bool(passed)
+    def record(name: str, value: float, tolerance: float) -> None:
+        if tolerance > 0:
+            margin = value / tolerance
+        else:  # an exact check: 0 if it holds, inf (written as null) if not
+            margin = 0.0 if value <= 0 else math.inf
         checks.append(
             {
                 "name": name,
                 "value": float(value),
                 "tolerance": float(tolerance),
-                "passed": ok,
-                "margin": float(value / tolerance) if tolerance > 0 else 0.0,
+                "passed": bool(value <= tolerance),
+                "margin": float(margin),
             }
         )
 

@@ -16,27 +16,23 @@ module.  Inside a ``workers`` scope of more than one thread
 ``build_chain`` queues the blocks on the scope's workers and returns at
 once, so the caller can go on (say, to the first blocks of a march) while
 later steps are still being built.  A read waits for what it covers:
-``PropagatorChain.steps`` for the whole chain, ``PropagatorChain.segment``
-for the blocks below its end, and ``PropagatorChain.blocks`` for one block
-at a time.  A reader that waits for a block builds in its own thread the
-lowest queued block that no worker has started, so it never idles while
-there is a block to build; each step has the same bits at any width.  A
-chain has one reading thread.  The same workers run ``ordered_map``'s
-items, by the same rule.
+``PropagatorChain.blocks`` for one block at a time and
+``PropagatorChain.steps`` for the whole chain.  A reader that waits for a
+block builds in its own thread the lowest queued block that no worker has
+started, so it never idles while there is a block to build; each step has
+the same bits at any width.  A chain has one reading thread.  The same
+workers run ``ordered_map``'s items, by the same rule.
 
-Every chain streams its blocks.  Each block is an array of its own and is
-freed once a read has passed it: a read of steps [lo, hi), through
-``segment`` or the march, releases every block wholly below lo, and only
-``_AHEAD`` blocks past the lowest live one are queued.  So a chain read
-once, in order, holds a few blocks whatever its length.  A chain read more
-than once is joined first: reading ``steps`` copies each block into one
-array as the window passes it, so the join holds that array and the window,
-and from then on ``segment``, ``blocks``, ``apply`` and the march read the
-array, any number of times.  Reading a released step raises AlignmentError;
-a segment taken earlier keeps its own steps.  A chain built ``after``
-another appends its blocks to that chain's, and the one window runs on
-across both: the workers build its first blocks while the reader is still
-in the last blocks of the chain before, and reading it releases those.
+Every chain streams its blocks, each in an array of its own, and is read in
+one of two ways.  ``blocks`` reads it once, in order: taking a block frees
+every block below it, and only ``_AHEAD`` blocks past the lowest live one
+are queued, so the chain holds a few blocks whatever its length.
+``steps`` joins it: each block is copied into one array as the window
+passes it, so the join holds that array and the window, and from then on
+``steps``, ``blocks``, ``segment``, ``apply`` and the march read the array,
+any number of times.  A segment is a view of the joined steps, so taking
+one joins the chain.  Reading a freed block raises AlignmentError; a block
+taken earlier keeps its own steps.
 
 The midpoint coefficient uses the average of the endpoint driver values
 (the driver is defined on grid points only); this keeps second-order accuracy
@@ -148,11 +144,10 @@ def _exp_steps(gens: np.ndarray, dt: float, ceiling: float = math.inf) -> None:
 class PropagatorChain:
     """U(t, s, w) as an indexed product of per-step propagator matrices.
 
-    A chain from ``build_chain`` streams its steps: ``segment(lo, hi)``
-    waits only for the blocks below hi and ``blocks`` for one block at a
-    time, and each block is freed once a read has passed it.  Reading
-    ``steps`` joins the chain, which may then be read any number of times
-    (see the module notes).  A chain has one reading thread.
+    A chain from ``build_chain`` streams its steps: ``blocks`` reads it once,
+    in order, one block at a time, freeing each block once a read has
+    passed it, and ``steps`` joins it, after which it may be read any number
+    of times (see the module notes).  A chain has one reading thread.
     """
 
     grid: TimeGrid
@@ -161,11 +156,8 @@ class PropagatorChain:
     path: WienerPath | None
     # noise increments on ``path``, kept by pathwise.corrected_increments
     _increments: np.ndarray | None = field(default=None, repr=False)
-    # build_chain's blocks until ``steps`` joins them; the chain's steps are
-    # blocks _first, _first + 1, ... of them (chains built ``after`` one
-    # another share their blocks)
+    # build_chain's blocks until ``steps`` joins them
     _blocks: _Blocks | None = field(default=None, repr=False)
-    _first: int = field(default=0, repr=False)
 
     @property
     def dim(self) -> int:
@@ -195,46 +187,34 @@ class PropagatorChain:
         if self._steps.shape[0] != self.grid.n_steps:
             raise ConfigurationError("step count does not match the grid")
 
-    def _read(self, lo: int, hi: int) -> np.ndarray:
-        """Steps lo..hi-1, once built (see ``_Blocks.read``): a view, except
-        that steps spanning more than one block are copied into one array.  A
-        chain without blocks (joined, amp = 0 or empty) serves ``_steps``.
-        """
-        if self._blocks is None:
-            return self._steps[lo:hi]
-        first, end = lo // _BUILD_BLOCK, -(-hi // _BUILD_BLOCK)
-        blocks = self._blocks.read(self._first + first, self._first + end)
-        parts = [
-            block[max(lo - i * _BUILD_BLOCK, 0) : hi - i * _BUILD_BLOCK]
-            for i, block in enumerate(blocks, first)
-        ]
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts) if parts else np.empty((0, self.dim, self.dim))
+    def _span(self, lo: int, steps: np.ndarray) -> "PropagatorChain":
+        """``steps`` as the chain from step lo, with the same field and path."""
+        grid = TimeGrid(self.grid.t0 + lo * self.grid.dt, len(steps), self.grid.dt)
+        return PropagatorChain(grid, steps, self.field, self.path)
 
     def segment(self, lo: int, hi: int) -> "PropagatorChain":
-        """Steps lo..hi-1 as a chain over t0 + lo*dt, with the same field and
-        path, once they are built.  The steps are a view, not a copy, except
-        where the steps of a chain not joined span more than one block;
-        either way the segment keeps its steps after the chain has released
-        their blocks.  The segment keeps its own noise increments (see
+        """Steps lo..hi-1 as a chain over t0 + lo*dt, a view of
+        ``steps[lo:hi]``, so a chain not joined is joined first.  The
+        segment keeps its own noise increments (see
         ``pathwise.corrected_increments``).
         """
         if not 0 <= lo <= hi <= self.grid.n_steps:
             raise AlignmentError(f"segment [{lo}, {hi}) outside the chain grid")
-        grid = TimeGrid(self.grid.t0 + lo * self.grid.dt, hi - lo, self.grid.dt)
-        return PropagatorChain(grid, self._read(lo, hi), self.field, self.path)
+        return self._span(lo, self.steps[lo:hi])
 
     def blocks(self) -> Iterator["PropagatorChain"]:
         """The chain in order as consecutive segments of at most
         ``_BUILD_BLOCK`` steps, one per block, each once it is built.  On a
-        chain not joined, taking a block is a read, which releases the
-        blocks below it.  Every march and the join cross a chain this way,
-        so the block size stays here.
+        chain not joined, taking a block releases the blocks below it.
+        Every march and the join cross a chain this way, so the block size
+        stays here.
         """
         n = self.grid.n_steps
-        for lo in range(0, n, _BUILD_BLOCK):
-            yield self.segment(lo, min(lo + _BUILD_BLOCK, n))
+        for i, lo in enumerate(range(0, n, _BUILD_BLOCK)):
+            if self._blocks is None:
+                yield self._span(lo, self._steps[lo : lo + _BUILD_BLOCK])
+            else:
+                yield self._span(lo, self._blocks.read(i))
 
     def generator_rows(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """A(t_{k+i}) vecs[i] at the grid nodes k, k+1, ...; shape (len(vecs), m).
@@ -306,36 +286,34 @@ def ordered_map(fn, items) -> list:
     order like a chain's blocks, so the first failing item's error is raised.
     The caller runs the first item; each runs in a copy of the caller's
     context, so its chains queue their blocks on the same workers."""
-    tasks = _Blocks()
-    tasks.futures.append(Future())  # a future no worker runs: the caller's
-    tasks.add([partial(copy_context().run, fn, item) for item in items])
-    return tasks.read(0, len(items))
+    tasks = [partial(copy_context().run, fn, item) for item in items]
+    # item 0's future is one no worker runs: the caller's
+    blocks = _Blocks(tasks, first=Future())
+    blocks._queue(len(tasks))
+    return [blocks.read(i) for i in range(len(tasks))]
 
 
 class _Blocks:
-    """build_chain's blocks of ``_BUILD_BLOCK`` steps of one chain, or of
-    chains built ``after`` one another, or ``ordered_map``'s items, queued on
-    the workers and built by the reader where no worker has started them.
+    """The blocks of ``_BUILD_BLOCK`` steps of one chain, or the items of one
+    ``ordered_map``, queued on the workers and built by the reader where no
+    worker has started them.
 
-    ``tasks[i]()`` builds block i and returns its steps.  Only the reading
+    ``tasks[i]()`` builds block i and returns it.  The constructor queues
+    the first ``_AHEAD + 1``; a ``first`` future, which no worker runs,
+    stands for block 0, so the reader builds that one.  Only the reading
     thread calls these methods; the workers only run tasks.
     """
 
-    def __init__(self, m: int = 0) -> None:
-        self.tasks: list[partial] = []
+    def __init__(
+        self, tasks: list[partial], m: int = 0, first: Future | None = None
+    ) -> None:
+        self.tasks = tasks
         self.m = m  # the Galerkin dimension of a chain's blocks
         # block i's future once queued; None once released
-        self.futures: list[Future | None] = []
+        self.futures: list[Future | None] = [] if first is None else [first]
         self.live = 0  # the lowest block not released
         self.failure: Exception | None = None  # the first failed block's error
-
-    def add(self, tasks: list[partial]) -> int:
-        """Append a chain's blocks, queue those in the window, and return the
-        index of the first."""
-        first = len(self.tasks)
-        self.tasks += tasks
-        self._queue(self.live + _AHEAD + 1)
-        return first
+        self._queue(_AHEAD + 1)
 
     def _queue(self, end: int) -> None:
         """Queue every block below ``end`` not queued yet."""
@@ -344,32 +322,29 @@ class _Blocks:
             # a future no worker runs is built by the reader
             self.futures.append(Future() if pool is None else pool.submit(task))
 
-    def read(self, first: int, end: int) -> list[np.ndarray]:
-        """Blocks first..end-1, once built.
+    def read(self, i: int) -> np.ndarray:
+        """Block i, once built.
 
-        Every block from the lowest live one up to end is waited for in block
+        Every block from the lowest live one up to i is waited for in block
         order, so the first failing block's error is the one raised, as in a
         serial build, and again on every later read.  Otherwise the blocks
-        below first are then released and the blocks up to ``_AHEAD`` past
-        the lowest live one queued; a read of a released block raises
-        AlignmentError.
+        below i are then released and the blocks up to ``_AHEAD`` past i
+        queued; a read of a released block raises AlignmentError.
         """
         if self.failure is not None:
             raise self.failure
-        if first < self.live:
+        if i < self.live:
             raise AlignmentError(
                 "a released block was read: a chain is read once, in order; "
                 "one read more than once is joined first by reading its steps"
             )
-        self._queue(end)
-        for i in range(self.live, end):
-            self._wait(i)
-        blocks = [self.futures[i].result() for i in range(first, end)]
-        if first > self.live:
-            self.futures[self.live : first] = [None] * (first - self.live)
-            self.live = first
-        self._queue(self.live + _AHEAD + 1)
-        return blocks
+        self._queue(i + 1)
+        for j in range(self.live, i + 1):
+            self._wait(j)
+        self.futures[self.live : i] = [None] * (i - self.live)
+        self.live = i
+        self._queue(i + _AHEAD + 1)
+        return self.futures[i].result()
 
     def _wait(self, i: int) -> None:
         """Return once block i is built; raise its error if it failed.
@@ -403,11 +378,7 @@ class _Blocks:
 
 
 def build_chain(
-    field: DiffusionField,
-    path: WienerPath | None,
-    grid: TimeGrid,
-    m: int,
-    after: PropagatorChain | None = None,
+    field: DiffusionField, path: WienerPath | None, grid: TimeGrid, m: int
 ) -> PropagatorChain:
     """Assemble midpoint-frozen step matrices over the grid.
 
@@ -419,19 +390,10 @@ def build_chain(
     So the chain streams: each block is freed once a read has passed it, and
     a chain read more than once reads ``steps`` first.  A block is built at
     the latest when a read needs it, so a DefinitenessError is raised at
-    that read.  A chain built ``after`` another, which its reader reads
-    first, appends its blocks to that chain's: the one window then spans
-    both, so the workers build this chain's first blocks while the reader
-    ends the other, and the two hold no more blocks together than one.  An
-    ``after`` chain that holds no blocks (joined by ``steps``, with amp = 0,
-    or empty) leaves the new chain a window of its own.
+    that read.
     """
     if m < 1:
         raise ConfigurationError("Galerkin dimension must be >= 1")
-    if after is not None and after.dim != m:
-        raise ConfigurationError(
-            "a chain built after another has the same Galerkin dimension"
-        )
     k_steps = grid.n_steps
     if field.amp == 0.0:
         single = fill_generators(field, np.zeros(1), np.empty((1, m, m)), parity=True)
@@ -455,12 +417,7 @@ def build_chain(
         )
         for lo in range(0, k_steps, _BUILD_BLOCK)
     ]
-    blocks = None if after is None else after._blocks
-    if blocks is None:
-        blocks = _Blocks(m)
-    return PropagatorChain(
-        grid, None, field, path, _blocks=blocks, _first=blocks.add(tasks)
-    )
+    return PropagatorChain(grid, None, field, path, _blocks=_Blocks(tasks, m))
 
 
 def _build_block(

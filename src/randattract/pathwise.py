@@ -284,8 +284,8 @@ def corrector_integral(
     weights = np.full(kb - ka + 1, chain.grid.dt)
     weights[[0, -1]] /= 2.0
     rows *= weights[:, None]
-    # the whole chain is marched as itself, not as a segment, so a chain not
-    # joined frees each block behind the march
+    # the whole chain is marched as itself, not as a segment, which would
+    # join it, so a chain not joined frees each block behind the march
     span = chain if (ka, kb) == (0, chain.grid.n_steps) else chain.segment(ka, kb)
     traj = _march(span, np.zeros(chain.dim), _ZERO, None, None, rows[:-1])
     return traj.states[-1] + rows[-1]

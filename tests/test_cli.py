@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randattract import cli
+from randattract import cli, evolution, ou
 from randattract.cli import main
 from randattract.config import load_config
 from randattract.errors import (
@@ -133,6 +133,24 @@ def test_verify_passes_and_is_deterministic(tmp_path, small_config, capsys):
     assert manifest["per_path_seeds"] == [777, 778]
 
 
+def test_verify_reports_a_failed_exact_check_with_a_null_margin(
+    tmp_path, small_config, monkeypatch
+):
+    # evolution_contractivity is an exact check (tolerance 0): failing, its
+    # margin is infinite, written as null, not the 0.0 of a passing one
+    monkeypatch.setattr(cli, "contractivity_margin", lambda chain: -1.0)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", small_config, "--out", str(out)]) == 3
+    report = json.loads((out / "verify" / "verify_report.json").read_text())
+    assert report["all_passed"] is False
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [(c["name"], c["margin"]) for c in failed] == [
+        ("evolution_contractivity", None)
+    ]
+    exact = [c for c in report["checks"] if c["tolerance"] == 0.0 and c["passed"]]
+    assert exact and all(c["margin"] == 0.0 for c in exact)
+
+
 def test_simulate_outputs_and_manifest(tmp_path, small_config):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", small_config, "--out", str(out), "--threads", "2"]) == 0
@@ -174,6 +192,50 @@ def test_ou_diagnose_outputs(tmp_path, small_config):
     assert "slope_upper_half" in summary and "note" in summary
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["per_path_seeds"] == [777]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ou_diagnose_work_counts(tmp_path, small_config, monkeypatch, threads):
+    # the counts the benchmark checks for ou-diagnose, written out here:
+    # 4 + |ladder| history chains of a / dt steps, read at a + 1 driver
+    # nodes for their steps and a + 1 for their corrector rows, and
+    # propagation chains of 8, 4, 4 and 4 time units, of n steps read at
+    # n + 1 nodes for their steps and n for their increments; each node is
+    # a window of driver_horizon / dt + 1 path points
+    counts = {"built": 0, "history": 0, "driver": 0}
+    build_fn, initial_fn = ou.build_chain, ou.construct_initial
+    driver_fn = evolution.driver_values
+
+    def counted_build(field, path, grid, m):
+        counts["built"] += grid.n_steps
+        return build_fn(field, path, grid, m)
+
+    def counted_initial(field, path, a, m):
+        counts["history"] += int(round(a / path.dt))
+        return initial_fn(field, path, a, m)
+
+    def counted_driver(field, path, k_lo, k_hi):
+        zetas = driver_fn(field, path, k_lo, k_hi)
+        counts["driver"] += len(zetas) * (int(round(field.driver_horizon / path.dt)) + 1)
+        return zetas
+
+    monkeypatch.setattr(ou, "build_chain", counted_build)
+    monkeypatch.setattr(ou, "construct_initial", counted_initial)
+    monkeypatch.setattr(evolution, "driver_values", counted_driver)
+    out = tmp_path / "ou"
+    args = ["--config", small_config, "--out", str(out), "--threads", threads]
+    assert main(["ou-diagnose", *args]) == 0
+    dt, a, window = 2.0 ** -6, 128, 129  # SMALL: truncation_horizon 2, driver_horizon 2
+    ladder = {max(1, int(round(t / dt))) for t in np.geomspace(1.0, 8.0, 12)}
+    histories = 4 + len(ladder)
+    propagations = [int(round(t / dt)) for t in (8.0, 4.0, 4.0, 4.0)]
+    assert counts == {
+        "built": histories * a + sum(propagations),
+        "history": histories * a,
+        "driver": window * (
+            histories * 2 * (a + 1) + sum(2 * n + 1 for n in propagations)
+        ),
+    }
 
 
 def test_attractor_pullback_outputs(tmp_path, small_config):

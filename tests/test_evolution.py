@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 from randattract import (
     AlignmentError,
-    ConfigurationError,
     DefinitenessError,
     DiffusionField,
     NoiseSpectrum,
@@ -260,12 +260,12 @@ def test_build_chain_on_two_workers_equals_serial(n_steps, medium_path):
     try:
         with workers(2):
             split = build_chain(field, medium_path, grid, 16)
-            # streamed: read in 32-step segments, which cover every step,
-            # while later blocks are built
+            # streamed: read block by block, which covers every step, while
+            # later blocks are built
             streamed = build_chain(field, medium_path, grid, 16)
-            for lo in range(0, n_steps, 32):
+            for lo, block in zip(range(0, n_steps, 32), streamed.blocks()):
                 hi = min(lo + 32, n_steps)
-                assert np.array_equal(streamed.segment(lo, hi).steps, serial.steps[lo:hi])
+                assert np.array_equal(block.steps, serial.steps[lo:hi])
     finally:
         sys.setswitchinterval(interval)
     assert split.steps.shape == (n_steps, 16, 16)
@@ -273,11 +273,11 @@ def test_build_chain_on_two_workers_equals_serial(n_steps, medium_path):
 
 
 def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
-    # blocks 1 and 3 of five fail, on whichever thread builds them: a read
-    # below block 1 succeeds, and every read that covers block 1 raises its
-    # error, never block 3's, however the blocks were shared out, with the
-    # window queueing one block ahead; the reads are laid out on 128-step
-    # blocks
+    # blocks 1 and 3 of five fail, on whichever thread builds them: reading
+    # block 0 through blocks() succeeds, and every later read of the chain
+    # (its steps, or a segment, which joins it) raises block 1's error,
+    # never block 3's, however the blocks were shared out, with the window
+    # queueing one block ahead; the reads are laid out on 128-step blocks
     monkeypatch.setattr(evolution, "_BUILD_BLOCK", 128)
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
@@ -306,7 +306,7 @@ def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
             for read in ("steps", "segment"):
                 for _ in range(3):
                     chain = build_chain(field, medium_path, grid, 12)
-                    assert chain.segment(0, 128).steps.shape == (128, 12, 12)
+                    assert next(chain.blocks()).steps.shape == (128, 12, 12)
                     for _ in range(2):
                         with pytest.raises(DefinitenessError, match="block 1"):
                             if read == "steps":
@@ -375,6 +375,18 @@ def test_ordered_map_shares_its_workers_with_the_chains_of_its_items(medium_path
     assert all(np.array_equal(steps, serial) for _, _, steps in results)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_ordered_map_of_no_item_or_one(width):
+    # no items give []; one item runs on the calling thread, whose future
+    # is the one no worker runs
+    def item(i):
+        return i, threading.current_thread()
+
+    with workers(width):
+        assert ordered_map(item, []) == []
+        assert ordered_map(item, [7]) == [(7, threading.current_thread())]
+
+
 def test_joined_chain_holds_one_chain_and_the_window(two_chain_workers):
     # steps on a 16-block chain at width 2 copies each block into the joined
     # array as the window passes it: besides that array the join holds the
@@ -402,67 +414,36 @@ def test_joined_chain_holds_one_chain_and_the_window(two_chain_workers):
 def test_read_once_chain_releases_the_blocks_a_read_has_passed(
     monkeypatch, medium_path
 ):
-    # 600 steps, five 128-step blocks: a read from step 300 releases blocks
-    # 0 and 1, so any read below step 256 raises, and says to join a chain
-    # read more than once; segments taken before the release (one inside
-    # block 0, one straddling blocks 0 and 1) keep their steps.  A 300-step
-    # chain built after a 600-step one appends its blocks to the other's:
-    # reading it releases the first chain's blocks, and both chains have the
-    # steps of the whole-grid reference
+    # 600 steps, five 128-step blocks: taking block 2 releases blocks 0 and
+    # 1, so a second pass over the blocks, or the join, raises and says to
+    # join a chain read more than once; blocks taken before the release keep
+    # their steps, and the first pass reads on from block 2.  A segment
+    # joins the chain, whose blocks may then be read again
     monkeypatch.setattr(evolution, "_BUILD_BLOCK", 128)
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
-    later = span_grid(600 * DT, 900 * DT, DT)
     reference = reference_chain(field, medium_path, grid, 12)
-    reference_later = reference_chain(field, medium_path, later, 12)
     for width in (1, 2):
         with workers(width):
             chain = build_chain(field, medium_path, grid, 12)
-            inside, straddling = chain.segment(0, 32), chain.segment(100, 200)
-            assert np.array_equal(chain.segment(300, 400).steps, reference.steps[300:400])
-            for lo, hi in ((0, 32), (255, 300)):
-                with pytest.raises(AlignmentError, match="released"):
-                    chain.segment(lo, hi)
+            blocks = chain.blocks()
+            first, second, third = next(blocks), next(blocks), next(blocks)
+            with pytest.raises(AlignmentError, match="released"):
+                next(chain.blocks())
             with pytest.raises(
                 AlignmentError, match="released.*joined first by reading its steps"
             ):
                 chain.steps
-            assert np.array_equal(inside.steps, reference.steps[:32])
-            assert np.array_equal(straddling.steps, reference.steps[100:200])
-            # steps 256.. are still live: the march's blocks, read in order
-            assert np.array_equal(chain.segment(256, 600).steps, reference.steps[256:])
-            blocks = chain.blocks()
-            with pytest.raises(AlignmentError, match="released"):
-                next(blocks)
-            first = build_chain(field, medium_path, grid, 12)
-            second = build_chain(field, medium_path, later, 12, after=first)
-            assert second._blocks is first._blocks and second._first == 5
-            assert np.array_equal(first.segment(0, 550).steps, reference.steps[:550])
-            assert np.array_equal(second.segment(0, 100).steps, reference_later.steps[:100])
-            with pytest.raises(AlignmentError, match="released"):
-                first.segment(550, 600)
-            joined = np.concatenate([block.steps for block in second.blocks()])
-            assert np.array_equal(joined, reference_later.steps)
-
-
-def test_chain_after_one_without_blocks_has_a_window_of_its_own(medium_path):
-    # a chain joined by steps, an amp = 0 chain and an empty chain hold no
-    # blocks, so a chain built after one starts its own; an after chain of
-    # another Galerkin dimension is refused
-    field = DiffusionField(amp=0.2)
-    grid = span_grid(0.0, 300 * DT, DT)
-    reference = reference_chain(field, medium_path, grid, 12)
-    joined = build_chain(field, medium_path, grid, 12)
-    joined.steps
-    flat = build_chain(DiffusionField(amp=0.0), None, grid, 12)
-    empty = build_chain(field, medium_path, span_grid(0.0, 0.0, DT), 12)
-    for before in (joined, flat, empty):
-        chain = build_chain(field, medium_path, grid, 12, after=before)
-        assert chain._first == 0
-        assert np.array_equal(chain.steps, reference.steps)
-    chain = build_chain(field, medium_path, grid, 12)
-    with pytest.raises(ConfigurationError, match="has the same Galerkin dimension"):
-        build_chain(field, medium_path, grid, 8, after=chain)
+            assert np.array_equal(first.steps, reference.steps[:128])
+            assert np.array_equal(second.steps, reference.steps[128:256])
+            rest = np.concatenate([third.steps] + [block.steps for block in blocks])
+            assert np.array_equal(rest, reference.steps[256:])
+            chain = build_chain(field, medium_path, grid, 12)
+            assert np.array_equal(chain.segment(100, 300).steps, reference.steps[100:300])
+            assert chain._blocks is None
+            for _ in range(2):
+                joined = np.concatenate([block.steps for block in chain.blocks()])
+                assert np.array_equal(joined, reference.steps)
 
 
 def test_read_once_steps_are_joined_once(monkeypatch, medium_path):

@@ -29,6 +29,7 @@ from .errors import (
     ShiftRangeError,
 )
 from .evolution import (
+    PropagatorChain,
     apply as chain_apply,
     build_chain,
     chain_matrix,
@@ -220,7 +221,7 @@ def cmd_simulate(cfg: RunConfig, sink: OutputSink) -> None:
         {
             "n_paths": cfg.n_paths,
             "blowups": len(blowups),
-            "first_blowup_time": blowups[0] if blowups else None,
+            "first_blowup_time": min(blowups) if blowups else None,
         },
     )
 
@@ -359,13 +360,18 @@ def cmd_convergence(cfg: RunConfig, sink: OutputSink) -> None:
 # verify: the quick invariant suite
 
 
-def _verify_checks(cfg: RunConfig) -> list[dict]:
+def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[list]]:
+    """The checks, and the decay envelope rows of their evolution chain."""
     checks: list[dict] = []
 
     def record(name: str, value: float, tolerance: float) -> None:
+        # margin <= 1 exactly when a check with a nonzero tolerance passes;
+        # inf is written as null
         if tolerance > 0:
             margin = value / tolerance
-        else:  # an exact check: 0 if it holds, inf (written as null) if not
+        elif tolerance < 0:  # a ceiling below 0
+            margin = tolerance / value if value < 0 else math.inf
+        else:  # an exact check: 0 if it holds, inf if not
             margin = 0.0 if value <= 0 else math.inf
         checks.append(
             {
@@ -469,7 +475,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     ramp = WienerPath(ramp_base, 0, dt, ramp_spec, 0)
     auto = DiffusionField(delta=field.delta, amp=0.0)
     ramp_chain = build_chain(auto, ramp, span_grid(0.0, 1.0, dt), 1)
-    got = corrector_integral(ramp_chain, ramp, 0.0, 1.0)[0]
+    got = corrector_integral(ramp_chain, ramp)[0]
     exact = -(1.0 - math.exp(-lam) * (1.0 + lam)) / lam
     record("corrector_ramp_oracle", abs(got - exact), 10.0 * dt ** 2)
 
@@ -552,7 +558,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     # marches three times is not joined first
     disc = transform_consistency(lin_prob, path, 3.0, 4.0, m, n_checkpoints=4)
     record("transform_linear_consistency", disc, 1e-3)
-    return checks
+    return checks, _decay_envelope_rows(chain)
 
 
 def _unit_mode(m: int, n: int) -> np.ndarray:
@@ -561,13 +567,9 @@ def _unit_mode(m: int, n: int) -> np.ndarray:
     return out
 
 
-def _decay_envelope_rows(cfg: RunConfig) -> list[list]:
-    """(t - s, ||U(t, s)||_2, C_hat e^{-lambda_hat (t-s)}) diagnostic rows."""
-    field = DiffusionField()
-    spectrum = NoiseSpectrum(8, 1.0)
-    dt = 2.0 ** -6
-    path = sample_two_sided_path(spectrum, -10.0, 1.0, dt, cfg.seed)
-    chain = build_chain(field, path, span_grid(0.0, 1.0, dt), 16)
+def _decay_envelope_rows(chain: PropagatorChain) -> list[list]:
+    """(t - s, ||U(t, s)||_2, C_hat e^{-lambda_hat (t-s)}) diagnostic rows
+    on a joined chain over [0, 1]."""
     pairs = [(k / 16.0, 0.0) for k in range(0, 17)]
     fit = decay_fit(chain, pairs)
     rows = []
@@ -579,11 +581,9 @@ def _decay_envelope_rows(cfg: RunConfig) -> list[list]:
 
 
 def cmd_verify(cfg: RunConfig, sink: OutputSink) -> int:
-    checks = _verify_checks(cfg)
+    checks, envelope_rows = _verify_checks(cfg)
     failed = [c for c in checks if not c["passed"]]
-    sink.write_csv(
-        "decay_envelope.csv", ["t_minus_s", "norm", "envelope"], _decay_envelope_rows(cfg)
-    )
+    sink.write_csv("decay_envelope.csv", ["t_minus_s", "norm", "envelope"], envelope_rows)
     sink.write_json(
         "verify_report.json",
         {

@@ -10,7 +10,7 @@ the composition law U(t,s)U(s,r) = U(t,r) holds bitwise by construction.
 
 Steps are built in blocks of ``_BUILD_BLOCK`` = 32 steps, 1 MiB at m = 64,
 and the block is also the unit a chain is read in:
-``PropagatorChain.blocks`` gives the chain as one segment per block, which
+``PropagatorChain.blocks`` gives the chain as one chain per block, which
 every march and the join cross in turn, so the block size stays in this
 module.  Inside a ``workers`` scope of more than one thread
 ``build_chain`` queues the blocks on the scope's workers and returns at
@@ -23,16 +23,18 @@ started, so it never idles while there is a block to build; each step has
 the same bits at any width.  A chain has one reading thread.  The same
 workers run ``ordered_map``'s items, by the same rule.
 
-Every chain streams its blocks, each in an array of its own, and is read in
-one of two ways.  ``blocks`` reads it once, in order: taking a block frees
-every block below it, and only ``_AHEAD`` blocks past the lowest live one
-are queued, so the chain holds a few blocks whatever its length.
+Every chain streams its blocks, each in an array of its own, and is read
+whole, in just two ways.  ``blocks`` reads it once, in order: taking a
+block frees every block below it, and only ``_AHEAD`` blocks past the
+lowest live one are queued, so the chain holds a few blocks whatever its
+length.
 ``steps`` joins it: each block is copied into one array as the window
 passes it, so the join holds that array and the window, and from then on
-``steps``, ``blocks``, ``segment``, ``apply`` and the march read the array,
-any number of times.  A segment is a view of the joined steps, so taking
-one joins the chain.  Reading a freed block raises AlignmentError; a block
-taken earlier keeps its own steps.
+``steps``, ``blocks``, ``apply`` and the march read the array, any number
+of times.  Reading a freed block raises AlignmentError; a block taken
+earlier keeps its own steps.  A reader that wants a shorter span builds a
+chain over that span: a step's bits do not depend on the span it is built
+in.
 
 The midpoint coefficient uses the average of the endpoint driver values
 (the driver is defined on grid points only); this keeps second-order accuracy
@@ -40,7 +42,8 @@ for smooth coefficients and exact shift-covariance on aligned grids.
 
 The generator at the grid nodes, A(t_k) = -(delta K0 + amp tanh(zeta_k) Kg),
 is never formed as a matrix: ``PropagatorChain.generator_rows`` applies it to
-noise vectors node by node from the two stiffness parts.
+noise vectors node by node, from the chain's first node on, with the two
+stiffness parts.
 """
 
 from __future__ import annotations
@@ -187,37 +190,25 @@ class PropagatorChain:
         if self._steps.shape[0] != self.grid.n_steps:
             raise ConfigurationError("step count does not match the grid")
 
-    def _span(self, lo: int, steps: np.ndarray) -> "PropagatorChain":
-        """``steps`` as the chain from step lo, with the same field and path."""
-        grid = TimeGrid(self.grid.t0 + lo * self.grid.dt, len(steps), self.grid.dt)
-        return PropagatorChain(grid, steps, self.field, self.path)
-
-    def segment(self, lo: int, hi: int) -> "PropagatorChain":
-        """Steps lo..hi-1 as a chain over t0 + lo*dt, a view of
-        ``steps[lo:hi]``, so a chain not joined is joined first.  The
-        segment keeps its own noise increments (see
-        ``pathwise.corrected_increments``).
-        """
-        if not 0 <= lo <= hi <= self.grid.n_steps:
-            raise AlignmentError(f"segment [{lo}, {hi}) outside the chain grid")
-        return self._span(lo, self.steps[lo:hi])
-
     def blocks(self) -> Iterator["PropagatorChain"]:
-        """The chain in order as consecutive segments of at most
-        ``_BUILD_BLOCK`` steps, one per block, each once it is built.  On a
-        chain not joined, taking a block releases the blocks below it.
-        Every march and the join cross a chain this way, so the block size
-        stays here.
+        """The chain in order as consecutive chains of at most
+        ``_BUILD_BLOCK`` steps, one per block, each once it is built.  Each
+        has the chain's field and path and forms its own noise increments
+        (see ``pathwise.corrected_increments``).  On a chain not joined,
+        taking a block releases the blocks below it.  Every march and the
+        join cross a chain this way, so the block size stays here.
         """
-        n = self.grid.n_steps
+        n, dt = self.grid.n_steps, self.grid.dt
         for i, lo in enumerate(range(0, n, _BUILD_BLOCK)):
             if self._blocks is None:
-                yield self._span(lo, self._steps[lo : lo + _BUILD_BLOCK])
+                steps = self._steps[lo : lo + _BUILD_BLOCK]
             else:
-                yield self._span(lo, self._blocks.read(i))
+                steps = self._blocks.read(i)
+            grid = TimeGrid(self.grid.t0 + lo * dt, len(steps), dt)
+            yield PropagatorChain(grid, steps, self.field, self.path)
 
-    def generator_rows(self, k: int, vecs: np.ndarray) -> np.ndarray:
-        """A(t_{k+i}) vecs[i] at the grid nodes k, k+1, ...; shape (len(vecs), m).
+    def generator_rows(self, vecs: np.ndarray) -> np.ndarray:
+        """A(t_i) vecs[i] at the grid nodes 0, 1, ...; shape (len(vecs), m).
 
         ``vecs`` holds coefficients of the first mw <= m modes.  A row is
         -(delta K0[:, :mw] v + amp tanh(zeta) Kg[:, :mw] v), the zeta of all rows
@@ -227,7 +218,7 @@ class PropagatorChain:
         n, mw = vecs.shape
         if mw > self.dim:
             raise ConfigurationError("noise mode count exceeds Galerkin dimension")
-        if k < 0 or k + n > self.grid.n_steps + 1:
+        if n > self.grid.n_steps + 1:
             raise AlignmentError("generator rows outside the chain grid")
         out = np.empty((n, self.dim))
         k0, kg = (part[:, :mw] for part in _stiffness_parts(self.dim))
@@ -236,7 +227,7 @@ class PropagatorChain:
             for i, v in enumerate(vecs):
                 out[i] = -(delta * (k0 @ v))
             return out
-        k_path = self.path.index_of(self.grid.t0) + k
+        k_path = self.path.index_of(self.grid.t0)
         zetas = driver_values(self.field, self.path, k_path, k_path + n - 1)
         for i, v in enumerate(vecs):
             out[i] = -(delta * (k0 @ v) + (amp * math.tanh(zetas[i])) * (kg @ v))

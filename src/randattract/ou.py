@@ -4,8 +4,8 @@ The stationary initial state is the truncated history integral
 
     z0 = int_{-a}^{0} U(0, r, w) A(theta_r w) w_r dr          (trapezoid).
 
-Since w_0 = 0, this is minus ``pathwise.corrector_integral`` over [-a, 0] on
-the history chain, so it is accumulated by the one march and every history
+Since w_0 = 0, this is minus ``pathwise.corrector_integral`` of the history
+chain over [-a, 0], so it is accumulated by the one march and every history
 step is checked for finiteness (NumericalError).  The state is propagated
 along the shift by the local linear pathwise step with sigma = 1
 (O(K) instead of re-evaluating the history integral at every output time).
@@ -50,12 +50,12 @@ def construct_initial(
     m: int,
 ) -> StationaryState:
     """Trapezoid of U(0, r) A(r) w_r over [-a, 0]: since w_0 = 0, minus the
-    corrector integral over [-a, 0] on the history chain, which is read once.
+    corrector integral of the history chain over [-a, 0], which is read once.
     The path must cover [-a, 0] (ShiftRangeError)."""
     if not a > 0:
         raise ConfigurationError("truncation horizon a must be positive")
     chain = build_chain(field, path, span_grid(-a, 0.0, path.dt), m)
-    z0 = -corrector_integral(chain, path, -a, 0.0)
+    z0 = -corrector_integral(chain, path)
     tail_norm = _max_norm_on(path, -a, -a / 2.0)
     bound = tail_norm * math.exp(-field.poincare_rate * a)
     return StationaryState(z0, a, bound)
@@ -93,19 +93,22 @@ def propagate(
 
 
 def global_form_reference(
-    state: StationaryState,
-    chain: PropagatorChain,
-    path: WienerPath,
-    t: float,
+    state: StationaryState, chain: PropagatorChain, path: WienerPath
 ) -> np.ndarray:
-    """Z(t) by the global representation (used as a consistency reference):
+    """Z(t) at the end t of a chain over [0, t] by the global representation
+    (used as a consistency reference):
 
         U(t,0) z0 + U(t,0) w_t - int_0^t U(t,r) A(r) (w_t - w_r) dr.
+
+    The chain is read twice, by ``apply`` and the corrector, so it is
+    joined (``PropagatorChain.steps``).
     """
-    m = chain.dim
-    k_t = path.index_of(t)
-    base = apply(chain, t, 0.0, state.z0 + _embedded(path.value_at(k_t), m))
-    return base - corrector_integral(chain, path, 0.0, t)
+    if chain.grid.t0 != 0.0:
+        raise ConfigurationError("the global form needs a chain over [0, t]")
+    t = chain.grid.n_steps * chain.grid.dt
+    w_t = _embedded(path.value_at(path.index_of(t)), chain.dim)
+    base = apply(chain, t, 0.0, state.z0 + w_t)
+    return base - corrector_integral(chain, path)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ integrator adds the explicitly treated nonlinearity under the propagator
 Every pathwise march (u here, Z in ``ou``, v = u - sigma Z in ``attractor``)
 is the one loop ``_march``, which takes its steps
 x_{k+1} = S_k (x_k + dt (F(x_k + shift) + f) + noise) in place.  So is the
-trapezoid of ``corrector_integral``: its weighted node rows are the noise of
-a linear march from 0.  ``ou``'s history integral is that corrector.
+trapezoid of ``corrector_integral`` over a whole chain: its weighted node
+rows are the noise of a linear march from 0.  ``ou``'s history integral is
+that corrector.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
     AlignmentError,
     ConfigurationError,
     NumericalError,
-    OrderingError,
     ShiftRangeError,
 )
 from .evolution import PropagatorChain, TimeGrid, _check_resolution
@@ -267,27 +267,23 @@ def nemytskii(nonlinearity: NonlinearitySpec, vec: np.ndarray) -> np.ndarray:
     return pointwise(basis.dot(vec)).dot(weighted)
 
 
-def corrector_integral(
-    chain: PropagatorChain, path: WienerPath, t_a: float, t_b: float
-) -> np.ndarray:
-    """Trapezoid of U(t_b, s) A(s) (w_{t_b} - w_s) over path grid points in [t_a, t_b].
+def corrector_integral(chain: PropagatorChain, path: WienerPath) -> np.ndarray:
+    """Trapezoid of U(t_b, s) A(s) (w_{t_b} - w_s) over the chain's nodes s,
+    from its first node t_a to its last, t_b.
 
     The weighted rows at the nodes before t_b are the noise of one linear
-    ``_march`` from 0, which checks every step for finiteness
-    (NumericalError); the s = t_b row, A(t_b) 0, is added last.
+    ``_march`` from 0 over the whole chain, which checks every step for
+    finiteness (NumericalError) and frees each block of a chain not joined
+    behind it; the s = t_b row, A(t_b) 0, is added last.  A shorter span
+    takes a chain over that span.
     """
-    ka, kb = chain.grid.index(t_a), chain.grid.index(t_b)
-    if kb < ka:
-        raise OrderingError("corrector needs t_b >= t_a")
-    o = _base_row(chain, path, kb)
-    rows = chain.generator_rows(ka, path.base[o + kb] - path.base[o + ka : o + kb + 1])
-    weights = np.full(kb - ka + 1, chain.grid.dt)
+    n = chain.grid.n_steps
+    o = _base_row(chain, path)
+    rows = chain.generator_rows(path.base[o + n] - path.base[o : o + n + 1])
+    weights = np.full(n + 1, chain.grid.dt)
     weights[[0, -1]] /= 2.0
     rows *= weights[:, None]
-    # the whole chain is marched as itself, not as a segment, which would
-    # join it, so a chain not joined frees each block behind the march
-    span = chain if (ka, kb) == (0, chain.grid.n_steps) else chain.segment(ka, kb)
-    traj = _march(span, np.zeros(chain.dim), _ZERO, None, None, rows[:-1])
+    traj = _march(chain, np.zeros(chain.dim), _ZERO, None, None, rows[:-1])
     return traj.states[-1] + rows[-1]
 
 
@@ -303,15 +299,15 @@ def _embedded(values: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _base_row(chain: PropagatorChain, path: WienerPath, k_hi: int) -> int:
+def _base_row(chain: PropagatorChain, path: WienerPath) -> int:
     """The base row of the chain's first node on ``path``.
 
     The path must run at the chain resolution, or its increments are not the
-    chain's steps, and it must hold the chain nodes up to k_hi.
+    chain's steps, and it must hold every chain node.
     """
     _check_resolution(path, chain.grid)
     o = path.base_origin + path.index_of(chain.grid.t0)
-    if o + k_hi >= path.base.shape[0]:
+    if o + chain.grid.n_steps >= path.base.shape[0]:
         raise ShiftRangeError("chain nodes run past the sampled path")
     return o
 
@@ -322,17 +318,17 @@ def corrected_increments(chain: PropagatorChain, path: WienerPath) -> np.ndarray
     The noise term of the linear pathwise step before the sigma factor.  It
     depends on the chain and the path only, so all members integrated on one
     chain share it: it is kept on the chain when ``path`` is the chain's own
-    path.  A segment forms and keeps its own rows, bitwise those of the
+    path.  A block forms and keeps its own rows, bitwise those of the
     chain's at the same steps (each row is its own products), so members
     marched block by block share each block's rows.  The generator rows
-    come from one ``generator_rows`` block.
+    come from one ``generator_rows`` call.
     """
     if path is chain.path and chain._increments is not None:
         return chain._increments
     n = chain.grid.n_steps
-    o = _base_row(chain, path, n)
+    o = _base_row(chain, path)
     dw = path.base[o + 1 : o + n + 1] - path.base[o : o + n]
-    rows = chain.generator_rows(0, dw)
+    rows = chain.generator_rows(dw)
     # dw - (dt/2) rows, formed in place: one (n_steps, m) temporary
     rows *= chain.grid.dt / 2.0
     out = _embedded(dw, chain.dim)

@@ -467,7 +467,9 @@ def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):
         assert all(map(np.array_equal, other_endpoints, endpoints))
 
 
-def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
+def test_chains_of_horizons_marched_in_turn_give_the_endpoints_of_horizons_alone(
+    monkeypatch,
+):
     # horizons of 128, 256 and 448 steps and a last one of 512, on 5-step
     # blocks, their chains built and marched in turn: every horizon's
     # endpoints are those of the horizon estimated alone, at widths 1 and 2
@@ -491,7 +493,7 @@ def test_chains_built_ahead_give_the_endpoints_of_horizons_alone(monkeypatch):
         assert all(map(np.array_equal, est.endpoints, alone))
 
 
-def test_pullback_memory_with_chains_built_ahead_stays_in_the_read_once_window():
+def test_pullback_memory_with_horizons_marched_in_turn_stays_in_the_read_once_window():
     # pullback_estimate at width 2 on horizons of 768 and 3072 steps, and on
     # four of 768 to 3072: the horizons are marched in turn, and the peak
     # stays within one streaming window (the queued blocks, the march's

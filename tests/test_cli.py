@@ -151,6 +151,31 @@ def test_verify_reports_a_failed_exact_check_with_a_null_margin(
     assert exact and all(c["margin"] == 0.0 for c in exact)
 
 
+def test_verify_margin_is_at_most_one_exactly_when_a_check_passes(
+    tmp_path, small_config, monkeypatch
+):
+    # operator_spectral_bound's tolerance is the spectral ceiling, below 0:
+    # shifted so that its top eigenvalue is half the ceiling, the operator
+    # fails the check, whose margin is then 2, not 0.0
+    assemble = cli.assemble_operator
+
+    def shifted(field, t, path, m):
+        op = assemble(field, t, path, m)
+        top = np.linalg.eigvalsh(op)[-1]
+        return op + (0.5 * field.spectral_ceiling - top) * np.eye(m)
+
+    monkeypatch.setattr(cli, "assemble_operator", shifted)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", small_config, "--out", str(out)]) == 3
+    report = json.loads((out / "verify" / "verify_report.json").read_text())
+    spectral = [c for c in report["checks"] if c["name"] == "operator_spectral_bound"]
+    assert spectral[0]["tolerance"] < 0 and spectral[0]["passed"] is False
+    bounded = [c for c in report["checks"] if c["tolerance"] != 0.0]
+    assert len(bounded) > 1
+    for c in bounded:
+        assert c["passed"] == (c["margin"] is not None and c["margin"] <= 1), c
+
+
 def test_simulate_outputs_and_manifest(tmp_path, small_config):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", small_config, "--out", str(out), "--threads", "2"]) == 0
@@ -569,6 +594,12 @@ def test_simulate_counts_survivors_over_a_blow_up(tmp_path, capsys):
     assert all(math.isfinite(row[1]) for row in rows)
     assert all(math.isnan(v) for row in rows if row[-1] < 2 for v in row[2:-1])
     assert all(math.isfinite(v) for row in rows if row[-1] >= 2 for v in row[2:-1])
+    # three paths blow up, at 0.375, 0.171875 and 0.4375 in seed order: the
+    # first blow-up is the earliest, not the lowest seed's
+    summary = json.loads(
+        (tmp_path / "c" / "sim" / "simulate" / "simulate_summary.json").read_text()
+    )
+    assert summary["blowups"] == 3 and summary["first_blowup_time"] == 0.171875
 
 
 def test_simulate_rejects_a_single_path(tmp_path, capsys):

@@ -275,9 +275,10 @@ def test_build_chain_on_two_workers_equals_serial(n_steps, medium_path):
 def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
     # blocks 1 and 3 of five fail, on whichever thread builds them: reading
     # block 0 through blocks() succeeds, and every later read of the chain
-    # (its steps, or a segment, which joins it) raises block 1's error,
-    # never block 3's, however the blocks were shared out, with the window
-    # queueing one block ahead; the reads are laid out on 128-step blocks
+    # (its steps, or all its blocks, as a march reads them) raises block 1's
+    # error, never block 3's, however the blocks were shared out, with the
+    # window queueing one block ahead; the reads are laid out on 128-step
+    # blocks
     monkeypatch.setattr(evolution, "_BUILD_BLOCK", 128)
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
@@ -303,7 +304,7 @@ def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
     sys.setswitchinterval(1e-6)
     try:
         with workers(2):
-            for read in ("steps", "segment"):
+            for read in ("steps", "blocks"):
                 for _ in range(3):
                     chain = build_chain(field, medium_path, grid, 12)
                     assert next(chain.blocks()).steps.shape == (128, 12, 12)
@@ -312,7 +313,7 @@ def test_first_failing_block_raises_on_every_read(monkeypatch, medium_path):
                             if read == "steps":
                                 chain.steps
                             else:
-                                chain.segment(500, 600)
+                                list(chain.blocks())
         # block 3 alone fails: the first steps read joins blocks 0-2 and
         # releases blocks 0 and 1 before it fails, and the second read
         # raises block 3's error again, not a read of a released block
@@ -417,8 +418,8 @@ def test_read_once_chain_releases_the_blocks_a_read_has_passed(
     # 600 steps, five 128-step blocks: taking block 2 releases blocks 0 and
     # 1, so a second pass over the blocks, or the join, raises and says to
     # join a chain read more than once; blocks taken before the release keep
-    # their steps, and the first pass reads on from block 2.  A segment
-    # joins the chain, whose blocks may then be read again
+    # their steps, and the first pass reads on from block 2.  Reading the
+    # steps of a fresh chain joins it, and its blocks may then be read again
     monkeypatch.setattr(evolution, "_BUILD_BLOCK", 128)
     field = DiffusionField(amp=0.2)
     grid = span_grid(0.0, 600 * DT, DT)
@@ -439,7 +440,7 @@ def test_read_once_chain_releases_the_blocks_a_read_has_passed(
             rest = np.concatenate([third.steps] + [block.steps for block in blocks])
             assert np.array_equal(rest, reference.steps[256:])
             chain = build_chain(field, medium_path, grid, 12)
-            assert np.array_equal(chain.segment(100, 300).steps, reference.steps[100:300])
+            assert np.array_equal(chain.steps[100:300], reference.steps[100:300])
             assert chain._blocks is None
             for _ in range(2):
                 joined = np.concatenate([block.steps for block in chain.blocks()])
@@ -448,7 +449,7 @@ def test_read_once_chain_releases_the_blocks_a_read_has_passed(
 
 def test_read_once_steps_are_joined_once(monkeypatch, medium_path):
     # steps builds every block once, queued or not, and later reads
-    # (segments, the march) come from the join, any number of times
+    # (the march's blocks) come from the join, any number of times
     built = []
     exp_steps = evolution._exp_steps
 
@@ -463,7 +464,6 @@ def test_read_once_steps_are_joined_once(monkeypatch, medium_path):
     with workers(2):
         chain = build_chain(field, medium_path, grid, 12)
         assert np.array_equal(chain.steps, reference.steps)
-        assert np.array_equal(chain.segment(900, 1000).steps, reference.steps[900:])
         for _ in range(2):
             joined = np.concatenate([block.steps for block in chain.blocks()])
             assert np.array_equal(joined, reference.steps)
@@ -610,13 +610,12 @@ def test_generator_rows_match_assembled_operator(amp, medium_path):
     # t0 != 0 on a shifted fiber: a wrong node-to-path offset reads other zetas
     field = DiffusionField(amp=amp)
     fiber = wiener_shift(medium_path, 300)
-    ch = build_chain(field, fiber, span_grid(-0.75, 0.25, DT), 24)
+    ch = build_chain(field, fiber, span_grid(-0.75 + 7 * DT, 0.25, DT), 24)
     vecs = np.random.default_rng(5).standard_normal((40, fiber.mode_count))
-    k = 7
-    rows = ch.generator_rows(k, vecs)
+    rows = ch.generator_rows(vecs)
     assert rows.shape == (40, 24)
     for i, v in enumerate(vecs):
-        t = ch.grid.t0 + (k + i) * DT
+        t = ch.grid.t0 + i * DT
         embedded = np.zeros(24)
         embedded[: v.size] = v
         ref = assemble_operator(field, t, fiber, 24) @ embedded
@@ -624,14 +623,19 @@ def test_generator_rows_match_assembled_operator(amp, medium_path):
 
 
 def test_generator_row_alone_equals_row_in_block(default_field, medium_path):
+    # a row alone comes from a chain that starts at its node
     ch = build_chain(default_field, medium_path, span_grid(0.5, 1.0, DT), 24)
     vecs = np.random.default_rng(6).standard_normal((ch.grid.n_steps + 1, 16))
-    block = ch.generator_rows(0, vecs)
+    block = ch.generator_rows(vecs)
+
+    def from_node(j):
+        return build_chain(default_field, medium_path, span_grid(0.5 + j * DT, 1.0, DT), 24)
+
     for j in (0, 1, 77, ch.grid.n_steps):
-        assert np.array_equal(ch.generator_rows(j, vecs[j : j + 1])[0], block[j])
-    assert np.array_equal(ch.generator_rows(20, vecs[20:50]), block[20:50])
+        assert np.array_equal(from_node(j).generator_rows(vecs[j : j + 1])[0], block[j])
+    assert np.array_equal(from_node(20).generator_rows(vecs[20:50]), block[20:50])
     with pytest.raises(AlignmentError):
-        ch.generator_rows(1, vecs)
+        from_node(1).generator_rows(vecs)
 
 
 # one alignment rule (noise._as_index) behind every "time on the grid" check;

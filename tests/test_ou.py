@@ -36,7 +36,7 @@ def _history_loop(field, path, a, m):
     n = chain.grid.n_steps
     o = path.base_origin
     k0 = o + path.index_of(-a)
-    rows = chain.generator_rows(0, path.base[k0 : k0 + n + 1] - path.base[o])
+    rows = chain.generator_rows(path.base[k0 : k0 + n + 1] - path.base[o])
     acc = (path.dt / 2.0) * rows[0]
     for j in range(1, n + 1):
         weight = path.dt / 2.0 if j == n else path.dt
@@ -91,6 +91,15 @@ def test_propagate_rejects_a_chain_off_its_span(default_field, medium_path):
         chain = build_chain(default_field, medium_path, span_grid(t0, t1, DT), 16)
         with pytest.raises(ConfigurationError, match="span"):
             propagate(st, default_field, medium_path, 0.5, 16, chain=chain)
+
+
+def test_global_form_rejects_a_chain_not_from_0(default_field, medium_path):
+    # the corrector runs over the whole chain, and U(t, 0) from 0: a chain
+    # from -DT would add a step to one and not to the other
+    st = construct_initial(default_field, medium_path, 4.0, 16)
+    chain = build_chain(default_field, medium_path, span_grid(-DT, 0.5, DT), 16)
+    with pytest.raises(ConfigurationError, match=r"\[0, t\]"):
+        global_form_reference(st, chain, medium_path)
 
 
 def test_insufficient_coverage_raises(default_field, spectrum):
@@ -180,7 +189,8 @@ def test_propagate_matches_global_form(default_field):
     scale = 1.0 + float(np.abs(traj.states).max())
     for k in range(1, 9):
         t = k / 8.0
-        ref = global_form_reference(st, chain, path, t)
+        upto = build_chain(field, path, span_grid(0.0, t, dt), 1)
+        ref = global_form_reference(st, upto, path)
         assert np.abs(traj.state_at(t) - ref).max() <= 1e-6 * scale
 
 
@@ -196,7 +206,7 @@ def test_propagate_global_form_consistency_refines(default_field):
         chain = build_chain(default_field, path, span_grid(0.0, 1.0, dt), 8)
         chain.steps  # read by propagate and the global form: joined once
         traj = propagate(st, default_field, path, 1.0, 8, chain=chain)
-        ref = global_form_reference(st, chain, path, 1.0)
+        ref = global_form_reference(st, chain, path)
         diffs.append(float(np.abs(traj.state_at(1.0) - ref).max()))
     assert diffs[1] < diffs[0]
 

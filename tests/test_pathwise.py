@@ -132,33 +132,35 @@ def test_dealias_node_count_is_the_least_exact_count():
 
 def test_corrector_zero_cases(default_field, medium_path):
     chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), 16)
-    chain.steps  # read more than once: joined first
     zero_path = synthetic_path(np.zeros((medium_path.base.shape[0], 16)), DT,
                                medium_path.base_origin)
-    assert np.all(corrector_integral(chain, zero_path, 0.0, 0.5) == 0.0)
-    assert np.all(corrector_integral(chain, medium_path, 0.25, 0.25) == 0.0)
+    assert np.all(corrector_integral(chain, zero_path) == 0.0)
+    point = build_chain(default_field, medium_path, span_grid(0.25, 0.25, DT), 16)
+    assert np.all(corrector_integral(point, medium_path) == 0.0)
 
 
-def _corrector_loop(chain, path, t_a, t_b):
-    """The corrector trapezoid as a loop of its own:
-    acc <- S_j (acc + weight_j A(t_j) (w_b - w_j)) for the nodes before t_b."""
-    ka, kb = chain.grid.index(t_a), chain.grid.index(t_b)
+def _corrector_loop(chain, path):
+    """The corrector trapezoid over the whole chain as a loop of its own:
+    acc <- S_j (acc + weight_j A(t_j) (w_b - w_j)) for the nodes before the
+    last, t_b."""
+    n = chain.grid.n_steps
     o = path.base_origin + path.index_of(chain.grid.t0)
-    rows = chain.generator_rows(ka, path.base[o + kb] - path.base[o + ka : o + kb])
+    rows = chain.generator_rows(path.base[o + n] - path.base[o : o + n])
     acc = np.zeros(chain.dim)
-    for j in range(ka, kb):
-        weight = DT / 2.0 if j == ka else DT
-        acc = chain.steps[j] @ (acc + weight * rows[j - ka])
+    for j in range(n):
+        weight = DT / 2.0 if j == 0 else DT
+        acc = chain.steps[j] @ (acc + weight * rows[j])
     return acc
 
 
 @pytest.mark.parametrize("amp", [0.2, 0.0])
 def test_corrector_is_the_trapezoid_loop_bitwise(amp, medium_path):
-    chain = build_chain(DiffusionField(amp=amp), medium_path, span_grid(-0.5, 1.0, DT), 16)
-    chain.steps  # read by both correctors over two spans: joined once
     for t_a, t_b in ((-0.5, 1.0), (0.25, 0.75)):
-        got = corrector_integral(chain, medium_path, t_a, t_b)
-        assert np.array_equal(got, _corrector_loop(chain, medium_path, t_a, t_b))
+        grid = span_grid(t_a, t_b, DT)
+        chain = build_chain(DiffusionField(amp=amp), medium_path, grid, 16)
+        chain.steps  # read by the corrector and the loop: joined first
+        got = corrector_integral(chain, medium_path)
+        assert np.array_equal(got, _corrector_loop(chain, medium_path))
 
 
 def test_corrector_ramp_closed_form():
@@ -181,7 +183,7 @@ def test_corrector_ramp_closed_form():
         n = int(round(T / dt))
         ramp = synthetic_path(np.arange(n + 1) * dt, dt, 0)
         chain = build_chain(field, ramp, span_grid(0.0, T, dt), 1)
-        got = corrector_integral(chain, ramp, 0.0, T)[0]
+        got = corrector_integral(chain, ramp)[0]
         errs.append(abs(got - closed))
     assert errs[0] / errs[1] >= 3.0  # trapezoid is O(dt^2)
     assert errs[1] <= 1e-4
@@ -574,7 +576,7 @@ def test_noise_on_a_finer_path_than_the_chain_is_rejected():
     with pytest.raises(AlignmentError, match="resolution"):
         integrate_semilinear(problem, flat)
     with pytest.raises(AlignmentError, match="resolution"):
-        corrector_integral(flat, fine, 0.0, 1.0)
+        corrector_integral(flat, fine)
     # a noise path other than the chain's own path
     varying = build_chain(DiffusionField(), coarse, grid, m)
     with pytest.raises(AlignmentError, match="resolution"):

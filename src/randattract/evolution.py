@@ -9,7 +9,11 @@ Applying the chain is a left-to-right sequence of matrix-vector products, so
 the composition law U(t,s)U(s,r) = U(t,r) holds bitwise by construction.
 
 Steps are built in blocks of ``_BUILD_BLOCK`` = 32 steps, 1 MiB at m = 64,
-and the block is also the unit a chain is read in:
+each decomposed ``_EIGH_PIECE`` = 8 matrices at a time, so each of a
+block's temporaries is a quarter of it.  A block's driver values and
+modulation are formed when the block is queued and dropped once it is
+built, so a chain holds no array of its length.  The block is also the
+unit a chain is read in:
 ``PropagatorChain.blocks`` gives the chain as one chain per block, which
 every march and the join cross in turn, so the block size stays in this
 module.  Inside a ``workers`` scope of more than one thread
@@ -49,12 +53,13 @@ stiffness parts.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -64,13 +69,16 @@ from .errors import (
     DefinitenessError,
     NumericalError,
     OrderingError,
+    ShiftRangeError,
 )
 from .noise import WienerPath, _as_index, wiener_shift
 from .operators import (
+    PI_SQUARED,
     DiffusionField,
     _parity_order,
     _stiffness_parts,
     assemble_operator,
+    coefficient_floor_sum,
     driver_values,
     fill_generators,
 )
@@ -114,33 +122,38 @@ def _check_resolution(path: WienerPath, grid: TimeGrid) -> None:
         )
 
 
+# matrices _exp_steps decomposes at a time: eigh's eigenvector array and the
+# natural-order gather each hold 8 matrices (256 KiB at m = 64), not a
+# 32-step block
+_EIGH_PIECE = 8
+
+
 def _exp_steps(gens: np.ndarray, dt: float, ceiling: float = math.inf) -> None:
     """Overwrite each generator A of gens (k, m, m), given in parity order,
     with its step exp(dt A) in natural order; A's spectrum must stay at or
     below ``ceiling``.
 
-    exp(dt A) = H H^T with H = Q e^{dt lam / 2}, formed in place of eigh's Q,
-    whose rows then go back to natural order in place, 16 matrices at a time:
-    one gather of a whole 32-step block at m = 64 (a 1 MiB temporary) made
-    the block about 8% slower to build, and a loop over single matrices
-    holds the GIL often enough to slow a march running beside a background
-    build by about a tenth.  The reordering is a permutation similarity, so
-    the step is exact for any symmetric generator; matmul runs H H^T as
-    syrk, so each step is exactly symmetric.
-    Each step is computed on its own, so it does not depend on the other
-    matrices of gens.
+    exp(dt A) = H H^T with H = Q e^{dt lam / 2}, Q from eigh, and H's rows
+    put back in natural order by one gather.  The eigh, the bound check, the
+    scaling, the gather and the product run over ``_EIGH_PIECE`` matrices
+    at a time, so the temporaries are a piece, not the stack.  The
+    reordering is a permutation similarity, so the step is exact for any
+    symmetric generator; matmul runs H H^T as syrk, so each step is exactly
+    symmetric.  Each step is computed on its own, so it does not depend on
+    the other matrices of gens.
     """
-    lam, q = np.linalg.eigh(gens)
-    top = float(lam[:, -1].max())
-    if top > ceiling:
-        raise DefinitenessError(
-            f"spectral bound violated: max eigenvalue {top} > {ceiling}"
-        )
-    q *= np.exp((0.5 * dt) * lam)[:, None, :]
     natural = _parity_order(gens.shape[-1])[1]
-    for lo in range(0, len(q), 16):
-        q[lo : lo + 16] = q[lo : lo + 16, natural]
-    np.matmul(q, np.swapaxes(q, 1, 2), out=gens)
+    for lo in range(0, len(gens), _EIGH_PIECE):
+        piece = gens[lo : lo + _EIGH_PIECE]
+        lam, q = np.linalg.eigh(piece)
+        top = float(lam[:, -1].max())
+        if top > ceiling:
+            raise DefinitenessError(
+                f"spectral bound violated: max eigenvalue {top} > {ceiling}"
+            )
+        q *= np.exp((0.5 * dt) * lam)[:, None, :]
+        h = q[:, natural]
+        np.matmul(h, np.swapaxes(h, 1, 2), out=piece)
 
 
 @dataclass(eq=False)
@@ -161,6 +174,9 @@ class PropagatorChain:
     _increments: np.ndarray | None = field(default=None, repr=False)
     # build_chain's blocks until ``steps`` joins them
     _blocks: _Blocks | None = field(default=None, repr=False)
+    # [sum_k min_x E_k] over the steps queued so far, a cell build_chain's
+    # block source adds to (see ``norm_bound``)
+    _floor_sum: list[float] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -206,6 +222,26 @@ class PropagatorChain:
                 steps = self._blocks.read(i)
             grid = TimeGrid(self.grid.t0 + lo * dt, len(steps), dt)
             yield PropagatorChain(grid, steps, self.field, self.path)
+
+    @property
+    def norm_bound(self) -> float:
+        """exp(-pi^2 dt sum_k min_x E_k) >= ||U(t_b, t_a)||_2 over the chain.
+
+        Each step's generator has -v^T A_k v = int E_k |u'|^2 >= pi^2
+        min_x E_k ||v||^2 (Poincare), so ||S_k||_2 <= exp(-pi^2 dt min_x E_k),
+        with min_x E_k from the step's modulation (``coefficient_floor_sum``);
+        with amp = 0 the bound is exp(-pi^2 delta (t_b - t_a)), the norm
+        itself.  A streaming chain knows it once every block is queued: once
+        it has been read whole.
+        """
+        n_blocks = -(-self.grid.n_steps // _BUILD_BLOCK)
+        if self._floor_sum is None or (
+            self._blocks is not None and self._blocks.queued < n_blocks
+        ):
+            raise AlignmentError(
+                "a norm bound is known for a chain from build_chain read whole"
+            )
+        return math.exp(-PI_SQUARED * self.grid.dt * self._floor_sum[0])
 
     def generator_rows(self, vecs: np.ndarray) -> np.ndarray:
         """A(t_i) vecs[i] at the grid nodes 0, 1, ...; shape (len(vecs), m).
@@ -289,19 +325,25 @@ class _Blocks:
     ``ordered_map``, queued on the workers and built by the reader where no
     worker has started them.
 
-    ``tasks[i]()`` builds block i and returns it.  The constructor queues
-    the first ``_AHEAD + 1``; a ``first`` future, which no worker runs,
-    stands for block 0, so the reader builds that one.  Only the reading
-    thread calls these methods; the workers only run tasks.
+    The i-th task of ``tasks`` builds block i and returns it.  A task is
+    taken from ``tasks`` when its block is queued and dropped once the block
+    is built, and a block's future is dropped once it is released, so what
+    the reader holds does not grow with the number of blocks.  The
+    constructor queues the first ``_AHEAD + 1``; a ``first`` future, which
+    no worker runs, stands for block 0, so the reader builds that one.  Only
+    the reading thread calls these methods; the workers only run tasks.
     """
 
     def __init__(
-        self, tasks: list[partial], m: int = 0, first: Future | None = None
+        self, tasks: Iterable[partial], m: int = 0, first: Future | None = None
     ) -> None:
-        self.tasks = tasks
+        self.source = iter(tasks)
         self.m = m  # the Galerkin dimension of a chain's blocks
-        # block i's future once queued; None once released
-        self.futures: list[Future | None] = [] if first is None else [first]
+        self.queued = 0  # blocks queued so far
+        # block i's task from when it is queued until it is built
+        self.tasks: dict[int, partial] = {}
+        # block i's future from when it is queued until it is released
+        self.futures: dict[int, Future] = {} if first is None else {0: first}
         self.live = 0  # the lowest block not released
         self.failure: Exception | None = None  # the first failed block's error
         self._queue(_AHEAD + 1)
@@ -309,9 +351,12 @@ class _Blocks:
     def _queue(self, end: int) -> None:
         """Queue every block below ``end`` not queued yet."""
         pool = _executor.get()
-        for task in self.tasks[len(self.futures) : end]:
-            # a future no worker runs is built by the reader
-            self.futures.append(Future() if pool is None else pool.submit(task))
+        for task in islice(self.source, max(end - self.queued, 0)):
+            i, self.queued = self.queued, self.queued + 1
+            self.tasks[i] = task
+            if i not in self.futures:  # else ``first`` stands for it
+                # a future no worker runs is built by the reader
+                self.futures[i] = Future() if pool is None else pool.submit(task)
 
     def read(self, i: int) -> np.ndarray:
         """Block i, once built.
@@ -332,7 +377,8 @@ class _Blocks:
         self._queue(i + 1)
         for j in range(self.live, i + 1):
             self._wait(j)
-        self.futures[self.live : i] = [None] * (i - self.live)
+        for j in range(self.live, i):
+            del self.futures[j]
         self.live = i
         self._queue(i + _AHEAD + 1)
         return self.futures[i].result()
@@ -345,7 +391,7 @@ class _Blocks:
         """
         future = self.futures[i]
         while not future.done() or future.cancelled():
-            for j in range(i, len(self.futures)):
+            for j in range(i, self.queued):
                 # cancel() succeeds on a block not started, or dropped when
                 # its workers scope exited
                 if self.futures[j].cancel():
@@ -357,12 +403,13 @@ class _Blocks:
         if future.exception() is not None:
             self.failure = future.exception()
             raise self.failure
+        self.tasks.pop(i, None)  # a block the reader built has dropped it
 
     def _build(self, j: int) -> None:
         """Build block j in the reading thread, keeping its error."""
         done = Future()
         try:
-            done.set_result(self.tasks[j]())
+            done.set_result(self.tasks.pop(j)())
         except Exception as exc:
             done.set_exception(exc)
         self.futures[j] = done
@@ -374,12 +421,14 @@ def build_chain(
     """Assemble midpoint-frozen step matrices over the grid.
 
     With amp > 0 the chain grid must run at the path resolution (the driver
-    is read at path grid points).  The driver and the modulation are
-    computed here, at once; the steps are built in blocks of
+    is read at path grid points), and the path must hold every node's
+    driver window (ShiftRangeError here).  The steps are built in blocks of
     ``_BUILD_BLOCK`` steps (see the module notes), queued ``_AHEAD`` past
     the reader on the ``workers`` and built by the reader outside a scope.
-    So the chain streams: each block is freed once a read has passed it, and
-    a chain read more than once reads ``steps`` first.  A block is built at
+    A block's driver values and modulation are formed when it is queued, in
+    the reading thread, so no array of the chain's length is held.  So the
+    chain streams: each block is freed once a read has passed it, and a
+    chain read more than once reads ``steps`` first.  A block is built at
     the latest when a read needs it, so a DefinitenessError is raised at
     that read.
     """
@@ -390,42 +439,62 @@ def build_chain(
         single = fill_generators(field, np.zeros(1), np.empty((1, m, m)), parity=True)
         _exp_steps(single, grid.dt, field.spectral_ceiling)
         steps = np.broadcast_to(single[0], (k_steps, m, m))
-        return PropagatorChain(grid, steps, field, path)
+        floor_sum = [field.delta * k_steps]
+        return PropagatorChain(grid, steps, field, path, _floor_sum=floor_sum)
 
     if path is None:
         raise ConfigurationError("a path is required when amp > 0")
     _check_resolution(path, grid)
     k0 = path.index_of(grid.t0)
+    if k0 + k_steps > path.hi:
+        raise ShiftRangeError("chain nodes run past the sampled path")
     if k_steps == 0:
-        return PropagatorChain(grid, np.empty((0, m, m)), field, path)
-    zetas = driver_values(field, path, k0, k0 + k_steps)
-    modulation = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
-
-    tasks = [
-        partial(
-            _build_block, lo, min(lo + _BUILD_BLOCK, k_steps),
-            field, grid.dt, modulation, m,
+        return PropagatorChain(
+            grid, np.empty((0, m, m)), field, path, _floor_sum=[0.0]
         )
-        for lo in range(0, k_steps, _BUILD_BLOCK)
-    ]
-    return PropagatorChain(grid, None, field, path, _blocks=_Blocks(tasks, m))
+    floor_sum = [0.0]
+    blocks = _Blocks(_block_tasks(field, path, k0, grid, m, floor_sum), m)
+    return PropagatorChain(
+        grid, None, field, path, _blocks=blocks, _floor_sum=floor_sum
+    )
+
+
+def _block_tasks(
+    field: DiffusionField,
+    path: WienerPath,
+    k0: int,
+    grid: TimeGrid,
+    m: int,
+    floor_sum: list[float],
+) -> Iterator[partial]:
+    """``build_chain``'s block tasks in order, each formed when it is taken.
+
+    A block's driver values are read at its nodes, the first carried from
+    the block before, so each node's value is computed once; its midpoint
+    modulation is its task's own, and its sum of coefficient floors is added
+    to ``floor_sum[0]``.
+    """
+    zetas = driver_values(field, path, k0, k0)
+    for lo in range(0, grid.n_steps, _BUILD_BLOCK):
+        hi = min(lo + _BUILD_BLOCK, grid.n_steps)
+        zetas = np.concatenate(
+            (zetas[-1:], driver_values(field, path, k0 + lo + 1, k0 + hi))
+        )
+        modulation = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
+        floor_sum[0] += coefficient_floor_sum(field, modulation)
+        yield partial(_build_block, field, grid.dt, modulation, m)
 
 
 def _build_block(
-    lo: int,
-    hi: int,
-    field: DiffusionField,
-    dt: float,
-    modulation: np.ndarray,
-    m: int,
+    field: DiffusionField, dt: float, modulation: np.ndarray, m: int
 ) -> np.ndarray:
-    """Steps lo..hi-1 of a chain, one block, in an array of its own.
+    """The steps of one block, one per modulation, in an array of their own.
 
-    The block is assembled in parity order in that array; eigh's
-    eigenvector array is the one block-sized temporary.
+    The block is assembled in parity order in that array; ``_exp_steps``'
+    piece temporaries are the only others.
     """
-    out = np.empty((hi - lo, m, m))
-    fill_generators(field, modulation[lo:hi], out, parity=True)
+    out = np.empty((len(modulation), m, m))
+    fill_generators(field, modulation, out, parity=True)
     _exp_steps(out, dt, field.spectral_ceiling)
     return out
 

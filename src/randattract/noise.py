@@ -141,7 +141,9 @@ def sample_two_sided_path(
 
     Forward (t >= 0) and backward (t <= 0) parts are built from disjoint
     increment streams, both anchored at w_n(0) = 0; the backward part cumulates
-    independent increments from 0 toward t_lo.
+    independent increments from 0 toward t_lo.  Each part is drawn, scaled,
+    cumulated and (the backward one) reversed in place in ``base``, so the
+    path is the one array of its length.
     """
     if not dt > 0:
         raise ConfigurationError("dt must be positive")
@@ -156,14 +158,28 @@ def sample_two_sided_path(
 
     base = np.empty((n_back + n_fwd + 1, spectrum.mode_count))
     base[n_back] = 0.0
-    if n_fwd:
-        inc = rng_fwd.standard_normal((n_fwd, spectrum.mode_count)) * scale
-        base[n_back + 1 :] = np.cumsum(inc, axis=0)
-    if n_back:
-        inc = rng_back.standard_normal((n_back, spectrum.mode_count)) * scale
-        base[:n_back] = np.cumsum(inc, axis=0)[::-1]
+    for rng, part in ((rng_fwd, base[n_back + 1 :]), (rng_back, base[:n_back])):
+        rng.standard_normal(out=part)
+        part *= scale
+        np.cumsum(part, axis=0, out=part)
+    _reverse_rows(base[:n_back])
     base.setflags(write=False)
     return WienerPath(base, n_back, dt, spectrum, seed)
+
+
+# rows _reverse_rows swaps at a time
+_SWAP_ROWS = 256
+
+
+def _reverse_rows(a: np.ndarray) -> None:
+    """Reverse the rows of ``a`` in place, swapping ``_SWAP_ROWS`` rows from
+    each end at a time (an assignment from ``a[::-1]`` copies all of ``a``)."""
+    n = len(a)
+    for lo in range(0, n // 2, _SWAP_ROWS):
+        hi = min(lo + _SWAP_ROWS, n // 2)
+        head = a[lo:hi].copy()
+        a[lo:hi] = a[n - hi : n - lo][::-1]
+        a[n - hi : n - lo] = head[::-1]
 
 
 def wiener_shift(path: WienerPath, offset: int) -> WienerPath:

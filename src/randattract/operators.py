@@ -27,6 +27,8 @@ from .noise import WienerPath, _as_index
 PI_SQUARED = math.pi ** 2
 # sup |g| of the profile one_plus_sine, the bound of the ellipticity check
 PROFILE_SUP = 2.0
+# inf g of one_plus_sine on [0, 1]
+PROFILE_INF = 1.0
 
 
 def one_plus_sine(x):
@@ -155,6 +157,13 @@ def fill_generators(
     np.multiply((field.amp * modulation)[:, None, None], kg, out=out)
     out += field.delta * k0
     return np.negative(out, out=out)
+
+
+def coefficient_floor_sum(field: DiffusionField, modulation: np.ndarray) -> float:
+    """sum_k min_x E(x) over the modulations mu_k: min_x E is
+    delta + amp mu_k inf g for mu_k >= 0 and delta + amp mu_k sup g below."""
+    low = np.where(modulation < 0.0, PROFILE_SUP * modulation, PROFILE_INF * modulation)
+    return field.delta * len(modulation) + field.amp * float(low.sum())
 
 
 def assemble_operator(

@@ -9,8 +9,9 @@ chain over [-a, 0], so it is accumulated by the one march and every history
 step is checked for finiteness (NumericalError).  The state is propagated
 along the shift by the local linear pathwise step with sigma = 1
 (O(K) instead of re-evaluating the history integral at every output time).
-The neglected tail is controlled by the exponential decay of the evolution
-family and reported as ``truncation_bound``.
+The neglected tail is reported as ``truncation_bound``: the chain's
+certified bound on ||U(0, -a)|| times an estimate of the tail integral's
+size (see ``construct_initial``).
 """
 
 from __future__ import annotations
@@ -50,23 +51,22 @@ def construct_initial(
     m: int,
 ) -> StationaryState:
     """Trapezoid of U(0, r) A(r) w_r over [-a, 0]: since w_0 = 0, minus the
-    corrector integral of the history chain over [-a, 0], which is read once.
-    The path must cover [-a, 0] (ShiftRangeError)."""
+    corrector integral of the history chain over [-a, 0], which is read once,
+    block by block.  The path must cover [-a, 0] (ShiftRangeError).
+
+    The neglected tail is U(0, -a) T(-a), T(-a) the integral over
+    (-inf, -a] at -a.  ``truncation_bound`` is the chain's certified
+    ||U(0, -a)|| <= ``PropagatorChain.norm_bound`` times the estimate
+    ||w(-a)|| + ||z0|| of ||T(-a)||, which stationarity suggests and nothing
+    certifies.
+    """
     if not a > 0:
         raise ConfigurationError("truncation horizon a must be positive")
     chain = build_chain(field, path, span_grid(-a, 0.0, path.dt), m)
     z0 = -corrector_integral(chain, path)
-    tail_norm = _max_norm_on(path, -a, -a / 2.0)
-    bound = tail_norm * math.exp(-field.poincare_rate * a)
-    return StationaryState(z0, a, bound)
-
-
-def _max_norm_on(path: WienerPath, t_lo: float, t_hi: float) -> float:
-    k_lo = path.index_of(t_lo)
-    k_hi = int(math.floor(t_hi / path.dt))
-    vals = path.base[path.base_origin + k_lo : path.base_origin + k_hi + 1]
-    vals = vals - path.base[path.base_origin]
-    return float(np.sqrt(np.einsum("ij,ij->i", vals, vals)).max())
+    w_a = path.value_at(path.index_of(-a))
+    tail = float(np.linalg.norm(w_a)) + float(np.linalg.norm(z0))
+    return StationaryState(z0, a, chain.norm_bound * tail)
 
 
 def propagate(
@@ -128,7 +128,11 @@ def stationarity_residual_table(
     a: float,
     m: int,
 ) -> list[StationarityEntry]:
-    """Residuals for the (t, s) grid, sharing one propagation per fiber."""
+    """Residuals for the (t, s) grid, sharing one propagation per fiber.
+
+    Each shifted fiber's propagation is dropped before the next fiber's
+    history is integrated, so the table holds two propagations at most.
+    """
     left_state = construct_initial(field, path, a, m)
     horizon = max(t + s for t in ts for s in ss)
     left = propagate(left_state, field, path, horizon, m)
@@ -147,6 +151,7 @@ def stationarity_residual_table(
                     left_state.truncation_bound,
                 )
             )
+        del right
     return entries
 
 

@@ -14,8 +14,8 @@ Every pathwise march (u here, Z in ``ou``, v = u - sigma Z in ``attractor``)
 is the one loop ``_march``, which takes its steps
 x_{k+1} = S_k (x_k + dt (F(x_k + shift) + f) + noise) in place.  So is the
 trapezoid of ``corrector_integral`` over a whole chain: its weighted node
-rows are the noise of a linear march from 0.  ``ou``'s history integral is
-that corrector.
+rows are the noise of a linear march from 0, formed and marched block by
+block.  ``ou``'s history integral is that corrector.
 """
 
 from __future__ import annotations
@@ -271,20 +271,34 @@ def corrector_integral(chain: PropagatorChain, path: WienerPath) -> np.ndarray:
     """Trapezoid of U(t_b, s) A(s) (w_{t_b} - w_s) over the chain's nodes s,
     from its first node t_a to its last, t_b.
 
-    The weighted rows at the nodes before t_b are the noise of one linear
-    ``_march`` from 0 over the whole chain, which checks every step for
-    finiteness (NumericalError) and frees each block of a chain not joined
-    behind it; the s = t_b row, A(t_b) 0, is added last.  A shorter span
-    takes a chain over that span.
+    The weighted rows at the nodes before t_b are the noise of a linear
+    ``_march`` from 0, crossed block by block: each block forms its own
+    rows (``generator_rows``), marches them and passes on its last state,
+    and the march checks every step for finiteness (NumericalError) and
+    frees each block of a chain not joined behind it.  The last block also
+    forms the s = t_b row, A(t_b) 0, which is added last.  So no array of
+    the chain's length is formed.  A shorter span takes a chain over that
+    span.
     """
-    n = chain.grid.n_steps
+    n, dt = chain.grid.n_steps, chain.grid.dt
     o = _base_row(chain, path)
-    rows = chain.generator_rows(path.base[o + n] - path.base[o : o + n + 1])
-    weights = np.full(n + 1, chain.grid.dt)
-    weights[[0, -1]] /= 2.0
-    rows *= weights[:, None]
-    traj = _march(chain, np.zeros(chain.dim), _ZERO, None, None, rows[:-1])
-    return traj.states[-1] + rows[-1]
+    end = path.base[o + n]
+    x = np.zeros(chain.dim)
+    if n == 0:  # the one node's row, A(t_b) 0 dt/2, is 0
+        return x
+    lo = 0
+    for block in chain.blocks():
+        hi = lo + block.grid.n_steps
+        rows = block.generator_rows(end - path.base[o + lo : o + hi + (hi == n)])
+        weights = np.full(len(rows), dt)
+        if lo == 0:
+            weights[0] /= 2.0
+        if hi == n:
+            weights[-1] /= 2.0
+        rows *= weights[:, None]
+        x = _march(block, x, _ZERO, None, None, rows).states[-1]
+        lo = hi
+    return x + rows[-1]
 
 
 def _embedded(values: np.ndarray, m: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from randattract import (
     sample_two_sided_path,
 )
 from randattract.evolution import PropagatorChain, _exp_steps
-from randattract.operators import driver_values, fill_generators
+from randattract.operators import coefficient_floor_sum, driver_values, fill_generators
 
 DT = 2.0 ** -8
 
@@ -60,10 +60,12 @@ def synthetic_path(values: np.ndarray, dt: float, origin: int) -> WienerPath:
 def reference_chain(field, path, grid, m) -> PropagatorChain:
     """The steps of ``build_chain`` (amp > 0) from one ``fill_generators`` and
     one ``_exp_steps`` call over the whole grid, in one array without blocks:
-    a reference independent of the block machinery, bit for bit."""
+    a reference independent of the block machinery, bit for bit.  Its norm
+    bound comes from the same modulation, summed at once."""
     k0 = path.index_of(grid.t0)
     zetas = driver_values(field, path, k0, k0 + grid.n_steps)
     mus = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
     steps = fill_generators(field, mus, np.empty((grid.n_steps, m, m)), parity=True)
     _exp_steps(steps, grid.dt, field.spectral_ceiling)
-    return PropagatorChain(grid, steps, field, path)
+    floor_sum = [coefficient_floor_sum(field, mus)]
+    return PropagatorChain(grid, steps, field, path, _floor_sum=floor_sum)

@@ -526,7 +526,7 @@ def test_pullback_memory_does_not_grow_with_the_horizon():
     # steps, yet the tracemalloc peak on a horizon of 4096 steps exceeds
     # that on one of 512 by less than 128 steps of matrices at width 1: the
     # march holds a few blocks of steps and their increments, whatever the
-    # horizon (the rest is the chain's modulation, 8 bytes a step).  At
+    # horizon.  At
     # width 2 the peak of one run moves with the timing of the two threads'
     # builds, so the least of three runs is compared, within 256 steps
     field = DiffusionField(driver_horizon=2.0)
@@ -554,6 +554,38 @@ def test_pullback_memory_does_not_grow_with_the_horizon():
             pullback_estimate(problem, path, [1.0], ens, 0.35, m)  # warm the caches
             short, long = (min(peak(t) for _ in range(runs)) for t in (4.0, 32.0))
         assert long - short < bound * block_bytes
+
+
+def test_pullback_memory_is_flat_in_the_horizon_at_width_1():
+    # a chain's block tasks are formed as the blocks are queued, each with
+    # its own modulation, and dropped once built, so the chain holds no
+    # array of its length: from a horizon of 512 steps to one of 8192 the
+    # tracemalloc peak grows by less than half a 32-step block (8 KiB at
+    # m = 8), where the whole chain's driver values alone are 64 KiB
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 8, 2.0 ** -7
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -66.0, 0.0, dt, seed=9)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.1, u0=np.zeros(m),
+    )
+    ens = default_ensemble(m, 0.2, radius=2.0, n_random=0, seed=7)[:3]
+    block_bytes = evolution._BUILD_BLOCK * m * m * 8
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            est = pullback_estimate(problem, path, [horizon], ens, 0.35, m)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not est.flagged
+        return top
+
+    with workers(1):
+        pullback_estimate(problem, path, [1.0], ens, 0.35, m)  # warm the caches
+        short, long = peak(4.0), peak(64.0)
+    assert long - short < block_bytes / 2
 
 
 @pytest.mark.parametrize("horizons", [[], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]])

@@ -605,6 +605,24 @@ def test_autonomous_chain_makes_one_eigh(monkeypatch):
     assert len(calls) == 1
 
 
+def test_eigh_runs_on_pieces_that_cover_each_step_once(monkeypatch, medium_path):
+    # a 100-step chain of 32-step blocks: eigh sees at most _EIGH_PIECE
+    # matrices a call, and its calls sum to the steps built
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return eigh(a)
+
+    field, grid = DiffusionField(amp=0.2), span_grid(0.0, 100 * DT, DT)
+    reference = reference_chain(field, medium_path, grid, 12)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    chain = build_chain(field, medium_path, grid, 12)
+    assert np.array_equal(chain.steps, reference.steps)
+    assert max(calls) == evolution._EIGH_PIECE and sum(calls) == 100
+
+
 @pytest.mark.parametrize("amp", [0.2, 0.0])
 def test_generator_rows_match_assembled_operator(amp, medium_path):
     # t0 != 0 on a shifted fiber: a wrong node-to-path offset reads other zetas

@@ -71,6 +71,37 @@ def test_forward_backward_streams_independent(spectrum):
     assert not np.allclose(fwd, back)
 
 
+def _sampled_with_temporaries(spectrum, n_back, n_fwd, dt, seed):
+    """The base array as sampling formed it with separate increment arrays:
+    each part's draws times the scale, cumulated, the backward part read in
+    reverse."""
+    scale = np.sqrt(spectrum.weights * dt)
+    rng_fwd = np.random.default_rng([seed, 0])
+    rng_back = np.random.default_rng([seed, 1])
+    base = np.empty((n_back + n_fwd + 1, spectrum.mode_count))
+    base[n_back] = 0.0
+    if n_fwd:
+        inc = rng_fwd.standard_normal((n_fwd, spectrum.mode_count)) * scale
+        base[n_back + 1 :] = np.cumsum(inc, axis=0)
+    if n_back:
+        inc = rng_back.standard_normal((n_back, spectrum.mode_count)) * scale
+        base[:n_back] = np.cumsum(inc, axis=0)[::-1]
+    return base
+
+
+# n_back 0, 1, even and odd across several swap chunks; n_fwd 0 and > 0
+@pytest.mark.parametrize("n_back", [0, 1, 2, 513, 1030])
+@pytest.mark.parametrize("n_fwd", [0, 1, 700])
+def test_sampling_in_place_keeps_every_bit(spectrum, n_back, n_fwd):
+    # drawn, scaled, cumulated and reversed in place in the base array, the
+    # path has the bits of the formula with separate temporaries
+    dt = 2.0 ** -7
+    path = sample_two_sided_path(spectrum, -n_back * dt, n_fwd * dt, dt, seed=17)
+    expected = _sampled_with_temporaries(spectrum, n_back, n_fwd, dt, 17)
+    assert path.base_origin == n_back
+    assert path.base.tobytes() == expected.tobytes()
+
+
 def test_variance_of_unit_mode_monte_carlo():
     # Oracle: Var w_1(1) = q_1 * 1 = 1 for a single unit-weight mode.
     spec = NoiseSpectrum(1, 1.0)

@@ -1,25 +1,30 @@
 """Stationary state construction, shift stationarity, temperedness diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from randattract import (
+    AlignmentError,
     DiffusionField,
     NoiseSpectrum,
     build_chain,
+    chain_matrix,
     construct_initial,
     propagate,
     sample_two_sided_path,
     span_grid,
     temperedness_diagnostic,
 )
+from randattract import evolution
 from randattract.errors import ConfigurationError, NumericalError, ShiftRangeError
+from randattract.evolution import workers
 from randattract.ou import global_form_reference, stationarity_residual_table
 from randattract.pathwise import corrected_increments
 
-from conftest import DT, synthetic_path
+from conftest import DT, reference_chain, synthetic_path
 
 
 def test_zero_path_zero_state(default_field):
@@ -134,6 +139,88 @@ def test_truncation_halving_bound(default_field, medium_path):
     # halving a changes z0 by at most the reported tail bound at a = 4
     assert np.linalg.norm(st8.z0 - st4.z0) <= st4.truncation_bound
     assert st4.truncation_bound <= 1.0  # C * max||w|| * e^{-lambda*4}
+
+
+def _max_norm_bound(field, path, a):
+    """The truncation bound construct_initial reported before: the largest
+    ||w|| on [-a, -a/2] times exp(-poincare_rate a)."""
+    k_lo, k_hi = path.index_of(-a), int(math.floor(-a / 2.0 / path.dt))
+    o = path.base_origin
+    vals = path.base[o + k_lo : o + k_hi + 1] - path.base[o]
+    return float(np.sqrt(np.einsum("ij,ij->i", vals, vals)).max()) * math.exp(
+        -field.poincare_rate * a
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_truncation_bound_is_tight_above_the_truncation_error(seed):
+    # amp > 0, a = 2 and 3 against a history of 16: the errors (1e-5 to
+    # 1e-7) are far above rounding, and the bound lies within 1x-100x of
+    # them; the max ||w|| e^{-lambda a} formula it replaced is 1e3-1e6x,
+    # which the same check refuses
+    field = DiffusionField(driver_horizon=2.0)
+    dt, m = 2.0 ** -7, 16
+    path = sample_two_sided_path(NoiseSpectrum(8, 1.0), -18.0, 0.0, dt, seed=seed)
+    reference = construct_initial(field, path, 16.0, m).z0
+    for a in (2.0, 3.0):
+        st = construct_initial(field, path, a, m)
+        error = float(np.linalg.norm(st.z0 - reference))
+        assert error > 1e-9
+        assert error <= st.truncation_bound <= 100.0 * error
+        assert not _max_norm_bound(field, path, a) <= 100.0 * error
+
+
+def test_truncation_bound_factor_is_the_chain_norm_bound(default_field, medium_path):
+    # the bound is the certified ||U(0, -a)|| factor times ||w(-a)|| + ||z0||,
+    # and the factor, summed block by block as the chain is read, lies above
+    # the history chain's norm and agrees with the sum over the whole grid
+    a, m = 2.0, 16
+    grid = span_grid(-a, 0.0, DT)
+    st = construct_initial(default_field, medium_path, a, m)
+    chain = build_chain(default_field, medium_path, grid, m)
+    with pytest.raises(AlignmentError, match="read whole"):
+        chain.norm_bound
+    norm = np.linalg.norm(chain_matrix(chain, 0.0, -a), 2)
+    tail = np.linalg.norm(medium_path.value_at(-round(a / DT))) + np.linalg.norm(st.z0)
+    assert st.truncation_bound == chain.norm_bound * tail
+    assert norm <= chain.norm_bound < 10.0 * norm
+    whole = reference_chain(default_field, medium_path, grid, m).norm_bound
+    assert chain.norm_bound == pytest.approx(whole, rel=1e-13)
+
+
+def test_truncation_factor_at_amp_zero_is_exact():
+    # without amp every step is exp(-dt delta K0): the factor exp(-pi^2 dt
+    # sum_k delta) is exp(-delta pi^2 a), the chain's norm to rounding
+    field = DiffusionField(amp=0.0)
+    for a in (1.0, 8.0):
+        chain = build_chain(field, None, span_grid(-a, 0.0, DT), 8)
+        exact = math.exp(-field.delta * math.pi ** 2 * a)
+        assert chain.norm_bound == pytest.approx(exact, rel=1e-13)
+        norm = np.linalg.norm(chain_matrix(chain, 0.0, -a), 2)
+        assert chain.norm_bound == pytest.approx(norm, rel=1e-12)
+
+
+def test_history_memory_is_flat_in_a():
+    # the history is marched block by block, each block forming its own
+    # weighted rows, and only the last state kept: at m = 8 the tracemalloc
+    # peak of construct_initial differs by less than one 32-step block
+    # (16 KiB) between a = 8 and a = 64, 7168 steps apart
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 8, 2.0 ** -7
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -66.0, 0.0, dt, seed=9)
+    block_bytes = evolution._BUILD_BLOCK * m * m * 8
+
+    def peak(a):
+        tracemalloc.start()
+        try:
+            construct_initial(field, path, a, m)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with workers(1):
+        construct_initial(field, path, 1.0, m)  # warm the caches
+        assert abs(peak(64.0) - peak(8.0)) < block_bytes
 
 
 def test_stationarity_zero_shift_exact(default_field, medium_path):

@@ -78,8 +78,8 @@ def transform_consistency(
     chain = build_chain(problem.field, path, grid, m)
     chain.steps  # marched three times (Z, u and v): joined once
     state0 = construct_initial(problem.field, path, a, m)
-    z_traj = propagate(state0, problem.field, path, horizon, m, chain=chain)
-    u_traj = integrate_semilinear(problem, chain, path)
+    z_traj = propagate(state0, chain)
+    u_traj = integrate_semilinear(problem, chain)
     v0 = problem.u0 - problem.sigma * state0.z0
     v_traj = integrate_v(
         problem.nonlinearity,
@@ -230,7 +230,8 @@ def absorbing_diagnostics(
     k_a = path.index_of(-a)
     fiber = wiener_shift(path, k_a)
     state = construct_initial(field, fiber, a, m)
-    traj = propagate(state, field, fiber, a, m)
+    grid = span_grid(0.0, a, fiber.dt)
+    traj = propagate(state, build_chain(field, fiber, grid, m))
     weighted = traj.states * fixed_laplacian_symbols(m, alpha)
     z_alpha = np.sqrt(np.einsum("ij,ij->i", weighted, weighted))
     rate = field.poincare_rate
@@ -354,7 +355,7 @@ def _pullback_cloud(
     members = [dataclasses.replace(problem, u0=row) for row in cloud]
     for block in chain.blocks():
         for i in np.flatnonzero(alive):
-            traj = integrate_semilinear(members[i], block, chain.path)
+            traj = integrate_semilinear(members[i], block)
             if traj.status == "completed":
                 cloud[i] = traj.states[-1]
             else:

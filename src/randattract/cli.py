@@ -173,7 +173,7 @@ def cmd_simulate(cfg: RunConfig, sink: OutputSink) -> None:
         path = _path_window_for(cfg, t_lo, horizon, seed)
         grid = span_grid(0.0, horizon, cfg.dt)
         chain = build_chain(problem.field, path, grid, m)
-        return integrate_semilinear(problem, chain, path)
+        return integrate_semilinear(problem, chain)
 
     trajectories = ordered_map(run_one, seeds)
     # a path counts at t_k while it has not blown up: its blow-up state, the
@@ -321,7 +321,7 @@ def cmd_convergence(cfg: RunConfig, sink: OutputSink) -> None:
         # an order fitted over a blown-up run is no order at all
         grid = span_grid(0.0, cfg.horizon, dt)
         chain = build_chain(problem.field, path, grid, m)
-        traj = integrate_semilinear(problem, chain, path)
+        traj = integrate_semilinear(problem, chain)
         if traj.status == "blowup":
             raise NumericalError(
                 f"convergence path seed {seed} blew up at dt={dt!r}, "
@@ -343,13 +343,15 @@ def cmd_convergence(cfg: RunConfig, sink: OutputSink) -> None:
     all_errs = np.array(ordered_map(run_one, seeds))
     rms = np.sqrt((all_errs ** 2).mean(axis=0))
     dts = [base / 2 ** lev for lev in range(levels)]
-    order = observed_order(dts, list(rms))
     rows = [[dts[i], float(rms[i])] for i in range(levels)]
     sink.write_csv("convergence_errors.csv", ["dt", "rms_error"], rows)
     sink.write_json(
         "convergence_summary.json",
         {
-            "fitted_strong_order": order,
+            # null when a level's error is exactly 0 (sigma = 0 from u0 = 0,
+            # say): no order is fitted over it
+            "fitted_strong_order": observed_order(dts, list(rms)),
+            "zero_error_levels": int(np.count_nonzero(rms == 0.0)),
             "reference_dt": fine_dt,
             "n_paths": cfg.n_paths,
         },
@@ -475,7 +477,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[list]]:
     ramp = WienerPath(ramp_base, 0, dt, ramp_spec, 0)
     auto = DiffusionField(delta=field.delta, amp=0.0)
     ramp_chain = build_chain(auto, ramp, span_grid(0.0, 1.0, dt), 1)
-    got = corrector_integral(ramp_chain, ramp)[0]
+    got = corrector_integral(ramp_chain)[0]
     exact = -(1.0 - math.exp(-lam) * (1.0 + lam)) / lam
     record("corrector_ramp_oracle", abs(got - exact), 10.0 * dt ** 2)
 
@@ -487,7 +489,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[list]]:
         sigma=0.0,
         u0=v,
     )
-    tr = integrate_semilinear(problem, chain, path)
+    tr = integrate_semilinear(problem, chain)
     v_direct = v.copy()
     for k in range(grid.n_steps):
         stage = v_direct + dt * nemytskii(NonlinearitySpec.cubic_fisher(), v_direct)
@@ -504,7 +506,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[list]]:
         sigma=1.0,
         u0=np.zeros(m),
     )
-    base_tr = integrate_semilinear(lin, chain, path)
+    base_tr = integrate_semilinear(lin, chain)
     scaled = SemilinearProblem(
         field=field,
         nonlinearity=NonlinearitySpec.zero(),
@@ -512,7 +514,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[list]]:
         sigma=2.5,
         u0=np.zeros(m),
     )
-    scaled_tr = integrate_semilinear(scaled, chain, path)
+    scaled_tr = integrate_semilinear(scaled, chain)
     denom = float(np.abs(scaled_tr.states[-1]).max())
     record(
         "pathwise_noise_linearity",
@@ -525,7 +527,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[list]]:
 
     # ou invariants
     st = construct_initial(field, path, 4.0, m)
-    traj = propagate(st, field, path, 1.0, m)
+    traj = propagate(st, chain)
     record(
         "ou_initial_identity",
         float(np.abs(traj.states[0] - st.z0).max()),
@@ -678,12 +680,14 @@ def main(argv: list[str] | None = None) -> int:
         or os.environ.get("RANDATTRACT_OUT")
         or "randattract_out"
     ) / args.command
-    sink = OutputSink(out_dir, cfg.config_hash())
-    timings: dict[str, float] = {}
+    sink = None
     started = time.perf_counter()
     try:
+        sink = OutputSink(out_dir, cfg.config_hash())
         with workers(args.threads):
             code = _COMMANDS[args.command](cfg, sink) or 0
+        total = time.perf_counter() - started
+        sink.manifest({"total": total}, _sampled_seeds(args.command, cfg))
         failure = None
     except ConfigurationError as exc:
         failure = 1, f"configuration error: {exc}"
@@ -695,17 +699,18 @@ def main(argv: list[str] | None = None) -> int:
         failure = 1, f"validation error: {exc}"
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         failure = 2, f"numerical error: {exc}"
+    except OSError as exc:  # an --out that cannot be made or written
+        failure = 1, f"output error: {exc}"
     if failure is not None:
         code, message = failure
-        sink.cleanup_partial()
+        if sink is not None:
+            sink.cleanup_partial()
         try:
             out_dir.rmdir()  # only once empty: a kept *.log keeps it
         except OSError:
             pass
         print(message, file=sys.stderr)
         return code
-    timings["total"] = time.perf_counter() - started
-    sink.manifest(timings, _sampled_seeds(args.command, cfg))
     print(f"outputs in {out_dir}")
     return code
 

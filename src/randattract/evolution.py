@@ -40,6 +40,11 @@ earlier keeps its own steps.  A reader that wants a shorter span builds a
 chain over that span: a step's bits do not depend on the span it is built
 in.
 
+A chain carries one path, which drives its generator and, read at its
+nodes (``PropagatorChain.path_rows``), the noise of every reader.
+``build_chain`` checks it once, at any amp: the path runs at the grid's dt
+and holds every node.
+
 The midpoint coefficient uses the average of the endpoint driver values
 (the driver is defined on grid points only); this keeps second-order accuracy
 for smooth coefficients and exact shift-covariance on aligned grids.
@@ -114,21 +119,13 @@ def span_grid(t0: float, t1: float, dt: float) -> TimeGrid:
     return TimeGrid(t0, n, dt)
 
 
-def _check_resolution(path: WienerPath, grid: TimeGrid) -> None:
-    """A path read at the grid nodes must run at the grid's dt."""
-    if abs(path.dt - grid.dt) > 1e-12 * grid.dt:
-        raise AlignmentError(
-            f"path dt={path.dt!r} differs from the chain resolution dt={grid.dt!r}"
-        )
-
-
 # matrices _exp_steps decomposes at a time: eigh's eigenvector array and the
 # natural-order gather each hold 8 matrices (256 KiB at m = 64), not a
 # 32-step block
 _EIGH_PIECE = 8
 
 
-def _exp_steps(gens: np.ndarray, dt: float, ceiling: float = math.inf) -> None:
+def _exp_steps(gens: np.ndarray, dt: float, ceiling: float) -> None:
     """Overwrite each generator A of gens (k, m, m), given in parity order,
     with its step exp(dt A) in natural order; A's spectrum must stay at or
     below ``ceiling``.
@@ -169,7 +166,7 @@ class PropagatorChain:
     grid: TimeGrid
     _steps: np.ndarray | None  # (n_steps, m, m); None until ``steps`` joins the blocks
     field: DiffusionField
-    path: WienerPath | None
+    path: WienerPath | None  # the one path of the chain and its noise
     # noise increments on ``path``, kept by pathwise.corrected_increments
     _increments: np.ndarray | None = field(default=None, repr=False)
     # build_chain's blocks until ``steps`` joins them
@@ -242,6 +239,16 @@ class PropagatorChain:
                 "a norm bound is known for a chain from build_chain read whole"
             )
         return math.exp(-PI_SQUARED * self.grid.dt * self._floor_sum[0])
+
+    def path_rows(self) -> np.ndarray:
+        """The rows of the path's ``base`` at the chain's nodes, shape
+        (n_steps + 1, modes): raw sampled values, so a difference of two is
+        one of path values.  ``build_chain`` has checked that the path holds
+        them."""
+        if self.path is None:
+            raise ConfigurationError("noise needs a chain built on a path")
+        o = self.path.base_origin + self.path.index_of(self.grid.t0)
+        return self.path.base[o : o + self.grid.n_steps + 1]
 
     def generator_rows(self, vecs: np.ndarray) -> np.ndarray:
         """A(t_i) vecs[i] at the grid nodes 0, 1, ...; shape (len(vecs), m).
@@ -420,9 +427,11 @@ def build_chain(
 ) -> PropagatorChain:
     """Assemble midpoint-frozen step matrices over the grid.
 
-    With amp > 0 the chain grid must run at the path resolution (the driver
-    is read at path grid points), and the path must hold every node's
-    driver window (ShiftRangeError here).  The steps are built in blocks of
+    The chain carries its path: every noise reader takes the path from the
+    chain.  So a path, which amp > 0 needs and amp = 0 may go without, is
+    checked here at any amp: it must run at the grid's dt (AlignmentError),
+    hold every node (ShiftRangeError) and, with amp > 0, every node's
+    driver window (ShiftRangeError).  The steps are built in blocks of
     ``_BUILD_BLOCK`` steps (see the module notes), queued ``_AHEAD`` past
     the reader on the ``workers`` and built by the reader outside a scope.
     A block's driver values and modulation are formed when it is queued, in
@@ -435,8 +444,16 @@ def build_chain(
     if m < 1:
         raise ConfigurationError("Galerkin dimension must be >= 1")
     k_steps = grid.n_steps
+    if path is not None:
+        if abs(path.dt - grid.dt) > 1e-12 * grid.dt:
+            raise AlignmentError(
+                f"path dt={path.dt!r} differs from the chain resolution dt={grid.dt!r}"
+            )
+        k0 = path.index_of(grid.t0)
+        if k0 + k_steps > path.hi:
+            raise ShiftRangeError("chain nodes run past the sampled path")
     if field.amp == 0.0:
-        single = fill_generators(field, np.zeros(1), np.empty((1, m, m)), parity=True)
+        single = fill_generators(field, np.zeros(1), np.empty((1, m, m)))
         _exp_steps(single, grid.dt, field.spectral_ceiling)
         steps = np.broadcast_to(single[0], (k_steps, m, m))
         floor_sum = [field.delta * k_steps]
@@ -444,10 +461,6 @@ def build_chain(
 
     if path is None:
         raise ConfigurationError("a path is required when amp > 0")
-    _check_resolution(path, grid)
-    k0 = path.index_of(grid.t0)
-    if k0 + k_steps > path.hi:
-        raise ShiftRangeError("chain nodes run past the sampled path")
     if k_steps == 0:
         return PropagatorChain(
             grid, np.empty((0, m, m)), field, path, _floor_sum=[0.0]
@@ -494,7 +507,7 @@ def _build_block(
     piece temporaries are the only others.
     """
     out = np.empty((len(modulation), m, m))
-    fill_generators(field, modulation, out, parity=True)
+    fill_generators(field, modulation, out)
     _exp_steps(out, dt, field.spectral_ceiling)
     return out
 

@@ -141,17 +141,17 @@ def _parity_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fill_generators(
-    field: DiffusionField, modulation: np.ndarray, out: np.ndarray, parity: bool = False
+    field: DiffusionField, modulation: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Write -(delta K0 + (amp mu_k) Kg) for each modulation mu_k into out
-    (k, m, m), in natural or (``parity``) parity order, and return out.
+    (k, m, m), in parity order, and return out.
 
-    Every generator is formed as (amp mu_k) Kg + delta K0, then negated, so
-    it has the same bits in either order and in any stack.  With amp = 0 each
-    is -delta K0, whatever the modulation.
+    Every generator is formed entry by entry as (amp mu_k) Kg + delta K0,
+    then negated, so each entry has the same bits in any order and in any
+    stack.  With amp = 0 each is -delta K0, whatever the modulation.
     """
     m = out.shape[-1]
-    k0, kg = _parity_parts(m) if parity else _stiffness_parts(m)
+    k0, kg = _parity_parts(m)
     if field.amp == 0.0:
         return np.multiply(-field.delta, k0, out=out)
     np.multiply((field.amp * modulation)[:, None, None], kg, out=out)
@@ -179,7 +179,9 @@ def assemble_operator(
             raise ConfigurationError("a path is required when amp > 0")
         k = path.index_of(t)
         modulation = math.tanh(driver_values(field, path, k, k)[0])
-    return fill_generators(field, np.array([modulation]), np.empty((1, m, m)))[0]
+    gen = fill_generators(field, np.array([modulation]), np.empty((1, m, m)))[0]
+    natural = _parity_order(m)[1]
+    return gen[np.ix_(natural, natural)]
 
 
 @lru_cache(maxsize=8)

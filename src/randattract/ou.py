@@ -8,7 +8,9 @@ Since w_0 = 0, this is minus ``pathwise.corrector_integral`` of the history
 chain over [-a, 0], so it is accumulated by the one march and every history
 step is checked for finiteness (NumericalError).  The state is propagated
 along the shift by the local linear pathwise step with sigma = 1
-(O(K) instead of re-evaluating the history integral at every output time).
+(O(K) instead of re-evaluating the history integral at every output time),
+on a chain from 0 that the caller builds on the fiber.  Every function here
+that takes a chain reads its noise from the chain's own path.
 The neglected tail is reported as ``truncation_bound``: the chain's
 certified bound on ||U(0, -a)|| times an estimate of the tail integral's
 size (see ``construct_initial``).
@@ -63,40 +65,27 @@ def construct_initial(
     if not a > 0:
         raise ConfigurationError("truncation horizon a must be positive")
     chain = build_chain(field, path, span_grid(-a, 0.0, path.dt), m)
-    z0 = -corrector_integral(chain, path)
+    z0 = -corrector_integral(chain)
     w_a = path.value_at(path.index_of(-a))
     tail = float(np.linalg.norm(w_a)) + float(np.linalg.norm(z0))
     return StationaryState(z0, a, chain.norm_bound * tail)
 
 
-def propagate(
-    state: StationaryState,
-    field: DiffusionField,
-    path: WienerPath,
-    horizon: float,
-    m: int,
-    chain: PropagatorChain | None = None,
-) -> Trajectory:
-    """Z(theta_t w) on [0, horizon] via the local linear step with sigma = 1.
+def propagate(state: StationaryState, chain: PropagatorChain) -> Trajectory:
+    """Z(theta_t w) over a chain from 0 via the local linear step with
+    sigma = 1, w the chain's path.
 
-    A supplied chain must span exactly [0, horizon] at the path resolution.
-    It is marched, so a caller that reads it again joins it first
-    (``PropagatorChain.steps``); without one, the chain is built here.
+    The chain is marched, so a caller that reads it again joins it first
+    (``PropagatorChain.steps``).
     """
-    grid = span_grid(0.0, horizon, path.dt)
-    if chain is None:
-        chain = build_chain(field, path, grid, m)
-    elif chain.grid.t0 != 0.0 or chain.grid.n_steps != grid.n_steps:
-        raise ConfigurationError("supplied chain does not span [0, horizon]")
-    noise = corrected_increments(chain, path)
-    return _march(chain, state.z0, _ZERO, None, None, noise)
+    if chain.grid.t0 != 0.0:
+        raise ConfigurationError("a propagated chain must start at 0")
+    return _march(chain, state.z0, _ZERO, None, None, corrected_increments(chain))
 
 
-def global_form_reference(
-    state: StationaryState, chain: PropagatorChain, path: WienerPath
-) -> np.ndarray:
+def global_form_reference(state: StationaryState, chain: PropagatorChain) -> np.ndarray:
     """Z(t) at the end t of a chain over [0, t] by the global representation
-    (used as a consistency reference):
+    (used as a consistency reference), w the chain's path:
 
         U(t,0) z0 + U(t,0) w_t - int_0^t U(t,r) A(r) (w_t - w_r) dr.
 
@@ -105,10 +94,10 @@ def global_form_reference(
     """
     if chain.grid.t0 != 0.0:
         raise ConfigurationError("the global form needs a chain over [0, t]")
+    w = chain.path_rows()  # w[0] is the path's time zero
     t = chain.grid.n_steps * chain.grid.dt
-    w_t = _embedded(path.value_at(path.index_of(t)), chain.dim)
-    base = apply(chain, t, 0.0, state.z0 + w_t)
-    return base - corrector_integral(chain, path)
+    base = apply(chain, t, 0.0, state.z0 + _embedded(w[-1] - w[0], chain.dim))
+    return base - corrector_integral(chain)
 
 
 @dataclass(frozen=True)
@@ -135,12 +124,14 @@ def stationarity_residual_table(
     """
     left_state = construct_initial(field, path, a, m)
     horizon = max(t + s for t in ts for s in ss)
-    left = propagate(left_state, field, path, horizon, m)
+    left_grid = span_grid(0.0, horizon, path.dt)
+    left = propagate(left_state, build_chain(field, path, left_grid, m))
     entries = []
+    right_grid = span_grid(0.0, max(ts), path.dt)
     for s in ss:
         shifted = wiener_shift(path, path.index_of(s))
         right_state = construct_initial(field, shifted, a, m)
-        right = propagate(right_state, field, shifted, max(ts), m)
+        right = propagate(right_state, build_chain(field, shifted, right_grid, m))
         for t in ts:
             diff = left.state_at(t + s) - right.state_at(t)
             residual = float(np.linalg.norm(diff))

@@ -6,8 +6,10 @@ The linear noise update on one grid step is
 
 where the corrector is the trapezoid (at path resolution, with vanishing
 right endpoint) of U(t_{k+1}, s) A(s) (w_{t_{k+1}} - w_s).  The products
-A(t_j) v at the nodes come from ``PropagatorChain.generator_rows``, and the
-noise path must run at the chain resolution.  The semilinear
+A(t_j) v at the nodes come from ``PropagatorChain.generator_rows``.  The
+noise is the chain's own path, read at its nodes (``path_rows``): one path
+drives both the generator and the noise, and ``build_chain`` has checked it
+once, so every reader takes the chain alone.  The semilinear
 integrator adds the explicitly treated nonlinearity under the propagator
 (exponential-Euler splitting); stiffness lives entirely in the propagator.
 Every pathwise march (u here, Z in ``ou``, v = u - sigma Z in ``attractor``)
@@ -29,14 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    ConfigurationError,
-    NumericalError,
-    ShiftRangeError,
-)
-from .evolution import PropagatorChain, TimeGrid, _check_resolution
-from .noise import WienerPath
+from .errors import AlignmentError, ConfigurationError, NumericalError
+from .evolution import PropagatorChain, TimeGrid
 from .operators import (
     DiffusionField,
     FractionalNormSpec,
@@ -267,9 +263,9 @@ def nemytskii(nonlinearity: NonlinearitySpec, vec: np.ndarray) -> np.ndarray:
     return pointwise(basis.dot(vec)).dot(weighted)
 
 
-def corrector_integral(chain: PropagatorChain, path: WienerPath) -> np.ndarray:
+def corrector_integral(chain: PropagatorChain) -> np.ndarray:
     """Trapezoid of U(t_b, s) A(s) (w_{t_b} - w_s) over the chain's nodes s,
-    from its first node t_a to its last, t_b.
+    from its first node t_a to its last, t_b, w the chain's path.
 
     The weighted rows at the nodes before t_b are the noise of a linear
     ``_march`` from 0, crossed block by block: each block forms its own
@@ -281,15 +277,14 @@ def corrector_integral(chain: PropagatorChain, path: WienerPath) -> np.ndarray:
     span.
     """
     n, dt = chain.grid.n_steps, chain.grid.dt
-    o = _base_row(chain, path)
-    end = path.base[o + n]
+    w = chain.path_rows()
     x = np.zeros(chain.dim)
     if n == 0:  # the one node's row, A(t_b) 0 dt/2, is 0
         return x
     lo = 0
     for block in chain.blocks():
         hi = lo + block.grid.n_steps
-        rows = block.generator_rows(end - path.base[o + lo : o + hi + (hi == n)])
+        rows = block.generator_rows(w[n] - w[lo : hi + (hi == n)])
         weights = np.full(len(rows), dt)
         if lo == 0:
             weights[0] /= 2.0
@@ -313,53 +308,33 @@ def _embedded(values: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _base_row(chain: PropagatorChain, path: WienerPath) -> int:
-    """The base row of the chain's first node on ``path``.
-
-    The path must run at the chain resolution, or its increments are not the
-    chain's steps, and it must hold every chain node.
-    """
-    _check_resolution(path, chain.grid)
-    o = path.base_origin + path.index_of(chain.grid.t0)
-    if o + chain.grid.n_steps >= path.base.shape[0]:
-        raise ShiftRangeError("chain nodes run past the sampled path")
-    return o
-
-
-def corrected_increments(chain: PropagatorChain, path: WienerPath) -> np.ndarray:
-    """dw_k - (dt/2) A(t_k) dw_k for every chain step; shape (n_steps, m).
+def corrected_increments(chain: PropagatorChain) -> np.ndarray:
+    """dw_k - (dt/2) A(t_k) dw_k for every chain step, w the chain's path;
+    shape (n_steps, m).
 
     The noise term of the linear pathwise step before the sigma factor.  It
-    depends on the chain and the path only, so all members integrated on one
-    chain share it: it is kept on the chain when ``path`` is the chain's own
-    path.  A block forms and keeps its own rows, bitwise those of the
-    chain's at the same steps (each row is its own products), so members
-    marched block by block share each block's rows.  The generator rows
-    come from one ``generator_rows`` call.
+    depends on the chain only, so all members integrated on one chain share
+    it: it is kept on the chain.  A block forms and keeps its own rows,
+    bitwise those of the chain's at the same steps (each row is its own
+    products), so members marched block by block share each block's rows.
+    The generator rows come from one ``generator_rows`` call.
     """
-    if path is chain.path and chain._increments is not None:
-        return chain._increments
-    n = chain.grid.n_steps
-    o = _base_row(chain, path)
-    dw = path.base[o + 1 : o + n + 1] - path.base[o : o + n]
-    rows = chain.generator_rows(dw)
-    # dw - (dt/2) rows, formed in place: one (n_steps, m) temporary
-    rows *= chain.grid.dt / 2.0
-    out = _embedded(dw, chain.dim)
-    out -= rows
-    if path is chain.path:
-        chain._increments = out
-    return out
+    if chain._increments is None:
+        w = chain.path_rows()
+        dw = w[1:] - w[:-1]
+        rows = chain.generator_rows(dw)
+        # dw - (dt/2) rows, formed in place: one (n_steps, m) temporary
+        rows *= chain.grid.dt / 2.0
+        chain._increments = _embedded(dw, chain.dim)
+        chain._increments -= rows
+    return chain._increments
 
 
 def integrate_semilinear(
-    problem: SemilinearProblem,
-    chain: PropagatorChain,
-    path: WienerPath | None = None,
+    problem: SemilinearProblem, chain: PropagatorChain
 ) -> Trajectory:
-    """March the pathwise mild update over the chain grid with blow-up checks."""
-    if path is None:
-        path = chain.path
+    """March the pathwise mild update over the chain grid with blow-up checks,
+    the noise on the chain's path."""
     m = chain.dim
     u0 = np.asarray(problem.u0, dtype=float)
     if u0.shape != (m,):
@@ -368,9 +343,7 @@ def integrate_semilinear(
     if f is not None and f.shape != (m,):
         raise ConfigurationError("forcing length must equal the Galerkin dimension")
     sigma = problem.sigma
-    if sigma != 0.0 and path is None:
-        raise ConfigurationError("a path is required when sigma > 0")
-    noise = sigma * corrected_increments(chain, path) if sigma != 0.0 else None
+    noise = sigma * corrected_increments(chain) if sigma != 0.0 else None
     # the blow-up norm is fractional_norm with the fixed-Laplacian reference
     symbols = fixed_laplacian_symbols(m, problem.norm_spec.alpha)
     blowup = (symbols, problem.blowup_threshold)
@@ -487,8 +460,12 @@ def _first_blowup(
 
 
 def observed_order(dts: list[float], errors: list[float]) -> float:
-    """Least-squares slope of log2(error) against log2(dt)."""
+    """Least-squares slope of log2(error) against log2(dt); NaN if an error
+    is 0, since no order is fitted over an exact level."""
+    errors = np.asarray(errors, dtype=float)
+    if not errors.all():
+        return math.nan
     x = np.log2(np.asarray(dts, dtype=float))
-    y = np.log2(np.asarray(errors, dtype=float))
+    y = np.log2(errors)
     x = x - x.mean()
     return float((x @ (y - y.mean())) / (x @ x))

@@ -65,7 +65,7 @@ def reference_chain(field, path, grid, m) -> PropagatorChain:
     k0 = path.index_of(grid.t0)
     zetas = driver_values(field, path, k0, k0 + grid.n_steps)
     mus = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
-    steps = fill_generators(field, mus, np.empty((grid.n_steps, m, m)), parity=True)
+    steps = fill_generators(field, mus, np.empty((grid.n_steps, m, m)))
     _exp_steps(steps, grid.dt, field.spectral_ceiling)
     floor_sum = [coefficient_floor_sum(field, mus)]
     return PropagatorChain(grid, steps, field, path, _floor_sum=floor_sum)

@@ -126,16 +126,17 @@ def test_criterion_03_linear_weak_consistency():
     n_paths = 4096
     spec = NoiseSpectrum(m, 1.0)
     field = DiffusionField(delta=delta, amp=0.0)
-    chain = build_chain(field, None, span_grid(0.0, 1.0, DT8), m)
+    grid = span_grid(0.0, 1.0, DT8)
     problem_kwargs = dict(
         field=field, nonlinearity=NonlinearitySpec.zero(), forcing=None,
         sigma=sigma, u0=np.zeros(m),
     )
     ends = np.empty((n_paths, m))
     for i in range(n_paths):
+        # one chain per path: at amp = 0 its one step is one m x m eigh
         p = sample_two_sided_path(spec, 0.0, 1.0, DT8, seed=103_000 + i)
         ends[i] = integrate_semilinear(
-            SemilinearProblem(**problem_kwargs), chain, p
+            SemilinearProblem(**problem_kwargs), build_chain(field, p, grid, m)
         ).states[-1]
     var = ends.var(axis=0, ddof=1)
     lam = delta * (np.arange(1, m + 1) * np.pi) ** 2
@@ -175,13 +176,13 @@ def test_criterion_04_strong_self_convergence():
                 field=field, nonlinearity=nl, forcing=None, sigma=sigma, u0=e1
             )
             ref_chain = build_chain(field, fine, span_grid(0.0, 1.0, 2.0 ** -10), m)
-            ref_end = integrate_semilinear(problem, ref_chain, fine).states[-1]
+            ref_end = integrate_semilinear(problem, ref_chain).states[-1]
             for lev in levels:
                 coarse = restrict(fine, 2 ** (10 - lev))
                 chain = build_chain(
                     field, coarse, span_grid(0.0, 1.0, 2.0 ** -lev), m
                 )
-                end = integrate_semilinear(problem, chain, coarse).states[-1]
+                end = integrate_semilinear(problem, chain).states[-1]
                 errs[lev].append(float(np.linalg.norm(end - ref_end)))
         rms = [float(np.sqrt(np.mean(np.square(errs[lev])))) for lev in levels]
         orders[label] = observed_order([2.0 ** -lev for lev in levels], rms)
@@ -320,7 +321,7 @@ def test_criterion_08_energy_and_absorbing_structure():
         ch = build_chain(field, p, grid, m)
         ch.steps  # marched twice (Z and v): joined once
         z0 = construct_initial(field, p, 8.0, m)
-        ztraj = propagate(z0, field, p, horizon, m, chain=ch)
+        ztraj = propagate(z0, ch)
         weighted = ztraj.states * fixed_laplacian_symbols(m, 0.2)
         z_beta = np.sqrt(np.einsum("ij,ij->i", weighted, weighted))
         vt = integrate_v(

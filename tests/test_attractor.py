@@ -76,7 +76,7 @@ def test_integrate_v_at_sigma_zero_is_integrate_semilinear(default_field, chain1
 
 def test_integrate_v_matches_step_loop_with_z_states(default_field, chain16, medium_path):
     st = construct_initial(default_field, medium_path, 4.0, 16)
-    z = propagate(st, default_field, medium_path, 1.0, 16, chain=chain16).states
+    z = propagate(st, chain16).states
     sigma, nl = 0.1, NonlinearitySpec.cubic_fisher()
     v0 = np.linspace(0.5, -0.5, 16)
     traj = integrate_v(nl, None, sigma, v0, chain16, z)
@@ -298,7 +298,7 @@ def test_pullback_endpoints_match_members_on_fresh_chains(spectrum):
                 field=field, nonlinearity=problem.nonlinearity, forcing=None,
                 sigma=0.1, u0=u0,
             )
-            end = integrate_semilinear(member, chain, fiber).states[-1]
+            end = integrate_semilinear(member, chain).states[-1]
             assert np.array_equal(est.endpoints[j][i], end)
 
 
@@ -316,7 +316,7 @@ def _full_chain_endpoint(problem, path, t_j, dt, m, u0):
         field=problem.field, nonlinearity=problem.nonlinearity, forcing=None,
         sigma=problem.sigma, u0=u0, blowup_threshold=problem.blowup_threshold,
     )
-    return integrate_semilinear(member, chain, fiber)
+    return integrate_semilinear(member, chain)
 
 
 def test_pullback_segments_match_members_on_the_full_chain(monkeypatch):
@@ -385,8 +385,8 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
         counts["nemytskii"] += 1
         return nemytskii_fn(*args, **kwargs)
 
-    def counted_integrate(problem, chain, path=None):
-        traj = integrate_fn(problem, chain, path)
+    def counted_integrate(problem, chain):
+        traj = integrate_fn(problem, chain)
         counts["calls"] += 1
         counts["marched"] += traj.states.shape[0] - 1
         counts["blowups"] += traj.status == "blowup"
@@ -705,7 +705,7 @@ def test_pullback_invariance_probe(default_field, spectrum):
         )
         from randattract import integrate_semilinear
 
-        evolved.append(integrate_semilinear(member, chain, path).states[-1])
+        evolved.append(integrate_semilinear(member, chain).states[-1])
     evolved = np.stack(evolved)
 
     shifted = wiener_shift(path, path.index_of(1.0))

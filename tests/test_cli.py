@@ -288,6 +288,21 @@ def test_convergence_reports_order(tmp_path, small_config):
     assert summary["fitted_strong_order"] >= 0.4
 
 
+def test_convergence_at_sigma_zero_fits_no_order_over_exact_levels(tmp_path, capsys):
+    # sigma = 0 from u0 = 0 leaves every level exactly at the reference: the
+    # fit used to take log2(0) and print two RuntimeWarnings on an exit-0 run
+    cfg = tmp_path / "quiet.cfg"
+    cfg.write_text(SMALL.replace("[noise]\n", "[noise]\nsigma = 0\n"))
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads(
+        (out / "convergence" / "convergence_summary.json").read_text()
+    )
+    assert summary["fitted_strong_order"] is None
+    assert summary["zero_error_levels"] == 2
+
+
 def test_seed_override(tmp_path, small_config):
     out = tmp_path / "s"
     assert main(["simulate", "--config", small_config, "--out", str(out), "--seed", "42"]) == 0
@@ -423,6 +438,25 @@ def test_cli_validation_errors_exit_1_with_cleanup(
     assert err.count("\n") == 1 and "window leaves the sampled path" in err
     assert not (out / "simulate" / "partial.csv").exists()
     assert (out / "simulate" / "run.log").exists()
+
+
+def test_cli_output_errors_exit_1_with_one_line(tmp_path, small_config, capsys):
+    # an --out at a file, and a report path taken by a directory: both used
+    # to end in an OSError traceback
+    taken = tmp_path / "file"
+    taken.write_text("not a directory\n")
+    assert main(["verify", "--config", small_config, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1
+    assert taken.read_text() == "not a directory\n"
+
+    out = tmp_path / "o"
+    (out / "verify" / "verify_report.json").mkdir(parents=True)
+    assert main(["verify", "--config", small_config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1
+    # the outputs written before the failure are cleaned up
+    assert sorted(p.name for p in (out / "verify").iterdir()) == ["verify_report.json"]
 
 
 def test_cli_imports_numpy_only():

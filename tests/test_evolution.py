@@ -567,7 +567,7 @@ def test_one_step_formula_for_every_chain(medium_path):
     for k in (0, 77, grid.n_steps - 1):
         gen = _generator(field, 12, float(mus[k]))
         single = gen[np.ix_(order, order)][None]
-        _exp_steps(single, DT)
+        _exp_steps(single, DT, math.inf)
         assert np.array_equal(ch.steps[k], single[0])
 
 

@@ -68,7 +68,8 @@ def test_non_finite_history_raises():
 
 def test_propagate_initial_identity(default_field, medium_path):
     st = construct_initial(default_field, medium_path, 8.0, 16)
-    traj = propagate(st, default_field, medium_path, 0.5, 16)
+    chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), 16)
+    traj = propagate(st, chain)
     assert np.array_equal(traj.states[0], st.z0)
     assert np.array_equal(traj.state_at(0.0), st.z0)
 
@@ -77,9 +78,9 @@ def test_propagate_matches_step_loop(default_field, medium_path):
     chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), 16)
     chain.steps  # read more than once: joined first
     st = construct_initial(default_field, medium_path, 4.0, 16)
-    traj = propagate(st, default_field, medium_path, 0.5, 16, chain=chain)
+    traj = propagate(st, chain)
     # reference: the linear pathwise step with sigma = 1 written out
-    noise = corrected_increments(chain, medium_path)
+    noise = corrected_increments(chain)
     z = st.z0
     ref = [z]
     for k in range(chain.grid.n_steps):
@@ -89,13 +90,13 @@ def test_propagate_matches_step_loop(default_field, medium_path):
 
 
 def test_propagate_rejects_a_chain_off_its_span(default_field, medium_path):
-    # the march takes every step of a supplied chain, so the chain must span
-    # [0, horizon] exactly
+    # Z starts from z0 at time 0, so the propagated chain's span must start
+    # there
     st = construct_initial(default_field, medium_path, 4.0, 16)
-    for t0, t1 in ((0.0, 1.0), (0.0, 0.5 - DT), (DT, 0.5 + DT)):
+    for t0, t1 in ((DT, 0.5 + DT), (-DT, 0.5)):
         chain = build_chain(default_field, medium_path, span_grid(t0, t1, DT), 16)
-        with pytest.raises(ConfigurationError, match="span"):
-            propagate(st, default_field, medium_path, 0.5, 16, chain=chain)
+        with pytest.raises(ConfigurationError, match="start at 0"):
+            propagate(st, chain)
 
 
 def test_global_form_rejects_a_chain_not_from_0(default_field, medium_path):
@@ -104,7 +105,7 @@ def test_global_form_rejects_a_chain_not_from_0(default_field, medium_path):
     st = construct_initial(default_field, medium_path, 4.0, 16)
     chain = build_chain(default_field, medium_path, span_grid(-DT, 0.5, DT), 16)
     with pytest.raises(ConfigurationError, match=r"\[0, t\]"):
-        global_form_reference(st, chain, medium_path)
+        global_form_reference(st, chain)
 
 
 def test_insufficient_coverage_raises(default_field, spectrum):
@@ -272,12 +273,12 @@ def test_propagate_matches_global_form(default_field):
     path = sample_two_sided_path(spec, -8.0, 1.0, dt, seed=3)
     st = construct_initial(field, path, 8.0, 1)
     chain = build_chain(field, path, span_grid(0.0, 1.0, dt), 1)
-    traj = propagate(st, field, path, 1.0, 1, chain=chain)
+    traj = propagate(st, chain)
     scale = 1.0 + float(np.abs(traj.states).max())
     for k in range(1, 9):
         t = k / 8.0
         upto = build_chain(field, path, span_grid(0.0, t, dt), 1)
-        ref = global_form_reference(st, upto, path)
+        ref = global_form_reference(st, upto)
         assert np.abs(traj.state_at(t) - ref).max() <= 1e-6 * scale
 
 
@@ -292,8 +293,8 @@ def test_propagate_global_form_consistency_refines(default_field):
         st = construct_initial(default_field, path, 8.0, 8)
         chain = build_chain(default_field, path, span_grid(0.0, 1.0, dt), 8)
         chain.steps  # read by propagate and the global form: joined once
-        traj = propagate(st, default_field, path, 1.0, 8, chain=chain)
-        ref = global_form_reference(st, chain, path)
+        traj = propagate(st, chain)
+        ref = global_form_reference(st, chain)
         diffs.append(float(np.abs(traj.state_at(1.0) - ref).max()))
     assert diffs[1] < diffs[0]
 
@@ -311,7 +312,7 @@ def test_law_stationarity_marginal_variance():
     for i in range(n_paths):
         p = sample_two_sided_path(spec, -8.0, 1.0, dt, seed=90_000 + i)
         st = construct_initial(field, p, 8.0, 4)
-        traj = propagate(st, field, p, t, 4)
+        traj = propagate(st, build_chain(field, p, span_grid(0.0, t, dt), 4))
         z0[i] = st.z0
         zt[i] = traj.state_at(t)
     paired = zt ** 2 - z0 ** 2

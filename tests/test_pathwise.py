@@ -20,10 +20,14 @@ from randattract import (
     restrict,
     sample_two_sided_path,
     span_grid,
-    wiener_shift,
 )
 from randattract import evolution
-from randattract.errors import AlignmentError, ConfigurationError, NumericalError
+from randattract.errors import (
+    AlignmentError,
+    ConfigurationError,
+    NumericalError,
+    ShiftRangeError,
+)
 from randattract.operators import fixed_laplacian_symbols
 from randattract.pathwise import _ZERO, _march, corrected_increments, dealias_node_count
 
@@ -131,12 +135,12 @@ def test_dealias_node_count_is_the_least_exact_count():
 
 
 def test_corrector_zero_cases(default_field, medium_path):
-    chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), 16)
     zero_path = synthetic_path(np.zeros((medium_path.base.shape[0], 16)), DT,
                                medium_path.base_origin)
-    assert np.all(corrector_integral(chain, zero_path) == 0.0)
+    chain = build_chain(default_field, zero_path, span_grid(0.0, 0.5, DT), 16)
+    assert np.all(corrector_integral(chain) == 0.0)
     point = build_chain(default_field, medium_path, span_grid(0.25, 0.25, DT), 16)
-    assert np.all(corrector_integral(point, medium_path) == 0.0)
+    assert np.all(corrector_integral(point) == 0.0)
 
 
 def _corrector_loop(chain, path):
@@ -159,7 +163,7 @@ def test_corrector_is_the_trapezoid_loop_bitwise(amp, medium_path):
         grid = span_grid(t_a, t_b, DT)
         chain = build_chain(DiffusionField(amp=amp), medium_path, grid, 16)
         chain.steps  # read by the corrector and the loop: joined first
-        got = corrector_integral(chain, medium_path)
+        got = corrector_integral(chain)
         assert np.array_equal(got, _corrector_loop(chain, medium_path))
 
 
@@ -183,7 +187,7 @@ def test_corrector_ramp_closed_form():
         n = int(round(T / dt))
         ramp = synthetic_path(np.arange(n + 1) * dt, dt, 0)
         chain = build_chain(field, ramp, span_grid(0.0, T, dt), 1)
-        got = corrector_integral(chain, ramp)[0]
+        got = corrector_integral(chain)[0]
         errs.append(abs(got - closed))
     assert errs[0] / errs[1] >= 3.0  # trapezoid is O(dt^2)
     assert errs[1] <= 1e-4
@@ -364,7 +368,7 @@ def test_single_mode_variance_oracle():
     m = 1
     spec = NoiseSpectrum(1, 1.0)
     field = DiffusionField(delta=1.0, amp=0.0)
-    chain = build_chain(field, None, span_grid(0.0, 1.0, DT), m)
+    grid = span_grid(0.0, 1.0, DT)
     n_paths = 4096
     vals = np.empty(n_paths)
     problem_proto = dict(
@@ -372,8 +376,10 @@ def test_single_mode_variance_oracle():
         sigma=1.0, u0=np.zeros(m),
     )
     for i in range(n_paths):
+        # one chain per path: at amp = 0 its one step is one 1 x 1 eigh
         p = sample_two_sided_path(spec, 0.0, 1.0, DT, seed=40_000 + i)
-        tr = integrate_semilinear(SemilinearProblem(**problem_proto), chain, p)
+        chain = build_chain(field, p, grid, m)
+        tr = integrate_semilinear(SemilinearProblem(**problem_proto), chain)
         vals[i] = tr.states[-1, 0]
     lam = math.pi ** 2
     target = (1.0 - math.exp(-2 * lam)) / (2 * lam)
@@ -396,7 +402,7 @@ def test_corrector_resolution_bias_is_quantified():
     measured = []
     for exp in (5, 8):
         dt = 2.0 ** -exp
-        chain = build_chain(field, None, span_grid(0.0, 1.0, dt), 1)
+        grid = span_grid(0.0, 1.0, dt)
         vals = np.empty(n_paths)
         for i in range(n_paths):
             p = sample_two_sided_path(spec, 0.0, 1.0, dt, seed=60_000 + i)
@@ -405,8 +411,7 @@ def test_corrector_resolution_bias_is_quantified():
                     field=field, nonlinearity=NonlinearitySpec.zero(),
                     forcing=None, sigma=1.0, u0=np.zeros(1),
                 ),
-                chain,
-                p,
+                build_chain(field, p, grid, 1),
             )
             vals[i] = tr.states[-1, 0]
         measured.append(vals.var(ddof=1))
@@ -432,7 +437,7 @@ def test_sigma_zero_reduction_bitwise(default_field, medium_path):
         field=default_field, nonlinearity=NonlinearitySpec.cubic_fisher(),
         forcing=None, sigma=0.0, u0=u0,
     )
-    tr = integrate_semilinear(problem, chain, medium_path)
+    tr = integrate_semilinear(problem, chain)
     v = u0.copy()
     for k in range(chain.grid.n_steps):
         v = chain.steps[k] @ (v + DT * nemytskii(NonlinearitySpec.cubic_fisher(), v))
@@ -449,7 +454,7 @@ def test_noise_linearity(default_field, medium_path):
             field=default_field, nonlinearity=NonlinearitySpec.zero(),
             forcing=None, sigma=sigma, u0=np.zeros(m),
         )
-        return integrate_semilinear(problem, chain, medium_path).states
+        return integrate_semilinear(problem, chain).states
 
     base = solve(1.0)
     scaled = solve(3.5)
@@ -469,7 +474,7 @@ def test_blowup_anti_dissipative_probe(default_field, medium_path):
         field=default_field, nonlinearity=probe, forcing=None, sigma=0.0,
         u0=u0, blowup_threshold=1e6,
     )
-    tr = integrate_semilinear(problem, chain, medium_path)
+    tr = integrate_semilinear(problem, chain)
     assert tr.status == "blowup"
     assert tr.blowup_time is not None and tr.blowup_time <= 2.0
 
@@ -482,12 +487,8 @@ def test_blowup_prefix_bitwise(default_field, medium_path):
     u0[0] = 40.0
     kwargs = dict(field=default_field, nonlinearity=probe, forcing=None,
                   sigma=0.0, u0=u0)
-    low = integrate_semilinear(
-        SemilinearProblem(blowup_threshold=1e4, **kwargs), chain, medium_path
-    )
-    high = integrate_semilinear(
-        SemilinearProblem(blowup_threshold=1e8, **kwargs), chain, medium_path
-    )
+    low = integrate_semilinear(SemilinearProblem(blowup_threshold=1e4, **kwargs), chain)
+    high = integrate_semilinear(SemilinearProblem(blowup_threshold=1e8, **kwargs), chain)
     n = low.states.shape[0] - 1  # states before the recorded blow-up step
     assert np.array_equal(high.states[:n], low.states[:n])
 
@@ -508,11 +509,11 @@ def test_self_convergence_linear_quick(default_field):
         fine = sample_two_sided_path(spec, -16.0, 1.0, 2.0 ** -9, seed=70_000 + i)
         problem = SemilinearProblem(u0=e1, **problem_kwargs)
         ref_chain = build_chain(default_field, fine, span_grid(0.0, 1.0, 2.0 ** -9), m)
-        ref_end = integrate_semilinear(problem, ref_chain, fine).states[-1]
+        ref_end = integrate_semilinear(problem, ref_chain).states[-1]
         for lev in levels:
             coarse = restrict(fine, 2 ** (9 - lev))
             chain = build_chain(default_field, coarse, span_grid(0.0, 1.0, 2.0 ** -lev), m)
-            tr = integrate_semilinear(problem, chain, coarse)
+            tr = integrate_semilinear(problem, chain)
             errs[lev].append(np.linalg.norm(tr.states[-1] - ref_end))
     rms = [float(np.sqrt(np.mean(np.square(errs[lev])))) for lev in levels]
     assert observed_order([2.0 ** -lev for lev in levels], rms) >= 0.4
@@ -536,7 +537,7 @@ def test_cube_by_multiplication_within_ulps():
     assert np.all(np.abs(fisher - (u - cube)) <= 4 * np.spacing(scale))
 
 
-def test_integrate_matches_step_loop_on_any_path_object(default_field, medium_path):
+def test_integrate_matches_step_loop_bitwise(default_field, medium_path):
     m = 16
     chain = build_chain(default_field, medium_path, span_grid(0.0, 0.5, DT), m)
     chain.steps  # read more than once: joined first
@@ -544,41 +545,45 @@ def test_integrate_matches_step_loop_on_any_path_object(default_field, medium_pa
         field=default_field, nonlinearity=NonlinearitySpec.cubic_fisher(),
         forcing=np.full(m, 0.05), sigma=0.3, u0=np.linspace(0.5, -0.5, m),
     )
-    own = integrate_semilinear(problem, chain, medium_path)
+    first = integrate_semilinear(problem, chain)
+    # the second march reads the increments the first kept on the chain
     again = integrate_semilinear(problem, chain)
-    # an equal path that is a different object is not served from the chain
-    other = integrate_semilinear(problem, chain, wiener_shift(medium_path, 0))
     # reference: the step S_k (stage + sigma incr[k]) written out
-    incr = corrected_increments(chain, medium_path)
+    incr = corrected_increments(chain)
     u = problem.u0.copy()
     ref = [u]
     for k in range(chain.grid.n_steps):
         stage = u + DT * nemytskii(problem.nonlinearity, u) + DT * problem.forcing
         u = chain.steps[k] @ (stage + 0.3 * incr[k])
         ref.append(u)
-    assert np.array_equal(own.states, np.stack(ref))
-    assert np.array_equal(again.states, own.states)
-    assert np.array_equal(other.states, own.states)
+    assert np.array_equal(first.states, np.stack(ref))
+    assert np.array_equal(again.states, first.states)
 
 
-def test_noise_on_a_finer_path_than_the_chain_is_rejected():
-    # a dt = 2^-7 chain over a dt = 2^-8 path would read each path increment
-    # as a whole grid step and cover only half the interval with noise
+def test_build_chain_checks_its_path_at_any_amp():
+    # a chain carries the one path of its generator and its noise, so
+    # build_chain checks the path whatever the amp; at amp = 0 it used to
+    # take any path unchecked, and a dt = 2^-7 chain over a dt = 2^-8 path
+    # read each path increment as a whole step, covering half the interval
+    # with noise
     m = 4
     fine = sample_two_sided_path(NoiseSpectrum(m, 1.0), -9.0, 1.0, DT, seed=7)
     coarse = restrict(fine, 2)
     grid = span_grid(0.0, 1.0, 2 * DT)
-    problem = SemilinearProblem(
-        field=DiffusionField(amp=0.0), nonlinearity=NonlinearitySpec.zero(),
-        forcing=None, sigma=1.0, u0=np.zeros(m),
-    )
-    flat = build_chain(problem.field, fine, grid, m)
-    with pytest.raises(AlignmentError, match="resolution"):
-        integrate_semilinear(problem, flat)
-    with pytest.raises(AlignmentError, match="resolution"):
-        corrector_integral(flat, fine)
-    # a noise path other than the chain's own path
-    varying = build_chain(DiffusionField(), coarse, grid, m)
-    with pytest.raises(AlignmentError, match="resolution"):
-        integrate_semilinear(problem, varying, fine)
-    assert integrate_semilinear(problem, varying, coarse).status == "completed"
+    for amp in (0.0, 0.2):
+        field = DiffusionField(amp=amp)
+        with pytest.raises(AlignmentError, match="resolution"):
+            build_chain(field, fine, grid, m)
+        with pytest.raises(ShiftRangeError, match="past the sampled path"):
+            build_chain(field, coarse, span_grid(0.0, 1.0 + 2 * DT, 2 * DT), m)
+        with pytest.raises(ShiftRangeError, match="outside sampled window"):
+            build_chain(field, coarse, span_grid(-9.0 - 2 * DT, 0.0, 2 * DT), m)
+        problem = SemilinearProblem(
+            field=field, nonlinearity=NonlinearitySpec.zero(),
+            forcing=None, sigma=1.0, u0=np.zeros(m),
+        )
+        chain = build_chain(field, coarse, grid, m)
+        assert integrate_semilinear(problem, chain).status == "completed"
+    # a chain built without a path (amp = 0) has no noise to read
+    with pytest.raises(ConfigurationError, match="built on a path"):
+        integrate_semilinear(problem, build_chain(DiffusionField(amp=0.0), None, grid, m))

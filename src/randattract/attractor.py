@@ -9,6 +9,10 @@ machinery verbatim.  Each horizon has its own chain, built just before
 its march and dropped once the march ends.  The ensemble crosses each chain
 block by block, and each block forms its own noise increments, so neither
 the steps nor the noise a horizon holds grow with its length.
+
+The energy monitor and its calibration reduce one envelope recurrence
+(``_energy_terms``); cloud diameters and Hausdorff distances read one table
+of squared X_alpha distances (``_squared_distances``).
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ from .pathwise import (
     SemilinearProblem,
     Trajectory,
     _march,
-    _projection,
-    dealias_node_count,
     integrate_semilinear,
 )
 
@@ -105,24 +107,24 @@ def transform_consistency(
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Per-step energy table plus Lyapunov-envelope flags."""
+    """Lyapunov-envelope flags of an energy run."""
 
-    times: np.ndarray
-    v_squared: np.ndarray
-    dissipation_rate: np.ndarray  # discrete d/dt ||v||^2 (forward difference)
-    lp_integral: np.ndarray  # int |v|^{rho+1} dx by spatial quadrature
-    z_alpha_pow: np.ndarray  # ||Z||_{X_alpha}^{rho+1}
-    z_alpha_pow2: np.ndarray  # ||Z||_{X_alpha}^{2 rho}
     flagged: np.ndarray  # steps where the monitored bound fails
     margin: float  # min over steps of bound / ||v||^2 (>= 1 passes)
-    monitor_constant: float
 
 
-def _lp_norms(states: np.ndarray, rho: float) -> np.ndarray:
-    basis = _projection(states.shape[1], rho)[0]
-    point_values = states @ basis.T
-    n_sub = dealias_node_count(states.shape[1], rho)
-    return np.abs(point_values) ** (rho + 1.0) @ np.full(basis.shape[0], 1.0 / n_sub)
+def _energy_terms(v_traj: Trajectory, rate: float, z_pow: np.ndarray | None):
+    """(k, ||v_k||^2, e^{-rate t_k} ||v_0||^2, B_k) for k = 1..K, with B_k the
+    discrete exponentially weighted convolution of (z_pow + 1) (z_pow = 0
+    when None): the one recurrence the monitor and its calibration read."""
+    dt = v_traj.grid.dt
+    times = v_traj.times
+    v2 = np.einsum("ij,ij->i", v_traj.states, v_traj.states)
+    decay = math.exp(-rate * dt)
+    b = 0.0
+    for k in range(1, v2.shape[0]):
+        b = decay * b + dt * ((0.0 if z_pow is None else z_pow[k]) + 1.0)
+        yield k, v2[k], math.exp(-rate * times[k]) * v2[0], b
 
 
 def energy_monitor(
@@ -137,67 +139,29 @@ def energy_monitor(
     with B_k the discrete exponentially weighted convolution of
     (||Z||_{X_alpha}^{rho+1} + 1).  Pure diagnostic: flags, never raises.
     """
-    rate = field.poincare_rate
-    grid = v_traj.grid
-    dt = grid.dt
     n = v_traj.states.shape[0]
-    times = v_traj.times
-    v2 = np.einsum("ij,ij->i", v_traj.states, v_traj.states)
-    rho = nonlinearity.rho
     z_pow = (
-        np.zeros(n)
+        None
         if z_alpha_norms is None
-        else np.asarray(z_alpha_norms[:n]) ** (rho + 1.0)
+        else np.asarray(z_alpha_norms[:n]) ** (nonlinearity.rho + 1.0)
     )
-    z_pow2 = (
-        np.zeros(n)
-        if z_alpha_norms is None
-        else np.asarray(z_alpha_norms[:n]) ** (2.0 * rho)
-    )
-    decay = math.exp(-rate * dt)
-    b = 0.0
     flagged = np.zeros(n, dtype=bool)
     worst_margin = math.inf
-    for k in range(1, n):
-        b = decay * b + dt * (z_pow[k] + 1.0)
-        bound = math.exp(-rate * times[k]) * v2[0] + monitor_constant * b
-        if v2[k] > bound:
-            flagged[k] = True
-        if v2[k] > 0:
-            worst_margin = min(worst_margin, bound / v2[k])
-    rates = np.diff(v2) / dt
-    rates = np.append(rates, np.nan)
-    lp = _lp_norms(v_traj.states, rho)
-    return EnergyReport(
-        times,
-        v2,
-        rates,
-        lp,
-        z_pow,
-        z_pow2,
-        flagged,
-        float(worst_margin),
-        monitor_constant,
-    )
+    for k, v2, envelope, b in _energy_terms(v_traj, field.poincare_rate, z_pow):
+        bound = envelope + monitor_constant * b
+        flagged[k] = v2 > bound
+        if v2 > 0:
+            worst_margin = min(worst_margin, bound / v2)
+    return EnergyReport(flagged, float(worst_margin))
 
 
-def calibrate_monitor(
-    v_traj: Trajectory, field: DiffusionField, nonlinearity: NonlinearitySpec
-) -> float:
+def calibrate_monitor(v_traj: Trajectory, field: DiffusionField) -> float:
     """Monitor constant from a sigma = 0 run: smallest C making the bound hold
     there with margin 2, i.e. bound_k >= 2 ||v_k||^2 (then frozen).
     """
-    rate = field.poincare_rate
-    dt = v_traj.grid.dt
-    v2 = np.einsum("ij,ij->i", v_traj.states, v_traj.states)
-    times = v_traj.times
-    decay = math.exp(-rate * dt)
-    b = 0.0
     needed = 0.0
-    for k in range(1, v2.shape[0]):
-        b = decay * b + dt  # Z = 0 on the calibration run
-        envelope = math.exp(-rate * times[k]) * v2[0]
-        needed = max(needed, (2.0 * v2[k] - envelope) / b)
+    for _, v2, envelope, b in _energy_terms(v_traj, field.poincare_rate, None):
+        needed = max(needed, (2.0 * v2 - envelope) / b)
     return max(needed, 0.0)
 
 
@@ -210,7 +174,6 @@ class AbsorbingDiagnostics:
     rrho_integral: float
     z_l2: float
     z_eta: float
-    horizon: float
 
 
 def absorbing_diagnostics(
@@ -248,7 +211,6 @@ def absorbing_diagnostics(
         rrho_integral=rrho,
         z_l2=float(np.linalg.norm(z_now)),
         z_eta=fractional_norm(z_now, eta_spec),
-        horizon=a,
     )
 
 
@@ -263,31 +225,29 @@ class PullbackEstimate:
     eta_norms: list[float]  # max X_eta norm over survivors
     hausdorff_steps: list[float]  # d_H between successive survivor clouds
     flagged: bool  # any member blew up
-    alpha: float
-    eta: float
     note: str = (
         "ensemble ball is a fixed surrogate for the tempered-set collection"
     )
 
 
-def _alpha_metric(cloud: np.ndarray, alpha: float) -> np.ndarray:
-    return cloud * fixed_laplacian_symbols(cloud.shape[1], alpha)
+def _squared_distances(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
+    """Squared X_alpha distances between the rows of ``a`` and of ``b``, by
+    direct differences (|a|^2 + |b|^2 - 2ab cancels on collapsed clouds)."""
+    symbols = fixed_laplacian_symbols(a.shape[1], alpha)
+    diff = (a * symbols)[:, None, :] - (b * symbols)[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def cloud_diameter(cloud: np.ndarray, alpha: float) -> float:
-    """Largest X_alpha distance between two points of the cloud.
+    """Largest X_alpha distance between two points of the cloud: the square
+    root of the largest of its pairwise squared distances.
 
     NaN for fewer than two points: one survivor (or none) shows no spread,
     and 0.0 would read as a collapsed cloud.
     """
     if cloud.shape[0] < 2:
         return math.nan
-    w = _alpha_metric(cloud, alpha)
-    best = 0.0
-    for i in range(w.shape[0] - 1):
-        diff = w[i + 1 :] - w[i]
-        best = max(best, float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max()))
-    return best
+    return float(np.sqrt(_squared_distances(cloud, cloud, alpha).max()))
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray, alpha: float) -> float:
@@ -295,10 +255,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray, alpha: float) -> float:
     metric (brute-force pairwise distances)."""
     if a.shape[0] == 0 or b.shape[0] == 0:
         return math.nan
-    wa, wb = _alpha_metric(a, alpha), _alpha_metric(b, alpha)
-    # direct differences: |a|^2 + |b|^2 - 2ab cancels on collapsed clouds
-    diff = wa[:, None, :] - wb[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = _squared_distances(a, b, alpha)
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
@@ -417,6 +374,4 @@ def pullback_estimate(
         eta_norms,
         hausdorff_steps,
         flagged,
-        alpha,
-        eta,
     )

@@ -152,9 +152,12 @@ class OutputSink:
         tmp.replace(self.out_dir / "manifest.json")
 
 
-def _path_window_for(cfg: RunConfig, t_lo: float, t_hi: float, seed: int):
-    spectrum = cfg.spectrum()
-    return sample_two_sided_path(spectrum, t_lo, t_hi, cfg.dt, seed)
+def _sample_path(cfg: RunConfig, t_lo: float, t_hi: float, dt: float, seed: int):
+    """The path over [t_lo, t_hi], led by the driver's window when amp > 0:
+    the driver at t reads the path on [t - driver_horizon, t]."""
+    if cfg.amp > 0:
+        t_lo -= cfg.driver_horizon
+    return sample_two_sided_path(cfg.spectrum(), t_lo, t_hi, dt, seed)
 
 
 def cmd_simulate(cfg: RunConfig, sink: OutputSink) -> None:
@@ -166,11 +169,10 @@ def cmd_simulate(cfg: RunConfig, sink: OutputSink) -> None:
     problem = cfg.problem()
     m = cfg.galerkin_dim
     horizon = cfg.horizon
-    t_lo = -cfg.driver_horizon if cfg.amp > 0 else 0.0
     seeds = [cfg.seed + i for i in range(cfg.n_paths)]
 
     def run_one(seed: int):
-        path = _path_window_for(cfg, t_lo, horizon, seed)
+        path = _sample_path(cfg, 0.0, horizon, cfg.dt, seed)
         grid = span_grid(0.0, horizon, cfg.dt)
         chain = build_chain(problem.field, path, grid, m)
         return integrate_semilinear(problem, chain)
@@ -232,9 +234,9 @@ def cmd_ou_diagnose(cfg: RunConfig, sink: OutputSink) -> None:
     m = cfg.galerkin_dim
     a = cfg.truncation_horizon
     horizon_t = cfg.temperedness_horizon
-    cover = horizon_t + a + (cfg.driver_horizon if cfg.amp > 0 else 0.0)
     ts = [1.0, 2.0, 4.0]
-    path = _path_window_for(cfg, -max(cover, a + cfg.driver_horizon + 8.0), 8.0, cfg.seed)
+    # the deepest rung's history starts at -(horizon_t + a); t + s reach 8
+    path = _sample_path(cfg, -(horizon_t + a), 8.0, cfg.dt, cfg.seed)
     entries = stationarity_residual_table(field, path, ts, ts, a, m)
     sink.write_json(
         "stationarity_residuals.json",
@@ -275,9 +277,7 @@ def cmd_attractor_pullback(cfg: RunConfig, sink: OutputSink) -> None:
     """Pullback estimate: endpoint clouds, diameters, Hausdorff steps."""
     problem = cfg.problem()
     m = cfg.galerkin_dim
-    # the chains read the path on [-(max T + the driver's window), 0]
-    lead = cfg.driver_horizon if cfg.amp > 0 else 0.0
-    path = _path_window_for(cfg, -(max(cfg.horizons) + lead), 0.0, cfg.seed)
+    path = _sample_path(cfg, -max(cfg.horizons), 0.0, cfg.dt, cfg.seed)
     # default_ensemble's fixed members: 0 and +-R e_n for n <= min(8, m)
     n_random = max(cfg.ensemble_size - (1 + 2 * min(8, m)), 0)
     ensemble = default_ensemble(
@@ -314,7 +314,6 @@ def cmd_convergence(cfg: RunConfig, sink: OutputSink) -> None:
     levels = cfg.levels
     base = cfg.dt
     fine_dt = base / 2 ** (levels + 2)
-    cover_lo = -(cfg.driver_horizon if cfg.amp > 0 else 0.0)
     seeds = [cfg.seed + i for i in range(cfg.n_paths)]
 
     def final_state(path: WienerPath, dt: float, seed: int) -> np.ndarray:
@@ -330,7 +329,7 @@ def cmd_convergence(cfg: RunConfig, sink: OutputSink) -> None:
         return traj.states[-1]
 
     def run_one(seed: int):
-        fine = sample_two_sided_path(cfg.spectrum(), cover_lo, cfg.horizon, fine_dt, seed)
+        fine = _sample_path(cfg, 0.0, cfg.horizon, fine_dt, seed)
         ref = final_state(fine, fine_dt, seed)
         errs = []
         for lev in range(levels):
@@ -462,7 +461,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[list]]:
     u_norm = operator_norm(chain_matrix(chain, 1.0, 0.0))
     record(
         "evolution_cocycle",
-        cocycle_residual(field, path, 0.5, 0.5, dt, m),
+        cocycle_residual(field, path, 0.5, 0.5, m),
         1e-10 * max(u_norm, 1e-30),
     )
     fit = decay_fit(chain, [(1.0, 0.5), (0.5, 0.25), (1.0, 0.0), (0.25, 0.25)])
@@ -526,12 +525,18 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[list]]:
     record("nemytskii_cubic_projection", ratio_err, 1e-8)
 
     # ou invariants
+    # the first propagated step against S_0 (z0 + dw_0 - dt/2 A(0) dw_0),
+    # its noise row assembled here from the path and the full generator
     st = construct_initial(field, path, 4.0, m)
-    traj = propagate(st, chain)
+    got = propagate(st, chain).states[1]
+    dw = np.zeros(m)
+    dw[: spectrum.mode_count] = path.value_at(1) - path.value_at(0)
+    a0 = assemble_operator(field, 0.0, path, m)
+    ref = chain_apply(chain, dt, 0.0, st.z0 + dw - (dt / 2.0) * (a0 @ dw))
     record(
-        "ou_initial_identity",
-        float(np.abs(traj.states[0] - st.z0).max()),
-        0.0,
+        "ou_first_step_formula",
+        float(np.abs(got - ref).max()),
+        1e-12 * max(float(np.abs(ref).max()), 1e-30),
     )
     resolved = DiffusionField(delta=1.0, amp=0.2)
     rp = sample_two_sided_path(NoiseSpectrum(4, 1.0), -16.0, 6.0, 2.0 ** -9, cfg.seed + 1)

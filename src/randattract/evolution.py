@@ -540,19 +540,18 @@ def cocycle_residual(
     path: WienerPath,
     t: float,
     s: float,
-    dt: float,
     m: int,
 ) -> float:
-    """|| U(t+s, s, w) - U(t, 0, theta_s w) ||_2 on aligned grids.
+    """|| U(t+s, s, w) - U(t, 0, theta_s w) ||_2 on grids of the path's dt.
 
     Structural stationarity makes the frozen coefficients coincide, so the
     two factor sequences are identical and the residual sits at rounding level.
     """
     if t < 0 or s < 0:
         raise OrderingError("cocycle check needs t, s >= 0")
-    chain_a = build_chain(field, path, span_grid(s, t + s, dt), m)
+    chain_a = build_chain(field, path, span_grid(s, t + s, path.dt), m)
     shifted = wiener_shift(path, path.index_of(s))
-    chain_b = build_chain(field, shifted, span_grid(0.0, t, dt), m)
+    chain_b = build_chain(field, shifted, span_grid(0.0, t, path.dt), m)
     ua = chain_matrix(chain_a, t + s, s)
     ub = chain_matrix(chain_b, t, 0.0)
     return operator_norm(ua - ub)

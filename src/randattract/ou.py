@@ -13,7 +13,8 @@ on a chain from 0 that the caller builds on the fiber.  Every function here
 that takes a chain reads its noise from the chain's own path.
 The neglected tail is reported as ``truncation_bound``: the chain's
 certified bound on ||U(0, -a)|| times an estimate of the tail integral's
-size (see ``construct_initial``).
+size (see ``construct_initial``).  The temperedness slope is the
+least-squares fit of the observed order (``pathwise._slope``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .pathwise import (
     Trajectory,
     _embedded,
     _march,
+    _slope,
     corrected_increments,
     corrector_integral,
 )
@@ -42,7 +44,6 @@ class StationaryState:
     """Truncated stationary state z0 with its a-posteriori tail bound."""
 
     z0: np.ndarray
-    truncation_horizon: float
     truncation_bound: float
 
 
@@ -68,7 +69,7 @@ def construct_initial(
     z0 = -corrector_integral(chain)
     w_a = path.value_at(path.index_of(-a))
     tail = float(np.linalg.norm(w_a)) + float(np.linalg.norm(z0))
-    return StationaryState(z0, a, chain.norm_bound * tail)
+    return StationaryState(z0, chain.norm_bound * tail)
 
 
 def propagate(state: StationaryState, chain: PropagatorChain) -> Trajectory:
@@ -204,9 +205,5 @@ def temperedness_diagnostic(
     upper = [r for r in rows if r.t >= rows[-1].t / 2.0]
     ts = np.array([r.t for r in upper])
     ys = np.array([max(math.log(r.norm), 0.0) if r.norm > 0 else 0.0 for r in upper])
-    if len(upper) >= 2 and np.ptp(ts) > 0:
-        tc = ts - ts.mean()
-        slope = float((tc @ (ys - ys.mean())) / (tc @ tc))
-    else:
-        slope = 0.0
+    slope = _slope(ts, ys) if len(upper) >= 2 and np.ptp(ts) > 0 else 0.0
     return TemperednessTable(tuple(rows), tuple(gammas), slope, beta)

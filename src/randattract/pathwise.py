@@ -459,13 +459,16 @@ def _first_blowup(
     return None
 
 
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x."""
+    x = x - x.mean()
+    return float((x @ (y - y.mean())) / (x @ x))
+
+
 def observed_order(dts: list[float], errors: list[float]) -> float:
     """Least-squares slope of log2(error) against log2(dt); NaN if an error
     is 0, since no order is fitted over an exact level."""
     errors = np.asarray(errors, dtype=float)
     if not errors.all():
         return math.nan
-    x = np.log2(np.asarray(dts, dtype=float))
-    y = np.log2(errors)
-    x = x - x.mean()
-    return float((x @ (y - y.mean())) / (x @ x))
+    return _slope(np.log2(np.asarray(dts, dtype=float)), np.log2(errors))

@@ -68,7 +68,7 @@ def test_criterion_01_evolution_family_identities():
         lhs = apply(chain, t + s, s, apply(chain, s, 0.0, v))
         rhs = apply(chain, t + s, 0.0, v)
         composition_bitwise &= bool(np.array_equal(lhs, rhs))
-        worst = max(worst, cocycle_residual(field, path, t, s, DT8, m))
+        worst = max(worst, cocycle_residual(field, path, t, s, m))
     tol = 1e-10 * max(u_scale, 1e-300)
     ok = identity_exact and composition_bitwise and worst <= tol
     report(
@@ -313,7 +313,7 @@ def test_criterion_08_energy_and_absorbing_structure():
     tail_max = float(n2[fisher.times >= horizon / 2].max())
     limsup_ok = tail_max <= limsup_bound
 
-    c_mon = calibrate_monitor(fisher, field, NonlinearitySpec.cubic_fisher())
+    c_mon = calibrate_monitor(fisher, field)
     margins = []
     sigma = 0.1
     for i in range(8):

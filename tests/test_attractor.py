@@ -162,12 +162,25 @@ def test_energy_monitor_calibration_margin(default_field, medium_path):
     v0[0] = 1.0
     calib = integrate_v(NonlinearitySpec.cubic_fisher(), None, 0.0,
                         v0, chain, None)
-    c_mon = calibrate_monitor(calib, default_field, NonlinearitySpec.cubic_fisher())
+    c_mon = calibrate_monitor(calib, default_field)
     assert c_mon > 0.0
     report = energy_monitor(calib, None, default_field,
                             NonlinearitySpec.cubic_fisher(), c_mon)
     assert not report.flagged.any()
     assert report.margin >= 2.0 * (1.0 - 1e-9)
+    assert report.flagged.any() == (report.margin < 1.0)
+    # negative control: a forced run grows out of the bare decay envelope
+    # (C = 0), so the monitor must flag it
+    m = 8
+    chain = build_chain(default_field, medium_path, span_grid(0.0, 1.0, DT), m)
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    forced = integrate_v(NonlinearitySpec.cubic_fisher(), 5.0 * e1, 0.0,
+                         0.01 * e1, chain, None)
+    report = energy_monitor(forced, None, default_field,
+                            NonlinearitySpec.cubic_fisher(), 0.0)
+    assert report.flagged.any() and report.margin < 1.0
+    assert report.flagged.any() == (report.margin < 1.0)
 
 
 def test_cubic_fisher_limsup_bound(default_field, medium_path):

@@ -176,6 +176,28 @@ def test_verify_margin_is_at_most_one_exactly_when_a_check_passes(
         assert c["passed"] == (c["margin"] is not None and c["margin"] <= 1), c
 
 
+def test_verify_first_step_check_fails_on_a_flipped_increment(
+    tmp_path, small_config, monkeypatch
+):
+    # propagate's noise rows as dw + (dt/2) A dw, not dw - (dt/2) A dw: the
+    # first propagated step then leaves S_0 (z0 + dw_0 - (dt/2) A(0) dw_0),
+    # which verify assembles from the path and the full generator
+    increments = ou.corrected_increments
+
+    def flipped(chain):
+        w = chain.path_rows()
+        dw = np.zeros((chain.grid.n_steps, chain.dim))
+        dw[:, : w.shape[1]] = w[1:] - w[:-1]
+        return 2.0 * dw - increments(chain)
+
+    monkeypatch.setattr(ou, "corrected_increments", flipped)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", small_config, "--out", str(out)]) == 3
+    report = json.loads((out / "verify" / "verify_report.json").read_text())
+    check = [c for c in report["checks"] if c["name"] == "ou_first_step_formula"]
+    assert check[0]["passed"] is False and check[0]["margin"] > 1
+
+
 def test_simulate_outputs_and_manifest(tmp_path, small_config):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", small_config, "--out", str(out), "--threads", "2"]) == 0

@@ -127,20 +127,20 @@ def test_contractivity_of_apply(chain, default_field):
 
 
 def test_cocycle_residual_zero_shift(default_field, medium_path):
-    assert cocycle_residual(default_field, medium_path, 0.5, 0.0, DT, 12) == 0.0
+    assert cocycle_residual(default_field, medium_path, 0.5, 0.0, 12) == 0.0
 
 
 def test_cocycle_residual_random_field(default_field, medium_path):
     ch = build_chain(default_field, medium_path, span_grid(0.0, 1.0, DT), 12)
     u_norm = operator_norm(chain_matrix(ch, 1.0, 0.0))
     for (t, s) in ((0.5, 0.25), (0.75, 1.0), (1.0, 0.5)):
-        r = cocycle_residual(default_field, medium_path, t, s, DT, 12)
+        r = cocycle_residual(default_field, medium_path, t, s, 12)
         assert r <= 1e-10 * max(u_norm, 1e-30)
 
 
 def test_cocycle_residual_autonomous(medium_path):
     field = DiffusionField(amp=0.0)
-    r = cocycle_residual(field, medium_path, 0.5, 0.5, DT, 8)
+    r = cocycle_residual(field, medium_path, 0.5, 0.5, 8)
     assert r <= 1e-13
 
 

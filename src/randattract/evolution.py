@@ -8,9 +8,11 @@ LAPACK splits the two blocks, and the step is put back in natural order.
 Applying the chain is a left-to-right sequence of matrix-vector products, so
 the composition law U(t,s)U(s,r) = U(t,r) holds bitwise by construction.
 
-Steps are built in blocks of ``_BUILD_BLOCK`` = 32 steps, 1 MiB at m = 64,
-each decomposed ``_EIGH_PIECE`` = 8 matrices at a time, so each of a
-block's temporaries is a quarter of it.  A block's driver values and
+Steps are built in blocks of ``_BUILD_BLOCK`` = 16 steps, 512 KiB at
+m = 64, each decomposed ``_EIGH_PIECE`` = 8 matrices at a time, so each of
+a block's temporaries is half of it.  Smaller blocks lower a run's peak
+memory at the same CPU time, by less with each halving (the measured
+trade-off is noted at ``_BUILD_BLOCK``).  A block's driver values and
 modulation are formed when the block is queued and dropped once it is
 built, so a chain holds no array of its length.  The block is also the
 unit a chain is read in:
@@ -41,7 +43,10 @@ chain over that span: a step's bits do not depend on the span it is built
 in.
 
 A chain carries one path, which drives its generator and, read at its
-nodes (``PropagatorChain.path_rows``), the noise of every reader.
+nodes (``PropagatorChain.path_rows``), the noise of every reader.  A march
+forms each block's noise rows when it reaches the block, so no reader
+forms rows for the whole chain; a joined chain of at most one block is its
+own block, so the members marched on it share its rows.
 ``build_chain`` checks it once, at any amp: the path runs at the grid's dt
 and holds every node.
 
@@ -68,6 +73,7 @@ from itertools import islice
 
 import numpy as np
 
+from .counters import count
 from .errors import (
     AlignmentError,
     ConfigurationError,
@@ -83,7 +89,7 @@ from .operators import (
     _parity_order,
     _stiffness_parts,
     assemble_operator,
-    coefficient_floor_sum,
+    coefficient_floors,
     driver_values,
     fill_generators,
 )
@@ -120,8 +126,8 @@ def span_grid(t0: float, t1: float, dt: float) -> TimeGrid:
 
 
 # matrices _exp_steps decomposes at a time: eigh's eigenvector array and the
-# natural-order gather each hold 8 matrices (256 KiB at m = 64), not a
-# 32-step block
+# natural-order gather each hold 8 matrices (256 KiB at m = 64), half a
+# 16-step block
 _EIGH_PIECE = 8
 
 
@@ -151,6 +157,7 @@ def _exp_steps(gens: np.ndarray, dt: float, ceiling: float) -> None:
         q *= np.exp((0.5 * dt) * lam)[:, None, :]
         h = q[:, natural]
         np.matmul(h, np.swapaxes(h, 1, 2), out=piece)
+    count(eigh_matrices=len(gens))
 
 
 @dataclass(eq=False)
@@ -171,8 +178,9 @@ class PropagatorChain:
     _increments: np.ndarray | None = field(default=None, repr=False)
     # build_chain's blocks until ``steps`` joins them
     _blocks: _Blocks | None = field(default=None, repr=False)
-    # [sum_k min_x E_k] over the steps queued so far, a cell build_chain's
-    # block source adds to (see ``norm_bound``)
+    # floats whose sum, rounded once, is sum_k min_x E_k over the steps
+    # queued so far; build_chain's block source extends it exactly (see
+    # ``norm_bound``)
     _floor_sum: list[float] | None = field(default=None, repr=False)
 
     @property
@@ -207,11 +215,17 @@ class PropagatorChain:
         """The chain in order as consecutive chains of at most
         ``_BUILD_BLOCK`` steps, one per block, each once it is built.  Each
         has the chain's field and path and forms its own noise increments
-        (see ``pathwise.corrected_increments``).  On a chain not joined,
-        taking a block releases the blocks below it.  Every march and the
-        join cross a chain this way, so the block size stays here.
+        (see ``pathwise.corrected_increments``); a joined chain of at most
+        one block is its own only block, so marches on it share its rows.
+        On a chain not joined, taking a block releases the blocks below it.
+        Every march and the join cross a chain this way, so the block size
+        stays here.
         """
         n, dt = self.grid.n_steps, self.grid.dt
+        if self._blocks is None and n <= _BUILD_BLOCK:
+            if n:
+                yield self
+            return
         for i, lo in enumerate(range(0, n, _BUILD_BLOCK)):
             if self._blocks is None:
                 steps = self._steps[lo : lo + _BUILD_BLOCK]
@@ -226,10 +240,11 @@ class PropagatorChain:
 
         Each step's generator has -v^T A_k v = int E_k |u'|^2 >= pi^2
         min_x E_k ||v||^2 (Poincare), so ||S_k||_2 <= exp(-pi^2 dt min_x E_k),
-        with min_x E_k from the step's modulation (``coefficient_floor_sum``);
+        with min_x E_k from the step's modulation (``coefficient_floors``);
         with amp = 0 the bound is exp(-pi^2 delta (t_b - t_a)), the norm
-        itself.  A streaming chain knows it once every block is queued: once
-        it has been read whole.
+        itself.  The floors are summed exactly and rounded once, so the bound
+        does not depend on the block size.  A streaming chain knows it once
+        every block is queued: once it has been read whole.
         """
         n_blocks = -(-self.grid.n_steps // _BUILD_BLOCK)
         if self._floor_sum is None or (
@@ -238,7 +253,7 @@ class PropagatorChain:
             raise AlignmentError(
                 "a norm bound is known for a chain from build_chain read whole"
             )
-        return math.exp(-PI_SQUARED * self.grid.dt * self._floor_sum[0])
+        return math.exp(-PI_SQUARED * self.grid.dt * math.fsum(self._floor_sum))
 
     def path_rows(self) -> np.ndarray:
         """The rows of the path's ``base`` at the chain's nodes, shape
@@ -277,12 +292,15 @@ class PropagatorChain:
         return out
 
 
-# step matrices assembled and eigendecomposed together in build_chain: 1 MiB
-# of steps at m = 64.  With 128 steps (4 MiB, twice a 2 MiB per-core L2) the
-# window of blocks and the eigh temporaries made default runs peak at 75.5
-# (ou-diagnose) and 60.7 MB RSS (attractor-pullback), against 55.6 and
-# 46.2 MB with 32, at the same speed (perfbench pairs, 2-core VM)
-_BUILD_BLOCK = 32
+# step matrices assembled and eigendecomposed together in build_chain: 512
+# KiB of steps at m = 64.  Default runs peaked at 75.5 (ou-diagnose) and
+# 60.7 MB RSS (attractor-pullback) with 128 steps, at 51.4 and 46.2 MB with
+# 32 and at 48.2 and 43.7 MB with 16, at the same CPU time (perfbench
+# pairs, 2-core VM, one BLAS thread).  With 8 the pullback peaked at 42.2 MB
+# in 6 pairs, its CPU time unchanged (3.09 s against 3.11 s), but each
+# halving doubles the per-block calls of every member's march, so 8 waits
+# for ou-diagnose to be measured too
+_BUILD_BLOCK = 16
 
 # blocks a chain queues past its lowest live block.  A history
 # march reads faster than two threads build, so its reader builds too, and
@@ -456,6 +474,7 @@ def build_chain(
         single = fill_generators(field, np.zeros(1), np.empty((1, m, m)))
         _exp_steps(single, grid.dt, field.spectral_ceiling)
         steps = np.broadcast_to(single[0], (k_steps, m, m))
+        count(steps_built=k_steps)
         floor_sum = [field.delta * k_steps]
         return PropagatorChain(grid, steps, field, path, _floor_sum=floor_sum)
 
@@ -465,7 +484,7 @@ def build_chain(
         return PropagatorChain(
             grid, np.empty((0, m, m)), field, path, _floor_sum=[0.0]
         )
-    floor_sum = [0.0]
+    floor_sum: list[float] = []
     blocks = _Blocks(_block_tasks(field, path, k0, grid, m, floor_sum), m)
     return PropagatorChain(
         grid, None, field, path, _blocks=blocks, _floor_sum=floor_sum
@@ -484,8 +503,10 @@ def _block_tasks(
 
     A block's driver values are read at its nodes, the first carried from
     the block before, so each node's value is computed once; its midpoint
-    modulation is its task's own, and its sum of coefficient floors is added
-    to ``floor_sum[0]``.
+    modulation is its task's own, and its coefficient floors are added to
+    ``floor_sum`` exactly (``_add_exactly``).  A task runs in a copy of the
+    context it is formed in, so its counts land in the reader's run on any
+    thread.
     """
     zetas = driver_values(field, path, k0, k0)
     for lo in range(0, grid.n_steps, _BUILD_BLOCK):
@@ -494,8 +515,20 @@ def _block_tasks(
             (zetas[-1:], driver_values(field, path, k0 + lo + 1, k0 + hi))
         )
         modulation = np.tanh((zetas[:-1] + zetas[1:]) / 2.0)
-        floor_sum[0] += coefficient_floor_sum(field, modulation)
-        yield partial(_build_block, field, grid.dt, modulation, m)
+        _add_exactly(floor_sum, coefficient_floors(field, modulation).tolist())
+        yield partial(
+            copy_context().run, _build_block, field, grid.dt, modulation, m
+        )
+
+
+def _add_exactly(terms: list[float], values: list[float]) -> None:
+    """Replace ``terms`` by floats whose exact sum is that of ``terms`` and
+    ``values``: each is the correctly rounded rest (``math.fsum``) of what
+    the ones before leave, down to a rest of 0, so a few suffice."""
+    pending = terms + values
+    terms.clear()
+    while rest := math.fsum(pending + [-t for t in terms]):
+        terms.append(rest)
 
 
 def _build_block(
@@ -509,6 +542,7 @@ def _build_block(
     out = np.empty((len(modulation), m, m))
     fill_generators(field, modulation, out)
     _exp_steps(out, dt, field.spectral_ceiling)
+    count(steps_built=len(out))
     return out
 
 

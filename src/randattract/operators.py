@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .counters import count
 from .errors import ConfigurationError, ShiftRangeError
 from .noise import WienerPath, _as_index
 
@@ -159,11 +160,11 @@ def fill_generators(
     return np.negative(out, out=out)
 
 
-def coefficient_floor_sum(field: DiffusionField, modulation: np.ndarray) -> float:
-    """sum_k min_x E(x) over the modulations mu_k: min_x E is
-    delta + amp mu_k inf g for mu_k >= 0 and delta + amp mu_k sup g below."""
+def coefficient_floors(field: DiffusionField, modulation: np.ndarray) -> np.ndarray:
+    """min_x E(x) at each modulation mu_k: delta + amp mu_k inf g for
+    mu_k >= 0 and delta + amp mu_k sup g below."""
     low = np.where(modulation < 0.0, PROFILE_SUP * modulation, PROFILE_INF * modulation)
-    return field.delta * len(modulation) + field.amp * float(low.sum())
+    return field.delta + field.amp * low
 
 
 def assemble_operator(
@@ -234,6 +235,7 @@ def driver_values(
             f"driver windows need {steps} backward steps inside the sampled path"
         )
     weights = _driver_weights(field.driver_decay, field.driver_horizon, path.dt)
+    count(driver_points=(k_hi - k_lo + 1) * len(weights))
     out = np.empty(k_hi - k_lo + 1)
     for j, i in enumerate(range(i_lo, i_hi + 1)):
         out[j] = (base[i - steps : i + 1, 0] - base[i, 0]) @ weights

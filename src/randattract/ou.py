@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counters import count
 from .errors import ConfigurationError
 from .evolution import PropagatorChain, apply, build_chain, span_grid
 from .noise import WienerPath, wiener_shift
@@ -67,6 +68,7 @@ def construct_initial(
         raise ConfigurationError("truncation horizon a must be positive")
     chain = build_chain(field, path, span_grid(-a, 0.0, path.dt), m)
     z0 = -corrector_integral(chain)
+    count(history_steps=chain.grid.n_steps)
     w_a = path.value_at(path.index_of(-a))
     tail = float(np.linalg.norm(w_a)) + float(np.linalg.norm(z0))
     return StationaryState(z0, chain.norm_bound * tail)
@@ -77,11 +79,12 @@ def propagate(state: StationaryState, chain: PropagatorChain) -> Trajectory:
     sigma = 1, w the chain's path.
 
     The chain is marched, so a caller that reads it again joins it first
-    (``PropagatorChain.steps``).
+    (``PropagatorChain.steps``).  Each block's noise rows are formed when
+    the march reaches it.
     """
     if chain.grid.t0 != 0.0:
         raise ConfigurationError("a propagated chain must start at 0")
-    return _march(chain, state.z0, _ZERO, None, None, corrected_increments(chain))
+    return _march(chain, state.z0, _ZERO, None, None, corrected_increments)
 
 
 def global_form_reference(state: StationaryState, chain: PropagatorChain) -> np.ndarray:

@@ -14,10 +14,12 @@ integrator adds the explicitly treated nonlinearity under the propagator
 (exponential-Euler splitting); stiffness lives entirely in the propagator.
 Every pathwise march (u here, Z in ``ou``, v = u - sigma Z in ``attractor``)
 is the one loop ``_march``, which takes its steps
-x_{k+1} = S_k (x_k + dt (F(x_k + shift) + f) + noise) in place.  So is the
-trapezoid of ``corrector_integral`` over a whole chain: its weighted node
-rows are the noise of a linear march from 0, formed and marched block by
-block.  ``ou``'s history integral is that corrector.
+x_{k+1} = S_k (x_k + dt (F(x_k + shift) + f) + noise) in place and forms
+each block's noise rows when it reaches the block, so no march holds noise
+rows for its whole chain.  So is the trapezoid of ``corrector_integral``
+over a whole chain: its weighted node rows are the noise of a linear march
+from 0, formed and marched block by block.  ``ou``'s history integral is
+that corrector.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from .counters import count
 from .errors import AlignmentError, ConfigurationError, NumericalError
 from .evolution import PropagatorChain, TimeGrid
 from .operators import (
@@ -291,7 +294,7 @@ def corrector_integral(chain: PropagatorChain) -> np.ndarray:
         if hi == n:
             weights[-1] /= 2.0
         rows *= weights[:, None]
-        x = _march(block, x, _ZERO, None, None, rows).states[-1]
+        x = _march(block, x, _ZERO, None, None, lambda _: rows).states[-1]
         lo = hi
     return x + rows[-1]
 
@@ -312,12 +315,12 @@ def corrected_increments(chain: PropagatorChain) -> np.ndarray:
     """dw_k - (dt/2) A(t_k) dw_k for every chain step, w the chain's path;
     shape (n_steps, m).
 
-    The noise term of the linear pathwise step before the sigma factor.  It
-    depends on the chain only, so all members integrated on one chain share
-    it: it is kept on the chain.  A block forms and keeps its own rows,
-    bitwise those of the chain's at the same steps (each row is its own
-    products), so members marched block by block share each block's rows.
-    The generator rows come from one ``generator_rows`` call.
+    The noise term of the linear pathwise step before the sigma factor.  The
+    marches call it on one block at a time (``PropagatorChain.blocks``), and
+    a block's rows are bitwise those of a longer chain at the same steps
+    (each row is its own products).  They depend on the chain only, so they
+    are kept on it: the members marched on one block share its rows.  The
+    generator rows come from one ``generator_rows`` call.
     """
     if chain._increments is None:
         w = chain.path_rows()
@@ -343,11 +346,14 @@ def integrate_semilinear(
     if f is not None and f.shape != (m,):
         raise ConfigurationError("forcing length must equal the Galerkin dimension")
     sigma = problem.sigma
-    noise = sigma * corrected_increments(chain) if sigma != 0.0 else None
+    # each block's rows, formed when the march reaches it
+    noise = None if sigma == 0.0 else lambda block: sigma * corrected_increments(block)
     # the blow-up norm is fractional_norm with the fixed-Laplacian reference
     symbols = fixed_laplacian_symbols(m, problem.norm_spec.alpha)
     blowup = (symbols, problem.blowup_threshold)
-    return _march(chain, u0, problem.nonlinearity, f, None, noise, blowup)
+    traj = _march(chain, u0, problem.nonlinearity, f, None, noise, blowup)
+    count(member_steps=traj.states.shape[0] - 1)
+    return traj
 
 
 # a blowing-up state overflows in the march; its blow-up and finiteness
@@ -359,16 +365,18 @@ def _march(
     nonlinearity: NonlinearitySpec,
     forcing: np.ndarray | None,
     shifts: np.ndarray | None,
-    noise: np.ndarray | None,
+    noise: Callable[[PropagatorChain], np.ndarray] | None,
     blowup: tuple[np.ndarray, float] | None = None,
 ) -> Trajectory:
-    """x_{k+1} = S_k (x_k + dt (F(x_k + shifts[k]) + f) + noise[k]) over the
+    """x_{k+1} = S_k (x_k + dt (F(x_k + shifts[k]) + f) + r_k) over the
     chain grid, every state recorded, walking the chain block by block
     (``PropagatorChain.blocks``), so a chain not joined is freed behind it.
 
-    Every pathwise march (u, Z and v = u - sigma Z) is this loop.  ``noise``
-    comes scaled by sigma; absent terms are skipped, not added as zeros, so
-    every march keeps its arithmetic bit for bit.  The states are checked
+    Every pathwise march (u, Z and v = u - sigma Z) is this loop.  The noise
+    rows r of a block are ``noise(block)``, scaled by sigma, formed when the
+    march reaches the block and dropped after it.  Absent terms are skipped,
+    not added as zeros, so every march keeps its arithmetic bit for bit.
+    The nemytskii calls are counted once per block.  The states are checked
     once per block (``_first_blowup``), after the block is marched, and the
     result is that of a check after every state: a non-finite state raises
     NumericalError, and with ``blowup = (symbols, threshold)`` the march
@@ -384,6 +392,7 @@ def _march(
     k = 0
     for block in chain.blocks():
         lo = k
+        rows = None if noise is None else noise(block)
         for step in block.steps:
             x = states[k]
             if nonlinear:
@@ -398,10 +407,12 @@ def _march(
                 stage = x.copy()
             if f_dt is not None:
                 stage += f_dt
-            if noise is not None:
-                stage += noise[k]
+            if rows is not None:
+                stage += rows[k - lo]
             k += 1
             np.dot(step, stage, out=states[k])  # matmul's gemv, dispatched faster
+        if nonlinear:
+            count(nemytskii_calls=k - lo)
         first = _first_blowup(states[lo + 1 : k + 1], blowup)
         if first is not None:
             k = lo + 1 + first

@@ -335,7 +335,7 @@ def _full_chain_endpoint(problem, path, t_j, dt, m, u0):
 def test_pullback_segments_match_members_on_the_full_chain(monkeypatch):
     # 3-step blocks: the 32- and 64-step horizons cross 10 and 21 whole
     # blocks and end in a partial one of 2 and 1 steps; each member on the
-    # full chain (32-step blocks) is the reference
+    # full chain (blocks of the default size) is the reference
     field, m, dt, path = _segment_case()
     problem = SemilinearProblem(
         field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
@@ -573,8 +573,8 @@ def test_pullback_memory_is_flat_in_the_horizon_at_width_1():
     # a chain's block tasks are formed as the blocks are queued, each with
     # its own modulation, and dropped once built, so the chain holds no
     # array of its length: from a horizon of 512 steps to one of 8192 the
-    # tracemalloc peak grows by less than half a 32-step block (8 KiB at
-    # m = 8), where the whole chain's driver values alone are 64 KiB
+    # tracemalloc peak grows by less than half a block (4 KiB at m = 8 with
+    # 16-step blocks), where the whole chain's driver values alone are 64 KiB
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 8, 2.0 ** -7
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -66.0, 0.0, dt, seed=9)
@@ -615,7 +615,7 @@ def test_pullback_rejects_horizons_that_are_not_positive_and_increasing(horizons
 def test_pullback_keeps_one_chain_resident():
     # horizons (T/2, T): while the T chain is built and used, the T/2 chain
     # (and its increments) must be gone; build_chain's block temporaries
-    # (32 steps each) are small beside the T/2 chain's 2048 steps
+    # (16 steps each) are small beside the T/2 chain's 2048 steps
     field = DiffusionField(driver_horizon=2.0)
     m, dt, horizon = 32, 2.0 ** -6, 64.0
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -horizon - 2.0, 0.0, dt, seed=41)

@@ -742,3 +742,55 @@ def test_cli_out_of_memory_exits_1_and_leaves_no_directory(tmp_path, capsys):
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert "allocate" in err
     assert not (out / "convergence").exists()
+
+
+# the manifest counters of the small config, written out.  dt = 1/64, so
+# every driver value reads a window of 2.0 / dt + 1 = 129 path points; a
+# chain of n steps evaluates the driver at its n + 1 nodes, and its noise
+# rows (one per step) or its history rows (one per node) once more
+WINDOW = 129
+SMALL_COUNTERS = {
+    # horizons 0.5 and 1.0: chains of 32 and 64 steps, each marched by the 5
+    # members of the ensemble with sigma > 0, who share each block's rows
+    "attractor-pullback": {
+        "steps_built": 32 + 64,
+        "eigh_matrices": 32 + 64,
+        "driver_points": ((32 + 1 + 32) + (64 + 1 + 64)) * WINDOW,
+        "member_steps": 5 * (32 + 64),
+        "nemytskii_calls": 5 * (32 + 64),
+        "history_steps": 0,
+    },
+    # 16 histories of a = 2.0 (128 steps): the four of the stationarity
+    # table and 12 temperedness rungs; then Z propagated over 8.0 (512
+    # steps) and three times over 4.0 (256 steps)
+    "ou-diagnose": {
+        "steps_built": 16 * 128 + 512 + 3 * 256,
+        "eigh_matrices": 16 * 128 + 512 + 3 * 256,
+        "driver_points": (
+            16 * (128 + 1 + 128 + 1) + (512 + 1 + 512) + 3 * (256 + 1 + 256)
+        ) * WINDOW,
+        "member_steps": 0,
+        "nemytskii_calls": 0,
+        "history_steps": 16 * 128,
+    },
+    # four paths over horizon 0.5: one 32-step chain each
+    "simulate": {
+        "steps_built": 4 * 32,
+        "eigh_matrices": 4 * 32,
+        "driver_points": 4 * (32 + 1 + 32) * WINDOW,
+        "member_steps": 4 * 32,
+        "nemytskii_calls": 4 * 32,
+        "history_steps": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("command", sorted(SMALL_COUNTERS))
+def test_manifest_counters_match_the_config(command, threads, tmp_path, small_config):
+    # counts made on the workers land in their own run and add up exactly
+    out = tmp_path / "run"
+    argv = [command, "--config", small_config, "--out", str(out), "--threads", str(threads)]
+    assert main(argv) == 0
+    manifest = json.loads((out / command / "manifest.json").read_text())
+    assert manifest["counters"] == SMALL_COUNTERS[command]

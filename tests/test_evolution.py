@@ -40,6 +40,7 @@ from randattract.evolution import (
     ordered_map,
     workers,
 )
+from randattract.counters import counting
 from randattract.operators import _stiffness_parts, driver_values
 
 from conftest import DT, reference_chain
@@ -263,8 +264,9 @@ def test_build_chain_on_two_workers_equals_serial(n_steps, medium_path):
             # streamed: read block by block, which covers every step, while
             # later blocks are built
             streamed = build_chain(field, medium_path, grid, 16)
-            for lo, block in zip(range(0, n_steps, 32), streamed.blocks()):
-                hi = min(lo + 32, n_steps)
+            size = evolution._BUILD_BLOCK
+            for lo, block in zip(range(0, n_steps, size), streamed.blocks()):
+                hi = min(lo + size, n_steps)
                 assert np.array_equal(block.steps, serial.steps[lo:hi])
     finally:
         sys.setswitchinterval(interval)
@@ -508,10 +510,11 @@ def test_read_once_march_memory_is_bounded_in_the_horizon():
 
 
 def test_read_once_march_at_m64_holds_a_few_one_mib_blocks():
-    # at the default m = 64 a block of 32 steps is 1 MiB: besides its states,
-    # a 1024-step march at width 2 holds the queued window, the block it has
-    # just left and the eigh temporaries of each building thread, under
-    # _AHEAD + 5 such blocks (7.1 MiB here; 24.7 MiB with 128-step blocks)
+    # at the default m = 64, 32 steps of matrices are 1 MiB: besides its
+    # states, a 1024-step march at width 2 holds the queued window, the block
+    # it has just left and the eigh temporaries of each building thread,
+    # under _AHEAD + 5 MiB (3.5-3.7 MiB here with 16-step blocks, 7.1 MiB
+    # with 32-step and 24.7 MiB with 128-step blocks)
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 64, 2.0 ** -7
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -2.0, 8.0, dt, seed=9)
@@ -606,7 +609,7 @@ def test_autonomous_chain_makes_one_eigh(monkeypatch):
 
 
 def test_eigh_runs_on_pieces_that_cover_each_step_once(monkeypatch, medium_path):
-    # a 100-step chain of 32-step blocks: eigh sees at most _EIGH_PIECE
+    # a 100-step chain of 16-step blocks: eigh sees at most _EIGH_PIECE
     # matrices a call, and its calls sum to the steps built
     calls = []
     eigh = np.linalg.eigh
@@ -683,3 +686,40 @@ def test_one_alignment_rule(reader):
     assert np.array_equal(reader(path, k * _ALIGN_DT - 1e-12), exact)
     with pytest.raises(AlignmentError, match="not a multiple of dt"):
         reader(path, k * _ALIGN_DT + _ALIGN_DT / 3.0)
+
+
+def test_norm_bound_does_not_depend_on_the_block_size(monkeypatch, medium_path):
+    # the coefficient floors are summed exactly and rounded once, so a chain
+    # built in blocks of 5 or of 16 steps, or in none, has the same bound,
+    # bit for bit
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(-2.0, 0.0, DT)
+    bounds = []
+    for size in (5, 16):
+        monkeypatch.setattr(evolution, "_BUILD_BLOCK", size)
+        chain = build_chain(field, medium_path, grid, 4)
+        chain.steps  # read whole
+        bounds.append(chain.norm_bound)
+    bounds.append(reference_chain(field, medium_path, grid, 4).norm_bound)
+    assert bounds[0] == bounds[1] == bounds[2]
+
+
+def test_counts_made_on_many_workers_add_up(medium_path):
+    # five threads on fewer cores, switching every microsecond: six chains
+    # built in ordered_map items, their blocks on any thread, count every
+    # step once in the run that built them, and nothing outside it
+    field = DiffusionField(amp=0.2)
+    grid = span_grid(0.0, 200 * DT, DT)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with workers(5), counting() as counters:
+            ordered_map(
+                lambda _: build_chain(field, medium_path, grid, 8).steps, range(6)
+            )
+        with workers(5):
+            build_chain(field, medium_path, grid, 8).steps
+    finally:
+        sys.setswitchinterval(interval)
+    assert counters.steps_built == counters.eigh_matrices == 6 * 200
+    assert counters.driver_points == 6 * 201 * (round(8.0 / DT) + 1)

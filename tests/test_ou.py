@@ -204,8 +204,8 @@ def test_truncation_factor_at_amp_zero_is_exact():
 def test_history_memory_is_flat_in_a():
     # the history is marched block by block, each block forming its own
     # weighted rows, and only the last state kept: at m = 8 the tracemalloc
-    # peak of construct_initial differs by less than one 32-step block
-    # (16 KiB) between a = 8 and a = 64, 7168 steps apart
+    # peak of construct_initial differs by less than one 16-step block
+    # (8 KiB) between a = 8 and a = 64, 7168 steps apart
     field = DiffusionField(driver_horizon=2.0)
     m, dt = 8, 2.0 ** -7
     path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -66.0, 0.0, dt, seed=9)

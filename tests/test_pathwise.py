@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from randattract import (
     span_grid,
 )
 from randattract import evolution
+from randattract.evolution import workers
 from randattract.errors import (
     AlignmentError,
     ConfigurationError,
@@ -29,6 +31,7 @@ from randattract.errors import (
     ShiftRangeError,
 )
 from randattract.operators import fixed_laplacian_symbols
+from randattract.ou import StationaryState, propagate
 from randattract.pathwise import _ZERO, _march, corrected_increments, dealias_node_count
 
 from conftest import DT, reference_chain, synthetic_path
@@ -234,6 +237,12 @@ def test_overflowing_march_raises_without_a_blowup_threshold():
             integrate_semilinear(problem, chain)
 
 
+def _by_block(noise):
+    """The noise rows of a march from t = 0 as ``_march`` takes them: a
+    function giving a block's rows, here its slice of ``noise``."""
+    return lambda block: noise[round(block.grid.t0 / DT) :][: block.grid.n_steps]
+
+
 def test_march_under_a_blowup_threshold_tells_nan_from_blowup():
     # with a threshold the weighted norm is the one per-step check: a NaN
     # state still raises, and a finite state whose norm overflows is a blow-up
@@ -243,7 +252,7 @@ def test_march_under_a_blowup_threshold_tells_nan_from_blowup():
     noise = np.zeros((chain.grid.n_steps, m))
     noise[3, 2] = np.nan
     with pytest.raises(NumericalError, match="non-finite state"):
-        _march(chain, np.zeros(m), _ZERO, None, None, noise, blowup)
+        _march(chain, np.zeros(m), _ZERO, None, None, _by_block(noise), blowup)
     huge = np.zeros(m)
     huge[0] = 1e200
     with np.errstate(over="ignore"):
@@ -315,7 +324,7 @@ def test_checks_once_a_block_give_the_blowup_of_checks_every_state(
         )
         assert status == "blowup" and states.shape[0] == kicked + 2
         for chain in (reference, built()):
-            traj = _march(chain, x0, nonlinearity, None, None, noise, blowup)
+            traj = _march(chain, x0, nonlinearity, None, None, _by_block(noise), blowup)
             assert np.array_equal(traj.states, states)
             assert traj.status == status and traj.blowup_time == time
 
@@ -338,7 +347,7 @@ def test_checks_once_a_block_hold_at_the_threshold_itself(default_field, medium_
         expected = _march_checking_every_state(reference, x0, _ZERO, noise, blowup)
         assert expected[1] == ("completed" if threshold == norms[top] else "blowup")
         for chain in (reference, built()):
-            traj = _march(chain, x0, _ZERO, None, None, noise, blowup)
+            traj = _march(chain, x0, _ZERO, None, None, _by_block(noise), blowup)
             assert np.array_equal(traj.states, expected[0])
             assert (traj.status, traj.blowup_time) == expected[1:]
 
@@ -360,7 +369,7 @@ def test_checks_once_a_block_raise_on_a_nan_mid_block(
         _march_checking_every_state(reference, x0, nonlinearity, noise, blowup)
     for chain in (reference, built()):
         with pytest.raises(NumericalError, match="non-finite state"):
-            _march(chain, x0, nonlinearity, None, None, noise, blowup)
+            _march(chain, x0, nonlinearity, None, None, _by_block(noise), blowup)
 
 
 def test_single_mode_variance_oracle():
@@ -546,7 +555,7 @@ def test_integrate_matches_step_loop_bitwise(default_field, medium_path):
         forcing=np.full(m, 0.05), sigma=0.3, u0=np.linspace(0.5, -0.5, m),
     )
     first = integrate_semilinear(problem, chain)
-    # the second march reads the increments the first kept on the chain
+    # the second march forms each block's increments again, to the same bits
     again = integrate_semilinear(problem, chain)
     # reference: the step S_k (stage + sigma incr[k]) written out
     incr = corrected_increments(chain)
@@ -587,3 +596,36 @@ def test_build_chain_checks_its_path_at_any_amp():
     # a chain built without a path (amp = 0) has no noise to read
     with pytest.raises(ConfigurationError, match="built on a path"):
         integrate_semilinear(problem, build_chain(DiffusionField(amp=0.0), None, grid, m))
+
+
+@pytest.mark.parametrize("march", ["integrate_semilinear", "propagate"])
+def test_march_forms_its_noise_rows_block_by_block(march):
+    # each block's noise rows are formed when the march reaches it, so
+    # besides its states a march on a streaming chain of 768 or 3072 steps
+    # holds fewer than _AHEAD + 5 blocks at m = 16 and width 1; rows formed
+    # for the whole chain (n_steps x m, with two temporaries as large) held
+    # 10 to 16 of the 32-step blocks of the time at 3072 steps
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt = 16, 2.0 ** -7
+    path = sample_two_sided_path(NoiseSpectrum(8, 1.0), -2.0, 24.0, dt, seed=3)
+    problem = SemilinearProblem(
+        field=field, nonlinearity=NonlinearitySpec.cubic_fisher(), forcing=None,
+        sigma=0.5, u0=np.zeros(m),
+    )
+    state = StationaryState(np.zeros(m), 0.0)
+    run = {
+        "integrate_semilinear": lambda chain: integrate_semilinear(problem, chain),
+        "propagate": lambda chain: propagate(state, chain),
+    }[march]
+    block_bytes = evolution._BUILD_BLOCK * m * m * 8
+    with workers(1):
+        run(build_chain(field, path, span_grid(0.0, 1.0, dt), m))  # warm the caches
+        for n_steps in (768, 3072):
+            tracemalloc.start()
+            try:
+                states = run(build_chain(field, path, span_grid(0.0, n_steps * dt, dt), m)).states
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert states.shape == (n_steps + 1, m)
+            assert peak - states.nbytes < (evolution._AHEAD + 5) * block_bytes

@@ -9,12 +9,13 @@ Applying the chain is a left-to-right sequence of matrix-vector products, so
 the composition law U(t,s)U(s,r) = U(t,r) holds bitwise by construction.
 
 Steps are built in blocks of ``_BUILD_BLOCK`` = 16 steps, 512 KiB at
-m = 64, each decomposed ``_EIGH_PIECE`` = 8 matrices at a time, so each of
-a block's temporaries is half of it.  Smaller blocks lower a run's peak
-memory at the same CPU time, by less with each halving (the measured
-trade-off is noted at ``_BUILD_BLOCK``).  A block's driver values and
-modulation are formed when the block is queued and dropped once it is
-built, so a chain holds no array of its length.  The block is also the
+m = 64, each decomposed ``_EIGH_PIECE`` = 8 matrices at a time, whose
+eigenvectors, half the block, are its one large temporary: the steps are
+gathered into the block's own spent generators.  Smaller blocks
+lower a run's peak memory, by less with each halving, and cost CPU time
+(the measured trade-off is noted at ``_BUILD_BLOCK``).  A block's driver
+values and modulation are formed when the block is queued and dropped once
+it is built, so a chain holds no array of its length.  The block is also the
 unit a chain is read in:
 ``PropagatorChain.blocks`` gives the chain as one chain per block, which
 every march and the join cross in turn, so the block size stays in this
@@ -125,9 +126,14 @@ def span_grid(t0: float, t1: float, dt: float) -> TimeGrid:
     return TimeGrid(t0, n, dt)
 
 
-# matrices _exp_steps decomposes at a time: eigh's eigenvector array and the
-# natural-order gather each hold 8 matrices (256 KiB at m = 64), half a
-# 16-step block
+# matrices _exp_steps decomposes at a time: eigh's eigenvector array, the
+# one temporary of a piece, holds 8 matrices (256 KiB at m = 64), half a
+# 16-step block.  Not 4: each NumPy call of a piece that releases the GIL
+# (eigh, the scaling, the gather, the syrk, the copy back) makes a worker
+# wait up to the interpreter's switch interval to take it back while the
+# reader marches in Python.  With 4 a 16-step block at m = 64 built beside
+# a busy Python thread took about 128 ms against 80 ms with 8 (2-core VM),
+# and the pullback's wall time read slower and spread wider
 _EIGH_PIECE = 8
 
 
@@ -139,11 +145,13 @@ def _exp_steps(gens: np.ndarray, dt: float, ceiling: float) -> None:
     exp(dt A) = H H^T with H = Q e^{dt lam / 2}, Q from eigh, and H's rows
     put back in natural order by one gather.  The eigh, the bound check, the
     scaling, the gather and the product run over ``_EIGH_PIECE`` matrices
-    at a time, so the temporaries are a piece, not the stack.  The
-    reordering is a permutation similarity, so the step is exact for any
-    symmetric generator; matmul runs H H^T as syrk, so each step is exactly
-    symmetric.  Each step is computed on its own, so it does not depend on
-    the other matrices of gens.
+    at a time, and H is gathered into the piece's spent generators: the
+    syrk writes into eigh's own array, which is copied back, so a piece's
+    eigenvectors are its one temporary.  The reordering is a permutation
+    similarity, so the step is exact for any symmetric generator; matmul
+    runs H H^T as syrk, so each step is exactly symmetric.  Each step is
+    computed on its own, so it does not depend on the other matrices of
+    gens.
     """
     natural = _parity_order(gens.shape[-1])[1]
     for lo in range(0, len(gens), _EIGH_PIECE):
@@ -155,8 +163,11 @@ def _exp_steps(gens: np.ndarray, dt: float, ceiling: float) -> None:
                 f"spectral bound violated: max eigenvalue {top} > {ceiling}"
             )
         q *= np.exp((0.5 * dt) * lam)[:, None, :]
-        h = q[:, natural]
-        np.matmul(h, np.swapaxes(h, 1, 2), out=piece)
+        # mode="raise" would gather into a temporary of the piece's size
+        np.take(q, natural, axis=1, out=piece, mode="clip")
+        np.matmul(piece, np.swapaxes(piece, 1, 2), out=q)
+        piece[...] = q
+        del q  # before the next piece's eigh, which would run beside it
     count(eigh_matrices=len(gens))
 
 
@@ -296,10 +307,12 @@ class PropagatorChain:
 # KiB of steps at m = 64.  Default runs peaked at 75.5 (ou-diagnose) and
 # 60.7 MB RSS (attractor-pullback) with 128 steps, at 51.4 and 46.2 MB with
 # 32 and at 48.2 and 43.7 MB with 16, at the same CPU time (perfbench
-# pairs, 2-core VM, one BLAS thread).  With 8 the pullback peaked at 42.2 MB
-# in 6 pairs, its CPU time unchanged (3.09 s against 3.11 s), but each
-# halving doubles the per-block calls of every member's march, so 8 waits
-# for ou-diagnose to be measured too
+# pairs, 2-core VM, one BLAS thread).  8 steps, against 16 (both with
+# 4-matrix eigh pieces) in 6 pairs (BENCH_32.json), lowered the peaks from
+# 46.5 to 45.0 MB and from 42.6 to 42.1 MB, but raised the median CPU time of
+# ou-diagnose by 12% (16.5 to 18.4 s, lower in 1 pair of 6) and of the
+# pullback by 7% (3.56 to 3.83 s): each halving doubles the per-block calls
+# of every march
 _BUILD_BLOCK = 16
 
 # blocks a chain queues past its lowest live block.  A history
@@ -536,8 +549,8 @@ def _build_block(
 ) -> np.ndarray:
     """The steps of one block, one per modulation, in an array of their own.
 
-    The block is assembled in parity order in that array; ``_exp_steps``'
-    piece temporaries are the only others.
+    The block is assembled in parity order in that array; the eigenvectors
+    of one ``_exp_steps`` piece are the only other array of its size order.
     """
     out = np.empty((len(modulation), m, m))
     fill_generators(field, modulation, out)

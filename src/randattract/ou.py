@@ -123,13 +123,17 @@ def stationarity_residual_table(
 ) -> list[StationarityEntry]:
     """Residuals for the (t, s) grid, sharing one propagation per fiber.
 
-    Each shifted fiber's propagation is dropped before the next fiber's
-    history is integrated, so the table holds two propagations at most.
+    The left fiber's states at every t + s are copied out and its
+    propagation dropped before the first shifted fiber's history is
+    integrated, and each shifted fiber's propagation is dropped before the
+    next one's, so the table holds one propagation at a time.
     """
     left_state = construct_initial(field, path, a, m)
     horizon = max(t + s for t in ts for s in ss)
     left_grid = span_grid(0.0, horizon, path.dt)
     left = propagate(left_state, build_chain(field, path, left_grid, m))
+    lefts = {(t, s): left.state_at(t + s).copy() for s in ss for t in ts}
+    del left
     entries = []
     right_grid = span_grid(0.0, max(ts), path.dt)
     for s in ss:
@@ -137,9 +141,8 @@ def stationarity_residual_table(
         right_state = construct_initial(field, shifted, a, m)
         right = propagate(right_state, build_chain(field, shifted, right_grid, m))
         for t in ts:
-            diff = left.state_at(t + s) - right.state_at(t)
-            residual = float(np.linalg.norm(diff))
-            z_norm = float(np.linalg.norm(left.state_at(t + s)))
+            residual = float(np.linalg.norm(lefts[t, s] - right.state_at(t)))
+            z_norm = float(np.linalg.norm(lefts[t, s]))
             entries.append(
                 StationarityEntry(
                     t, s, residual, residual / (1.0 + z_norm),
@@ -185,7 +188,8 @@ def temperedness_diagnostic(
     min(1, ``horizon``) up to ``horizon`` (or on explicit ``ladder_times``).
 
     Also reports the least-squares slope of ln+ Y against t over the upper
-    half of the ladder (temperedness pushes it toward zero).
+    half of the ladder (temperedness pushes it toward zero); NaN when that
+    half has fewer than two rungs, since no slope is fitted through one.
     """
     if not 0.0 <= beta < 0.5:
         raise ConfigurationError("beta must lie in [0, 1/2)")
@@ -208,5 +212,5 @@ def temperedness_diagnostic(
     upper = [r for r in rows if r.t >= rows[-1].t / 2.0]
     ts = np.array([r.t for r in upper])
     ys = np.array([max(math.log(r.norm), 0.0) if r.norm > 0 else 0.0 for r in upper])
-    slope = _slope(ts, ys) if len(upper) >= 2 and np.ptp(ts) > 0 else 0.0
+    slope = _slope(ts, ys) if len(upper) >= 2 else math.nan
     return TemperednessTable(tuple(rows), tuple(gammas), slope, beta)

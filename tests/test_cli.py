@@ -241,6 +241,20 @@ def test_ou_diagnose_outputs(tmp_path, small_config):
     assert manifest["per_path_seeds"] == [777]
 
 
+def test_ou_diagnose_writes_a_null_slope_on_a_one_rung_ladder(tmp_path):
+    # temperedness_horizon = 1 is a one-rung ladder: no slope is fitted, and
+    # the summary writes null, where 0.0 would read as tempered
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL.replace("temperedness_horizon = 8.0", "temperedness_horizon = 1.0"))
+    out = tmp_path / "ou"
+    assert main(["ou-diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+    run_dir = out / "ou-diagnose"
+    table = (run_dir / "temperedness_table.csv").read_text().splitlines()
+    assert len(table) == 3  # the config hash, the header and the one rung
+    summary = json.loads((run_dir / "temperedness_summary.json").read_text())
+    assert summary["slope_upper_half"] is None
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_ou_diagnose_work_counts(tmp_path, small_config, monkeypatch, threads):
     # the counts the benchmark checks for ou-diagnose, written out here:

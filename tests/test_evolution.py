@@ -610,7 +610,8 @@ def test_autonomous_chain_makes_one_eigh(monkeypatch):
 
 def test_eigh_runs_on_pieces_that_cover_each_step_once(monkeypatch, medium_path):
     # a 100-step chain of 16-step blocks: eigh sees at most _EIGH_PIECE
-    # matrices a call, and its calls sum to the steps built
+    # matrices a call, and its calls sum to the steps built, at a Galerkin
+    # dimension of one mode, of an odd or even count and the default 64
     calls = []
     eigh = np.linalg.eigh
 
@@ -619,11 +620,34 @@ def test_eigh_runs_on_pieces_that_cover_each_step_once(monkeypatch, medium_path)
         return eigh(a)
 
     field, grid = DiffusionField(amp=0.2), span_grid(0.0, 100 * DT, DT)
-    reference = reference_chain(field, medium_path, grid, 12)
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    chain = build_chain(field, medium_path, grid, 12)
-    assert np.array_equal(chain.steps, reference.steps)
-    assert max(calls) == evolution._EIGH_PIECE and sum(calls) == 100
+    for m in (12, 1, 15, 16, 64):
+        reference = reference_chain(field, medium_path, grid, m)
+        calls.clear()
+        chain = build_chain(field, medium_path, grid, m)
+        assert np.array_equal(chain.steps, reference.steps)
+        assert max(calls) == evolution._EIGH_PIECE and sum(calls) == 100
+
+
+def test_build_block_holds_its_block_and_one_piece_of_eigenvectors():
+    # at m = 64 a 16-step block is 512 KiB and a piece of eigenvectors 256
+    # KiB.  Besides them _build_block holds the scaling's ufunc buffer, the
+    # eigenvalues and a few small temporaries, under a slack of 128 KiB (73
+    # KiB here).  A natural-order copy of the eigenvectors (256 KiB), or a
+    # piece's eigenvectors kept while the next piece's eigh runs, breaks the
+    # bound
+    field, m = DiffusionField(), 64
+    rng = np.random.default_rng(3)
+    modulation = np.tanh(rng.standard_normal(evolution._BUILD_BLOCK))
+    evolution._build_block(field, DT, modulation, m)  # warm the caches
+    tracemalloc.start()
+    try:
+        block = evolution._build_block(field, DT, modulation, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    piece = evolution._EIGH_PIECE * m * m * 8
+    assert peak < block.nbytes + piece + 128 * 1024
 
 
 @pytest.mark.parametrize("amp", [0.2, 0.0])

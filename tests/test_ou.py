@@ -229,6 +229,37 @@ def test_stationarity_zero_shift_exact(default_field, medium_path):
     assert entry.residual == 0.0
 
 
+def test_stationarity_table_holds_one_propagation_at_a_time():
+    # the left fiber's propagation over [0, 8] (1025 states, 64 KiB at
+    # m = 8) is dropped once its compared states are copied out, so the
+    # table peaks no higher than that fiber's own history and propagation,
+    # to within half a shifted fiber's propagation over [0, 4]; keeping the
+    # left propagation while the shifted fibers run exceeds that by a whole
+    # shifted one
+    field = DiffusionField(driver_horizon=2.0)
+    m, dt, a, ts = 8, 2.0 ** -7, 2.0, [1.0, 2.0, 4.0]
+    path = sample_two_sided_path(NoiseSpectrum(4, 1.0), -4.0, 8.0, dt, seed=9)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def left_fiber():
+        state = construct_initial(field, path, a, m)
+        propagate(state, build_chain(field, path, span_grid(0.0, 8.0, dt), m))
+
+    with workers(1):
+        stationarity_residual_table(field, path, [1.0], [1.0], a, m)  # warm the caches
+        left = peak(left_fiber)
+        table = peak(lambda: stationarity_residual_table(field, path, ts, ts, a, m))
+    shifted_bytes = (4 * 128 + 1) * m * 8
+    assert table - left < shifted_bytes / 2
+
+
 def test_stationarity_residual_resolved_config():
     # strongly damped field + fine grid: residual far below 1e-8 (1 + ||Z||)
     field = DiffusionField(delta=1.0, amp=0.2)
@@ -340,6 +371,16 @@ def test_temperedness_discount_decays(default_field, spectrum):
     ts = sorted(at)
     assert at[ts[-1]].discounted[0] < at[ts[len(ts) // 2]].discounted[0]
     assert -0.2 <= table.slope <= 0.2
+
+
+@pytest.mark.parametrize("horizon", [0.5, 1.0])
+def test_temperedness_slope_is_nan_on_a_one_rung_ladder(horizon, default_field, spectrum):
+    # a horizon of at most 1 is a ladder of one rung, and no slope is fitted
+    # through one point: 0.0 would read as tempered
+    path = sample_two_sided_path(spectrum, -12.0, 0.0, 2.0 ** -6, seed=5)
+    table = temperedness_diagnostic(default_field, path, 0.2, [0.1], horizon, 2.0, 16)
+    assert len(table.rows) == 1 and table.rows[0].norm > 0.0
+    assert math.isnan(table.slope)
 
 
 def test_temperedness_ladder_stays_within_a_short_horizon(default_field, spectrum):

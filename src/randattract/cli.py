@@ -157,12 +157,15 @@ class OutputSink:
         tmp.replace(self.out_dir / "manifest.json")
 
 
-def _sample_path(cfg: RunConfig, t_lo: float, t_hi: float, dt: float, seed: int):
-    """The path over [t_lo, t_hi], led by the driver's window when amp > 0:
-    the driver at t reads the path on [t - driver_horizon, t]."""
+def _sample_path(
+    cfg: RunConfig, t_lo: float, t_hi: float, dt: float, seed: int, offset: int = 0
+):
+    """The path of the fiber ``offset`` steps along the shift over
+    [t_lo, t_hi], led by the driver's window when amp > 0: the driver at t
+    reads the path on [t - driver_horizon, t]."""
     if cfg.amp > 0:
         t_lo -= cfg.driver_horizon
-    return sample_two_sided_path(cfg.spectrum(), t_lo, t_hi, dt, seed)
+    return sample_two_sided_path(cfg.spectrum(), t_lo, t_hi, dt, seed, offset)
 
 
 def cmd_simulate(cfg: RunConfig, sink: OutputSink) -> None:
@@ -238,11 +241,11 @@ def cmd_ou_diagnose(cfg: RunConfig, sink: OutputSink) -> None:
     field = cfg.field()
     m = cfg.galerkin_dim
     a = cfg.truncation_horizon
-    horizon_t = cfg.temperedness_horizon
     ts = [1.0, 2.0, 4.0]
-    # the deepest rung's history starts at -(horizon_t + a); t + s reach 8
-    path = _sample_path(cfg, -(horizon_t + a), 8.0, cfg.dt, cfg.seed)
-    entries = stationarity_residual_table(field, path, ts, ts, a, m)
+    # the table's histories start at -a, and t + s reach 8
+    entries = stationarity_residual_table(
+        field, _sample_path(cfg, -a, 8.0, cfg.dt, cfg.seed), ts, ts, a, m
+    )
     sink.write_json(
         "stationarity_residuals.json",
         {
@@ -259,8 +262,11 @@ def cmd_ou_diagnose(cfg: RunConfig, sink: OutputSink) -> None:
             "note": "finite-horizon surrogate; residual measured on aligned grids",
         },
     )
+    # each rung draws its fiber theta_{-k dt} w over its own history window
     table = temperedness_diagnostic(
-        field, path, cfg.beta, list(cfg.gammas), horizon_t, a, m
+        field,
+        lambda k: _sample_path(cfg, -a, 0.0, cfg.dt, cfg.seed, offset=-k),
+        cfg.dt, cfg.beta, list(cfg.gammas), cfg.temperedness_horizon, a, m,
     )
     header = (
         ["t", "norm"]
@@ -559,17 +565,18 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[list]]:
         float((norms - envelope).max()),
         0.0,
     )
-    lin_prob = SemilinearProblem(
+    cubic_prob = SemilinearProblem(
         field=field,
-        nonlinearity=NonlinearitySpec.zero(),
+        nonlinearity=NonlinearitySpec.cubic_fisher(),
         forcing=None,
         sigma=0.1,
         u0=u0,
     )
-    # 192 steps span more than one chain block, so the check fails if the
-    # chain it marches three times is not joined first
-    disc = transform_consistency(lin_prob, path, 3.0, 4.0, m, n_checkpoints=4)
-    record("transform_linear_consistency", disc, 1e-3)
+    # the v-march reads sigma Z inside the cubic term, so a v-march that
+    # drops it fails; 192 steps span more than one chain block, so the check
+    # fails if the chain it marches three times is not joined first
+    disc = transform_consistency(cubic_prob, path, 3.0, 4.0, m, n_checkpoints=4)
+    record("transform_cubic_consistency", disc, 1e-3)
     return checks, _decay_envelope_rows(chain)
 
 

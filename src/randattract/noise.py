@@ -6,6 +6,12 @@ always ``base[origin + k] - base[origin]``, so shifting the path is a pure
 re-indexing: shifted paths share the base array, the shift group law holds
 bitwise, and any functional evaluated through shifted views is exactly
 shift-covariant.
+
+A sampled path is a window of one realization per seed: its raw rows are the
+realization's rows, with the same bits in whatever window they are drawn.  So
+a fiber far back along the shift is sampled over its own window
+(``sample_two_sided_path`` with an ``offset``) and equals, row for row, the
+shifted view of a path wide enough to hold it.
 """
 
 from __future__ import annotations
@@ -135,51 +141,63 @@ class WienerPath:
 
 
 def sample_two_sided_path(
-    spectrum: NoiseSpectrum, t_lo: float, t_hi: float, dt: float, seed: int
+    spectrum: NoiseSpectrum,
+    t_lo: float,
+    t_hi: float,
+    dt: float,
+    seed: int,
+    offset: int = 0,
 ) -> WienerPath:
-    """Sample w_n on a uniform grid covering [t_lo, t_hi] with 0 on the grid.
+    """Sample the fiber ``wiener_shift(w, offset)`` of the realization w of
+    ``seed`` over [t_lo, t_hi], with 0 on the grid, holding only that window.
 
-    Forward (t >= 0) and backward (t <= 0) parts are built from disjoint
-    increment streams, both anchored at w_n(0) = 0; the backward part cumulates
-    independent increments from 0 toward t_lo.  Each part is drawn, scaled,
-    cumulated and (the backward one) reversed in place in ``base``, so the
-    path is the one array of its length.
+    Forward (t >= 0) and backward (t <= 0) parts of w are built from disjoint
+    increment streams, both anchored at w_n(0) = 0; each side is drawn from 0
+    outward in chunks of ``_DRAW_ROWS`` rows, scaled and cumulated with the
+    last row carried, and only the rows inside the window are kept.  So a
+    row's bits do not depend on the window it is drawn in: a window reaching
+    far from 0 costs draws out to its far end, but memory for its own rows
+    and one chunk.  With ``offset`` 0 this is the path of w itself.
     """
     if not dt > 0:
         raise ConfigurationError("dt must be positive")
     if not (t_lo <= 0.0 <= t_hi):
         raise ConfigurationError("grid must satisfy t_lo <= 0 <= t_hi")
     n_back = -_as_index(t_lo, dt, "t_lo")
-    n_fwd = _as_index(t_hi, dt, "t_hi")
-
+    lo = offset - n_back  # the window's rows of w, absolute
+    hi = offset + _as_index(t_hi, dt, "t_hi")
     scale = np.sqrt(spectrum.weights * dt)
-    rng_fwd = np.random.default_rng([seed, 0])
-    rng_back = np.random.default_rng([seed, 1])
-
-    base = np.empty((n_back + n_fwd + 1, spectrum.mode_count))
-    base[n_back] = 0.0
-    for rng, part in ((rng_fwd, base[n_back + 1 :]), (rng_back, base[:n_back])):
-        rng.standard_normal(out=part)
-        part *= scale
-        np.cumsum(part, axis=0, out=part)
-    _reverse_rows(base[:n_back])
+    base = np.empty((hi - lo + 1, spectrum.mode_count))
+    if lo <= 0 <= hi:
+        base[-lo] = 0.0
+    # the forward stream gives rows 1, 2, ..., the backward one -1, -2, ...
+    for stream, sign in ((0, 1), (1, -1)):
+        near, far = (max(lo, 1), hi) if sign > 0 else (max(-hi, 1), -lo)
+        if far < near:
+            continue
+        rng = np.random.default_rng([seed, stream])
+        chunk = np.empty((min(_DRAW_ROWS, far), spectrum.mode_count))
+        for d0 in range(1, far + 1, _DRAW_ROWS):  # rows d0.. from 0 outward
+            part = chunk[: min(_DRAW_ROWS, far + 1 - d0)]
+            rng.standard_normal(out=part)
+            part *= scale
+            if d0 > 1:
+                part[0] += carry
+            np.cumsum(part, axis=0, out=part)
+            carry = part[-1].copy()
+            first, last = max(near, d0), d0 + len(part) - 1
+            if first > last:
+                continue
+            if sign > 0:
+                base[first - lo : last - lo + 1] = part[first - d0 :]
+            else:
+                base[-last - lo : -first - lo + 1] = part[first - d0 :][::-1]
     base.setflags(write=False)
     return WienerPath(base, n_back, dt, spectrum, seed)
 
 
-# rows _reverse_rows swaps at a time
-_SWAP_ROWS = 256
-
-
-def _reverse_rows(a: np.ndarray) -> None:
-    """Reverse the rows of ``a`` in place, swapping ``_SWAP_ROWS`` rows from
-    each end at a time (an assignment from ``a[::-1]`` copies all of ``a``)."""
-    n = len(a)
-    for lo in range(0, n // 2, _SWAP_ROWS):
-        hi = min(lo + _SWAP_ROWS, n // 2)
-        head = a[lo:hi].copy()
-        a[lo:hi] = a[n - hi : n - lo][::-1]
-        a[n - hi : n - lo] = head[::-1]
+# rows of one side a sampling draws at a time
+_DRAW_ROWS = 1024
 
 
 def wiener_shift(path: WienerPath, offset: int) -> WienerPath:

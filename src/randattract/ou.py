@@ -13,13 +13,17 @@ on a chain from 0 that the caller builds on the fiber.  Every function here
 that takes a chain reads its noise from the chain's own path.
 The neglected tail is reported as ``truncation_bound``: the chain's
 certified bound on ||U(0, -a)|| times an estimate of the tail integral's
-size (see ``construct_initial``).  The temperedness slope is the
-least-squares fit of the observed order (``pathwise._slope``).
+size (see ``construct_initial``).  The temperedness ladder asks for each
+rung's fiber by its step count, so a caller may draw every rung over its own
+window instead of holding a path that reaches the deepest one.  The
+temperedness slope is the least-squares fit of the observed order
+(``pathwise._slope``).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +179,8 @@ class TemperednessTable:
 
 def temperedness_diagnostic(
     field: DiffusionField,
-    path: WienerPath,
+    fiber: Callable[[int], WienerPath],
+    dt: float,
     beta: float,
     gammas: list[float],
     horizon: float,
@@ -185,7 +190,14 @@ def temperedness_diagnostic(
     ladder_times: list[float] | None = None,
 ) -> TemperednessTable:
     """Y(t) = ||Z(theta_{-t} w)||_{X_beta} on a log-spaced ladder from
-    min(1, ``horizon``) up to ``horizon`` (or on explicit ``ladder_times``).
+    min(1, ``horizon``) up to ``horizon`` (or on explicit ``ladder_times``),
+    on the grid of step ``dt``.
+
+    ``fiber(k)`` is theta_{-k dt} w, covering the history [-a, 0] with its
+    driver lead: ``wiener_shift(path, -k)`` of a path that holds them all,
+    or a window drawn for the rung alone (``sample_two_sided_path`` with
+    offset -k), which keeps memory flat in the horizon.  Each rung's fiber
+    is dropped before the next is asked for.
 
     Also reports the least-squares slope of ln+ Y against t over the upper
     half of the ladder (temperedness pushes it toward zero); NaN when that
@@ -199,12 +211,17 @@ def temperedness_diagnostic(
         if ladder_times is not None
         else np.geomspace(min(1.0, horizon), horizon, n_ladder)
     )
-    ladder = sorted({max(1, int(round(t / path.dt))) for t in raw})
+    ladder = sorted({max(1, int(round(t / dt))) for t in raw})
     rows = []
     for k in ladder:
-        t = k * path.dt
-        fiber = wiener_shift(path, -k)
-        z = construct_initial(field, fiber, a, m).z0
+        t = k * dt
+        rung = fiber(k)
+        if rung.dt != dt:
+            raise ConfigurationError(
+                f"fiber dt={rung.dt!r} is not the ladder's dt={dt!r}"
+            )
+        z = construct_initial(field, rung, a, m).z0
+        del rung
         norm = fractional_norm(z, spec)
         discounted = tuple(norm * math.exp(-g * t) for g in gammas)
         log_plus = max(math.log(norm), 0.0) if norm > 0 else 0.0

@@ -35,6 +35,7 @@ from randattract import (
     smoothing_estimate,
     span_grid,
     transform_consistency,
+    wiener_shift,
 )
 from randattract.evolution import operator_norm
 from randattract.operators import fixed_laplacian_symbols
@@ -230,7 +231,8 @@ def test_criterion_06_temperedness():
     for i in range(n_paths):
         path = sample_two_sided_path(spec, -116.0, 0.0, DT8, seed=106_000 + i)
         table = temperedness_diagnostic(
-            field, path, 0.2, [0.1], 100.0, 8.0, m, ladder_times=ladder
+            field, lambda k: wiener_shift(path, -k), path.dt, 0.2, [0.1],
+            100.0, 8.0, m, ladder_times=ladder,
         )
         by_t = {round(r.t, 6): r for r in table.rows}
         at20.append(by_t[20.0].discounted[0])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randattract import cli, evolution, ou
+from randattract import attractor, cli, evolution, ou
 from randattract.cli import main
 from randattract.config import load_config
 from randattract.errors import (
@@ -196,6 +196,25 @@ def test_verify_first_step_check_fails_on_a_flipped_increment(
     report = json.loads((out / "verify" / "verify_report.json").read_text())
     check = [c for c in report["checks"] if c["name"] == "ou_first_step_formula"]
     assert check[0]["passed"] is False and check[0]["margin"] > 1
+
+
+def test_verify_transform_check_fails_on_a_v_march_without_its_shifts(
+    tmp_path, small_config, monkeypatch
+):
+    # the v-march reads sigma Z inside the cubic term; one that drops it
+    # leaves u = v + sigma Z, and only transform_cubic_consistency fails
+    march = attractor._march
+
+    def unshifted(chain, x0, nonlinearity, forcing, shifts, noise, *rest):
+        return march(chain, x0, nonlinearity, forcing, None, noise, *rest)
+
+    monkeypatch.setattr(attractor, "_march", unshifted)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", small_config, "--out", str(out)]) == 3
+    report = json.loads((out / "verify" / "verify_report.json").read_text())
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["transform_cubic_consistency"]
+    assert failed[0]["margin"] > 1
 
 
 def test_simulate_outputs_and_manifest(tmp_path, small_config):

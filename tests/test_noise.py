@@ -16,6 +16,7 @@ from randattract import (
     sample_two_sided_path,
     wiener_shift,
 )
+from randattract import noise
 
 from conftest import DT
 
@@ -89,7 +90,7 @@ def _sampled_with_temporaries(spectrum, n_back, n_fwd, dt, seed):
     return base
 
 
-# n_back 0, 1, even and odd across several swap chunks; n_fwd 0 and > 0
+# n_back 0, 1 and across a draw chunk's edge; n_fwd 0 and > 0
 @pytest.mark.parametrize("n_back", [0, 1, 2, 513, 1030])
 @pytest.mark.parametrize("n_fwd", [0, 1, 700])
 def test_sampling_in_place_keeps_every_bit(spectrum, n_back, n_fwd):
@@ -100,6 +101,39 @@ def test_sampling_in_place_keeps_every_bit(spectrum, n_back, n_fwd):
     expected = _sampled_with_temporaries(spectrum, n_back, n_fwd, dt, 17)
     assert path.base_origin == n_back
     assert path.base.tobytes() == expected.tobytes()
+
+
+def _windows(chunk: int, n: int) -> list[tuple[int, int, int]]:
+    """(lo, hi, origin) windows of absolute rows: forward, backward and
+    0-spanning ones, ones starting or ending on an edge of a ``chunk``-row
+    draw, length-1 ones and the deepest row of either side."""
+    return [
+        (-n, n, 0), (0, 0, 0), (3, n - 2, 3), (-n + 2, -3, -3), (-5, 9, 2),
+        (chunk, chunk + 3, chunk + 1), (-chunk - 3, -chunk, -chunk),
+        (chunk + 1, 2 * chunk, 2 * chunk), (-2 * chunk, -chunk - 1, -chunk - 1),
+        (1, 1, 1), (-1, -1, -1), (chunk, chunk, chunk), (-n, -n, -n), (n, n, n),
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, noise._DRAW_ROWS])
+@pytest.mark.parametrize("dt", [2.0 ** -6, 0.1])
+@pytest.mark.parametrize("modes", [1, 5])
+def test_window_rows_keep_their_bits(monkeypatch, chunk, dt, modes):
+    # a window drawn on its own holds, bitwise, the rows of one whole path at
+    # the same absolute rows, and its values are the whole path's shifted
+    spec = NoiseSpectrum(modes, 1.0)
+    n = 2 * noise._DRAW_ROWS + 5
+    whole = sample_two_sided_path(spec, -n * dt, n * dt, dt, seed=23)
+    monkeypatch.setattr(noise, "_DRAW_ROWS", chunk)
+    for lo, hi, origin in _windows(chunk, n):
+        win = sample_two_sided_path(spec, (lo - origin) * dt, (hi - origin) * dt, dt, 23, origin)
+        rows = whole.base[whole.base_origin + lo : whole.base_origin + hi + 1]
+        assert win.base.tobytes() == rows.tobytes(), (lo, hi, origin)
+        shifted = wiener_shift(whole, origin)
+        assert (win.lo, win.hi) == (lo - origin, hi - origin)
+        for k in {win.lo, 0, win.hi}:
+            assert np.array_equal(win.value_at(k), shifted.value_at(k))
+            assert np.array_equal(win.difference(win.lo, k), shifted.difference(win.lo, k))
 
 
 def test_variance_of_unit_mode_monte_carlo():

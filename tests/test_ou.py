@@ -17,6 +17,7 @@ from randattract import (
     sample_two_sided_path,
     span_grid,
     temperedness_diagnostic,
+    wiener_shift,
 )
 from randattract import evolution
 from randattract.errors import ConfigurationError, NumericalError, ShiftRangeError
@@ -354,7 +355,8 @@ def test_law_stationarity_marginal_variance():
 def test_temperedness_zero_path(default_field):
     zero = synthetic_path(np.zeros((8193, 8)), 2.0 ** -6, 8192)
     table = temperedness_diagnostic(
-        default_field, zero, 0.2, [0.1], 16.0, 8.0, 8, n_ladder=5
+        default_field, lambda k: wiener_shift(zero, -k), zero.dt, 0.2, [0.1],
+        16.0, 8.0, 8, n_ladder=5,
     )
     assert all(r.norm == 0.0 for r in table.rows)
     assert table.slope == 0.0
@@ -364,7 +366,8 @@ def test_temperedness_zero_path(default_field):
 def test_temperedness_discount_decays(default_field, spectrum):
     path = sample_two_sided_path(spectrum, -120.0, 0.0, 2.0 ** -6, seed=5)
     table = temperedness_diagnostic(
-        default_field, path, 0.2, [0.1], 100.0, 8.0, 16, n_ladder=8
+        default_field, lambda k: wiener_shift(path, -k), path.dt, 0.2, [0.1],
+        100.0, 8.0, 16, n_ladder=8,
     )
     at = {round(r.t): r for r in table.rows}
     # e^{-0.1 t} Y decays from t = 20ish to t = 100 for this seed
@@ -378,7 +381,10 @@ def test_temperedness_slope_is_nan_on_a_one_rung_ladder(horizon, default_field, 
     # a horizon of at most 1 is a ladder of one rung, and no slope is fitted
     # through one point: 0.0 would read as tempered
     path = sample_two_sided_path(spectrum, -12.0, 0.0, 2.0 ** -6, seed=5)
-    table = temperedness_diagnostic(default_field, path, 0.2, [0.1], horizon, 2.0, 16)
+    table = temperedness_diagnostic(
+        default_field, lambda k: wiener_shift(path, -k), path.dt, 0.2, [0.1],
+        horizon, 2.0, 16,
+    )
     assert len(table.rows) == 1 and table.rows[0].norm > 0.0
     assert math.isnan(table.slope)
 
@@ -386,5 +392,61 @@ def test_temperedness_slope_is_nan_on_a_one_rung_ladder(horizon, default_field, 
 def test_temperedness_ladder_stays_within_a_short_horizon(default_field, spectrum):
     # the ladder used to start at t = 1 whatever the horizon
     path = sample_two_sided_path(spectrum, -12.0, 0.0, 2.0 ** -6, seed=5)
-    table = temperedness_diagnostic(default_field, path, 0.2, [0.1], 0.5, 2.0, 16, n_ladder=4)
+    table = temperedness_diagnostic(
+        default_field, lambda k: wiener_shift(path, -k), path.dt, 0.2, [0.1],
+        0.5, 2.0, 16, n_ladder=4,
+    )
     assert table.rows and max(r.t for r in table.rows) <= 0.5
+
+
+def _drawn(spec, field, a, dt, seed):
+    """Each rung's fiber theta_{-k dt} w drawn over its own history window
+    [-(a + driver lead), 0], as ou-diagnose draws it."""
+    lead = field.driver_horizon if field.amp > 0 else 0.0
+    return lambda k: sample_two_sided_path(spec, -(a + lead), 0.0, dt, seed, offset=-k)
+
+
+@pytest.mark.parametrize("horizon", [6.0, 1.0])
+def test_temperedness_drawn_fibers_equal_shifted_fibers(horizon):
+    # every row and the slope (NaN on the one-rung ladder of horizon 1) are
+    # bitwise those read through shifts of one path holding every rung
+    field = DiffusionField(driver_horizon=2.0)
+    spec, dt, a, m = NoiseSpectrum(4, 1.0), 2.0 ** -6, 2.0, 8
+    path = sample_two_sided_path(spec, -(horizon + a + 2.0), 0.0, dt, seed=61)
+    args = (0.2, [0.1, 0.5], horizon, a, m)
+    shifted = temperedness_diagnostic(field, lambda k: wiener_shift(path, -k), dt, *args)
+    drawn = temperedness_diagnostic(field, _drawn(spec, field, a, dt, 61), dt, *args)
+    assert drawn.rows == shifted.rows
+    assert len(drawn.rows) == (1 if horizon == 1.0 else 12)
+    assert np.array_equal(drawn.slope, shifted.slope, equal_nan=True)
+
+
+def test_temperedness_rejects_a_fiber_on_another_grid(default_field, medium_path):
+    with pytest.raises(ConfigurationError):
+        temperedness_diagnostic(
+            default_field, lambda k: wiener_shift(medium_path, -k), 2 * medium_path.dt,
+            0.2, [0.1], 1.0, 2.0, 8,
+        )
+
+
+def test_temperedness_memory_is_flat_in_the_horizon():
+    # each rung's fiber is drawn over its own window and dropped before the
+    # next, so the tracemalloc peak differs by less than one fiber window
+    # (513 rows of 8 modes, 32 KiB) between horizons 8 and 64; a path
+    # holding every rung grows from 1,537 to 8,705 rows
+    field = DiffusionField(driver_horizon=2.0)
+    spec, dt, a, m = NoiseSpectrum(8, 1.0), 2.0 ** -7, 2.0, 8
+    fiber = _drawn(spec, field, a, dt, 9)
+    window_bytes = (int((a + 2.0) / dt) + 1) * spec.mode_count * 8
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            temperedness_diagnostic(field, fiber, dt, 0.2, [0.1], horizon, a, m)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with workers(1):
+        construct_initial(field, fiber(1), 1.0, m)  # warm the caches
+        assert abs(peak(64.0) - peak(8.0)) < window_bytes

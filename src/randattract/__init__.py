@@ -28,7 +28,6 @@ from .operators import (
     fractional_norm,
 )
 from .evolution import (
-    DecayFit,
     PropagatorChain,
     TimeGrid,
     apply,

@@ -604,21 +604,15 @@ def cocycle_residual(
     return operator_norm(ua - ub)
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Envelope ||U(t,s)|| <= C_hat * exp(-lambda_hat (t-s)) over the samples."""
-
-    C_hat: float
-    lambda_hat: float
-
-
 def decay_fit(
     chain: PropagatorChain, sample_pairs: list[tuple[float, float]]
-) -> DecayFit:
-    """Minimal C_hat >= 1 making the envelope hold on every sampled pair.
+) -> float:
+    """Minimal C_hat >= 1 making ||U(t,s)|| <= C_hat * exp(-lambda (t-s))
+    hold on every sampled pair.
 
-    The rate is pinned to the Poincare rate of the field's ellipticity floor
-    rather than jointly fitted.
+    The rate lambda is pinned to the Poincare rate of the field's
+    ellipticity floor (``chain.field.poincare_rate``) rather than jointly
+    fitted.
     """
     if not sample_pairs:
         raise ConfigurationError("decay_fit needs a nonempty sample set")
@@ -629,7 +623,7 @@ def decay_fit(
             raise OrderingError(f"pair has t={t!r} < s={s!r}")
         norm = operator_norm(chain_matrix(chain, t, s))
         c = max(c, norm * math.exp(rate * (t - s)))
-    return DecayFit(C_hat=c, lambda_hat=rate)
+    return c
 
 
 def smoothing_estimate(

@@ -75,7 +75,6 @@ class WienerPath:
     base_origin: int
     dt: float
     spectrum: NoiseSpectrum
-    base_seed: int
 
     def __post_init__(self) -> None:
         if self.base.ndim != 2 or self.base.shape[1] != self.spectrum.mode_count:
@@ -193,7 +192,7 @@ def sample_two_sided_path(
             else:
                 base[-last - lo : -first - lo + 1] = part[first - d0 :][::-1]
     base.setflags(write=False)
-    return WienerPath(base, n_back, dt, spectrum, seed)
+    return WienerPath(base, n_back, dt, spectrum)
 
 
 # rows of one side a sampling draws at a time
@@ -212,7 +211,7 @@ def wiener_shift(path: WienerPath, offset: int) -> WienerPath:
             f"shift by {offset} steps leaves the sampled window "
             f"[{path.lo}, {path.hi}]"
         )
-    return WienerPath(path.base, new_origin, path.dt, path.spectrum, path.base_seed)
+    return WienerPath(path.base, new_origin, path.dt, path.spectrum)
 
 
 def restrict(path: WienerPath, factor: int) -> WienerPath:
@@ -231,7 +230,4 @@ def restrict(path: WienerPath, factor: int) -> WienerPath:
         )
     base = path.base[::factor]
     base.setflags(write=False)
-    return WienerPath(
-        base, path.base_origin // factor, path.dt * factor, path.spectrum,
-        path.base_seed,
-    )
+    return WienerPath(base, path.base_origin // factor, path.dt * factor, path.spectrum)

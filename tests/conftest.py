@@ -54,7 +54,7 @@ def synthetic_path(values: np.ndarray, dt: float, origin: int) -> WienerPath:
     base = base - base[origin]
     base.setflags(write=False)
     spec = NoiseSpectrum(base.shape[1], 1.0)
-    return WienerPath(base, origin, dt, spec, 0)
+    return WienerPath(base, origin, dt, spec)
 
 
 def reference_chain(field, path, grid, m) -> PropagatorChain:

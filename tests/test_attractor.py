@@ -30,7 +30,8 @@ from randattract import (
     transform_consistency,
     wiener_shift,
 )
-from randattract import attractor, evolution, ou, pathwise
+from randattract import attractor, evolution, ou
+from randattract.counters import counting
 from randattract.errors import ConfigurationError
 from randattract.evolution import workers
 
@@ -379,46 +380,23 @@ def test_pullback_member_blowing_up_inside_a_segment_is_frozen(monkeypatch):
 
 
 def test_pullback_work_counts_are_members_times_steps(monkeypatch):
-    # the counts the benchmark checks, kept here too: one nemytskii call per
-    # member-step, every chain step built once, marched states summed over
-    # the integrate calls, and the driver read at each chain's n + 1 nodes
-    # (its steps) and n nodes (its blocks' increments), over a window of
-    # driver_horizon / dt + 1 path points each; and one integrate call per
-    # member and block
-    counts = {
-        "nemytskii": 0, "marched": 0, "calls": 0, "built": 0, "blowups": 0,
-        "driver": 0,
-    }
-    nemytskii_fn = pathwise.nemytskii
-    driver_fn = evolution.driver_values
+    # the counts the benchmark checks, read from the run's counters on the
+    # streaming chains the CLI marches: one nemytskii call per member-step,
+    # every chain step built once, marched states summed over the integrate
+    # calls, and the driver read at each chain's n + 1 nodes (its steps) and
+    # n nodes (its blocks' increments), over a window of driver_horizon / dt
+    # + 1 path points each; and, counted here since no counter holds them,
+    # one integrate call per member and block, and no blow-up
+    calls = {"integrate": 0, "blowups": 0}
     integrate_fn = attractor.integrate_semilinear
-    build_fn = attractor.build_chain
-
-    def counted_nemytskii(*args, **kwargs):
-        counts["nemytskii"] += 1
-        return nemytskii_fn(*args, **kwargs)
 
     def counted_integrate(problem, chain):
         traj = integrate_fn(problem, chain)
-        counts["calls"] += 1
-        counts["marched"] += traj.states.shape[0] - 1
-        counts["blowups"] += traj.status == "blowup"
+        calls["integrate"] += 1
+        calls["blowups"] += traj.status == "blowup"
         return traj
 
-    def counted_driver(field, path, k_lo, k_hi):
-        zetas = driver_fn(field, path, k_lo, k_hi)
-        counts["driver"] += len(zetas) * (int(round(field.driver_horizon / path.dt)) + 1)
-        return zetas
-
-    def counted_build(field, path, grid, m):
-        chain = build_fn(field, path, grid, m)
-        counts["built"] += chain.steps.shape[0]
-        return chain
-
-    monkeypatch.setattr(pathwise, "nemytskii", counted_nemytskii)
     monkeypatch.setattr(attractor, "integrate_semilinear", counted_integrate)
-    monkeypatch.setattr(attractor, "build_chain", counted_build)
-    monkeypatch.setattr(evolution, "driver_values", counted_driver)
     monkeypatch.setattr(evolution, "_BUILD_BLOCK", 5)
     field, m, dt, path = _segment_case()
     problem = SemilinearProblem(
@@ -433,14 +411,15 @@ def test_pullback_work_counts_are_members_times_steps(monkeypatch):
     window = int(round(field.driver_horizon / dt)) + 1
     points = sum(((n + 1) + n) * window for n in chain_steps)
     for width in (1, 2):
-        counts.update(dict.fromkeys(counts, 0))
-        with workers(width):
+        calls.update(dict.fromkeys(calls, 0))
+        with workers(width), counting() as counters:
             est = pullback_estimate(problem, path, horizons, ens, 0.35, m)
         assert not est.flagged
-        assert counts == {
-            "nemytskii": 5 * steps, "marched": 5 * steps, "calls": 5 * blocks,
-            "built": steps, "blowups": 0, "driver": points,
-        }
+        assert (
+            counters.nemytskii_calls, counters.member_steps,
+            counters.steps_built, counters.driver_points,
+        ) == (5 * steps, 5 * steps, steps, points)
+        assert calls == {"integrate": 5 * blocks, "blowups": 0}
 
 
 def test_read_once_chains_give_the_bits_of_kept_chains(monkeypatch):

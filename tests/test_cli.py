@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randattract import attractor, cli, evolution, ou
+from randattract import attractor, cli, evolution, ou, verify
 from randattract.cli import main
 from randattract.config import load_config
 from randattract.errors import (
@@ -133,88 +133,106 @@ def test_verify_passes_and_is_deterministic(tmp_path, small_config, capsys):
     assert manifest["per_path_seeds"] == [777, 778]
 
 
-def test_verify_reports_a_failed_exact_check_with_a_null_margin(
-    tmp_path, small_config, monkeypatch
-):
-    # evolution_contractivity is an exact check (tolerance 0): failing, its
-    # margin is infinite, written as null, not the 0.0 of a passing one
-    monkeypatch.setattr(cli, "contractivity_margin", lambda chain: -1.0)
-    out = tmp_path / "v"
-    assert main(["verify", "--config", small_config, "--out", str(out)]) == 3
-    report = json.loads((out / "verify" / "verify_report.json").read_text())
-    assert report["all_passed"] is False
-    failed = [c for c in report["checks"] if not c["passed"]]
-    assert [(c["name"], c["margin"]) for c in failed] == [
-        ("evolution_contractivity", None)
-    ]
-    exact = [c for c in report["checks"] if c["tolerance"] == 0.0 and c["passed"]]
-    assert exact and all(c["margin"] == 0.0 for c in exact)
+def _below_zero(contractivity_margin):
+    return lambda chain: -1.0
 
 
-def test_verify_margin_is_at_most_one_exactly_when_a_check_passes(
-    tmp_path, small_config, monkeypatch
-):
+def _half_ceiling(assemble):
     # operator_spectral_bound's tolerance is the spectral ceiling, below 0:
     # shifted so that its top eigenvalue is half the ceiling, the operator
-    # fails the check, whose margin is then 2, not 0.0
-    assemble = cli.assemble_operator
-
+    # fails the check, whose margin is then 2; ou_first_step_formula, whose
+    # noise row verify assembles with it, fails too
     def shifted(field, t, path, m):
         op = assemble(field, t, path, m)
         top = np.linalg.eigvalsh(op)[-1]
         return op + (0.5 * field.spectral_ceiling - top) * np.eye(m)
 
-    monkeypatch.setattr(cli, "assemble_operator", shifted)
-    out = tmp_path / "v"
-    assert main(["verify", "--config", small_config, "--out", str(out)]) == 3
-    report = json.loads((out / "verify" / "verify_report.json").read_text())
-    spectral = [c for c in report["checks"] if c["name"] == "operator_spectral_bound"]
-    assert spectral[0]["tolerance"] < 0 and spectral[0]["passed"] is False
-    bounded = [c for c in report["checks"] if c["tolerance"] != 0.0]
-    assert len(bounded) > 1
-    for c in bounded:
-        assert c["passed"] == (c["margin"] is not None and c["margin"] <= 1), c
+    return shifted
 
 
-def test_verify_first_step_check_fails_on_a_flipped_increment(
-    tmp_path, small_config, monkeypatch
-):
+def _flipped_increments(increments):
     # propagate's noise rows as dw + (dt/2) A dw, not dw - (dt/2) A dw: the
     # first propagated step then leaves S_0 (z0 + dw_0 - (dt/2) A(0) dw_0),
     # which verify assembles from the path and the full generator
-    increments = ou.corrected_increments
-
     def flipped(chain):
         w = chain.path_rows()
         dw = np.zeros((chain.grid.n_steps, chain.dim))
         dw[:, : w.shape[1]] = w[1:] - w[:-1]
         return 2.0 * dw - increments(chain)
 
-    monkeypatch.setattr(ou, "corrected_increments", flipped)
-    out = tmp_path / "v"
-    assert main(["verify", "--config", small_config, "--out", str(out)]) == 3
-    report = json.loads((out / "verify" / "verify_report.json").read_text())
-    check = [c for c in report["checks"] if c["name"] == "ou_first_step_formula"]
-    assert check[0]["passed"] is False and check[0]["margin"] > 1
+    return flipped
 
 
-def test_verify_transform_check_fails_on_a_v_march_without_its_shifts(
-    tmp_path, small_config, monkeypatch
-):
+def _unshifted(march):
     # the v-march reads sigma Z inside the cubic term; one that drops it
-    # leaves u = v + sigma Z, and only transform_cubic_consistency fails
-    march = attractor._march
-
+    # leaves u = v + sigma Z
     def unshifted(chain, x0, nonlinearity, forcing, shifts, noise, *rest):
         return march(chain, x0, nonlinearity, forcing, None, noise, *rest)
 
-    monkeypatch.setattr(attractor, "_march", unshifted)
+    return unshifted
+
+
+def _doubled_dt(exp_steps):
+    return lambda gens, dt, ceiling: exp_steps(gens, 2.0 * dt, ceiling)
+
+
+def _negated(corrector_integral):
+    return lambda chain: -corrector_integral(chain)
+
+
+def _identity_order(parity_order):
+    return lambda m: (np.arange(m), np.arange(m))
+
+
+# (module, name, mutant of the original, the checks that must fail): each
+# mutant changes one name that verify's checks reach, and the failing sets
+# are those measured on SMALL's seed
+VERIFY_MUTANTS = {
+    "contractivity_below_zero": (
+        verify, "contractivity_margin", _below_zero, {"evolution_contractivity"},
+    ),
+    "generator_at_half_the_ceiling": (
+        verify, "assemble_operator", _half_ceiling,
+        {"operator_spectral_bound", "ou_first_step_formula"},
+    ),
+    "noise_row_with_a_flipped_increment": (
+        ou, "corrected_increments", _flipped_increments, {"ou_first_step_formula"},
+    ),
+    "v_march_without_its_shifts": (
+        attractor, "_march", _unshifted, {"transform_cubic_consistency"},
+    ),
+    "steps_of_exp_2dt_a": (
+        evolution, "_exp_steps", _doubled_dt,
+        {"corrector_ramp_oracle", "transform_cubic_consistency"},
+    ),
+    "z0_with_its_sign_flipped": (
+        ou, "corrector_integral", _negated, {"transform_cubic_consistency"},
+    ),
+    "steps_left_in_parity_order": (
+        evolution, "_parity_order", _identity_order, {"transform_cubic_consistency"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(VERIFY_MUTANTS))
+def test_verify_fails_exactly_the_checks_its_mutant_breaks(
+    mutant, tmp_path, small_config, monkeypatch
+):
+    module, name, mutate, failing = VERIFY_MUTANTS[mutant]
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     out = tmp_path / "v"
     assert main(["verify", "--config", small_config, "--out", str(out)]) == 3
     report = json.loads((out / "verify" / "verify_report.json").read_text())
-    failed = [c for c in report["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["transform_cubic_consistency"]
-    assert failed[0]["margin"] > 1
+    assert report["all_passed"] is False
+    assert {c["name"] for c in report["checks"] if not c["passed"]} == failing
+    # with a nonzero tolerance the margin is at most 1 exactly when the check
+    # passes; an exact check's (tolerance 0) is 0 when it passes and infinite,
+    # written as null, when it fails
+    for c in report["checks"]:
+        if c["tolerance"] != 0.0:
+            assert c["passed"] == (c["margin"] is not None and c["margin"] <= 1), c
+        else:
+            assert c["margin"] == (0.0 if c["passed"] else None), c
 
 
 def test_simulate_outputs_and_manifest(tmp_path, small_config):
@@ -272,50 +290,6 @@ def test_ou_diagnose_writes_a_null_slope_on_a_one_rung_ladder(tmp_path):
     assert len(table) == 3  # the config hash, the header and the one rung
     summary = json.loads((run_dir / "temperedness_summary.json").read_text())
     assert summary["slope_upper_half"] is None
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_ou_diagnose_work_counts(tmp_path, small_config, monkeypatch, threads):
-    # the counts the benchmark checks for ou-diagnose, written out here:
-    # 4 + |ladder| history chains of a / dt steps, read at a + 1 driver
-    # nodes for their steps and a + 1 for their corrector rows, and
-    # propagation chains of 8, 4, 4 and 4 time units, of n steps read at
-    # n + 1 nodes for their steps and n for their increments; each node is
-    # a window of driver_horizon / dt + 1 path points
-    counts = {"built": 0, "history": 0, "driver": 0}
-    build_fn, initial_fn = ou.build_chain, ou.construct_initial
-    driver_fn = evolution.driver_values
-
-    def counted_build(field, path, grid, m):
-        counts["built"] += grid.n_steps
-        return build_fn(field, path, grid, m)
-
-    def counted_initial(field, path, a, m):
-        counts["history"] += int(round(a / path.dt))
-        return initial_fn(field, path, a, m)
-
-    def counted_driver(field, path, k_lo, k_hi):
-        zetas = driver_fn(field, path, k_lo, k_hi)
-        counts["driver"] += len(zetas) * (int(round(field.driver_horizon / path.dt)) + 1)
-        return zetas
-
-    monkeypatch.setattr(ou, "build_chain", counted_build)
-    monkeypatch.setattr(ou, "construct_initial", counted_initial)
-    monkeypatch.setattr(evolution, "driver_values", counted_driver)
-    out = tmp_path / "ou"
-    args = ["--config", small_config, "--out", str(out), "--threads", threads]
-    assert main(["ou-diagnose", *args]) == 0
-    dt, a, window = 2.0 ** -6, 128, 129  # SMALL: truncation_horizon 2, driver_horizon 2
-    ladder = {max(1, int(round(t / dt))) for t in np.geomspace(1.0, 8.0, 12)}
-    histories = 4 + len(ladder)
-    propagations = [int(round(t / dt)) for t in (8.0, 4.0, 4.0, 4.0)]
-    assert counts == {
-        "built": histories * a + sum(propagations),
-        "history": histories * a,
-        "driver": window * (
-            histories * 2 * (a + 1) + sum(2 * n + 1 for n in propagations)
-        ),
-    }
 
 
 def test_attractor_pullback_outputs(tmp_path, small_config):

@@ -286,8 +286,7 @@ def test_linearity_in_path_scaling(default_field, medium_path):
     from randattract import WienerPath
 
     scaled_path = WienerPath(
-        scaled_base, medium_path.base_origin, medium_path.dt,
-        medium_path.spectrum, medium_path.base_seed,
+        scaled_base, medium_path.base_origin, medium_path.dt, medium_path.spectrum
     )
     # the operator itself depends on the path, so compare with a frozen field
     auto = DiffusionField(amp=0.0)
